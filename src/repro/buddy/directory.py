@@ -76,24 +76,41 @@ def validate_layout(page_size: int, capacity: int) -> None:
 
 
 def pack_directory(
-    page_size: int, capacity: int, counts: list[int], amap_bytes: bytes
+    page_size: int,
+    capacity: int,
+    counts: list[int],
+    amap_bytes: bytes | bytearray,
+    into: bytearray | None = None,
 ) -> bytearray:
-    """Serialise the directory into a page image."""
+    """Serialise the directory into a page image.
+
+    ``into`` packs over an existing page-sized image (the buffer-pool
+    frame of the directory page) instead of building a fresh one; every
+    byte of it is rewritten, so the result does not depend on what the
+    image held before.
+    """
     k = max_segment_type(page_size)
     if len(counts) != k + 1:
         raise DirectoryCorrupt(
             f"count array must have {k + 1} entries for page size {page_size}, "
             f"got {len(counts)}"
         )
-    image = bytearray(page_size)
-    _HEADER.pack_into(image, 0, _VERSION, k, capacity)
-    offset = HEADER_SIZE
-    for value in counts:
-        if not 0 <= value <= 0xFFFF:
-            raise DirectoryCorrupt(f"count value {value} does not fit in 16 bits")
-        struct.pack_into("<H", image, offset, value)
-        offset += 2
-    image[offset : offset + len(amap_bytes)] = amap_bytes
+    if min(counts) < 0 or max(counts) > 0xFFFF:
+        bad = next(v for v in counts if not 0 <= v <= 0xFFFF)
+        raise DirectoryCorrupt(f"count value {bad} does not fit in 16 bits")
+    image = bytearray(page_size) if into is None else into
+    offset = HEADER_SIZE + 2 * (k + 1)
+    end = offset + len(amap_bytes)
+    if end > len(image):
+        raise DirectoryCorrupt(
+            f"a map of {len(amap_bytes)} bytes does not fit a {len(image)}-byte "
+            f"directory page"
+        )
+    # Everything is validated; from here on nothing can fail half-way.
+    struct.pack_into(f"<BBI{k + 1}H", image, 0, _VERSION, k, capacity, *counts)
+    image[offset:end] = amap_bytes
+    if into is not None:
+        image[end:] = bytes(len(image) - end)
     return image
 
 

@@ -15,6 +15,14 @@ for how many directory pages each request inspects (experiment E9).
 Directory pages travel through a buffer pool, so a hot directory costs
 no physical I/O — matching the paper's "at most one disk access ...
 regardless of the segment size" for databases that fit in one space.
+
+In the same main-memory spirit the manager keeps each space's directory
+*decoded* across calls (and with it the space's scan-start hints), so an
+allocation costs in proportion to the map bytes it looks at rather than
+to the size of the page.  The buffer-pool frame stays the truth: every
+call still pins it, every mutation is serialised into it and written
+through, and whenever a mutation fails the decoded copy is thrown away
+and rebuilt from the frame.
 """
 
 from __future__ import annotations
@@ -22,10 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from repro.analysis.buddycheck import check_space
+from repro.analysis.buddycheck import check_scan_hints, check_space
 from repro.analysis.confine import ThreadConfinement
 from repro.analysis.sanitize import sanitizers_from_env
-from repro.buddy.space import BuddySpace
+from repro.buddy.space import BuddySpace, ScanStats
 from repro.concurrency.latch import Latch
 from repro.errors import BadSegment, InvariantViolation, OutOfSpace, SegmentTooLarge
 from repro.obs.tracer import NULL_OBS, Observability
@@ -55,6 +63,8 @@ class AllocatorStats:
     directory_loads: int = 0       # directory pages inspected (buffered or not)
     superdirectory_skips: int = 0  # spaces skipped thanks to the superdirectory
     superdirectory_corrections: int = 0  # wrong optimistic guesses corrected
+    scans: int = 0                 # jump scans run (Section 3.1)
+    scan_probes: int = 0           # map bytes those scans examined
 
 
 class BuddyManager:
@@ -83,6 +93,10 @@ class BuddyManager:
         self.max_type = probe.max_type
         self.max_segment_pages = probe.max_segment_pages
         self._super = [self.max_type] * volume.n_spaces
+        # The decoded directory of each space, kept across calls (None
+        # until first use and again after any failed mutation).  Trusted
+        # only as a mirror of the directory page's buffer-pool frame.
+        self._decoded: list[BuddySpace | None] = [None] * volume.n_spaces
         # The superdirectory is latched, not transaction-locked, "otherwise
         # it would quickly become a hot spot".
         self.superdirectory_latch = Latch("superdirectory")
@@ -109,10 +123,11 @@ class BuddyManager:
         # The in-memory space is checked (not a reload) so the sanitizer
         # perturbs no I/O accounting and sees exactly what will be stored.
         check = check_space(space)
-        if not check.ok:
-            problems = "; ".join(check.problems)
+        problems = check.problems or check_scan_hints(space, check.segments)
+        if problems:
             raise InvariantViolation(
-                f"buddy space {index} inconsistent after {operation}: {problems}"
+                f"buddy space {index} inconsistent after {operation}: "
+                + "; ".join(problems)
             )
 
     # ------------------------------------------------------------------
@@ -129,19 +144,81 @@ class BuddyManager:
         return manager
 
     def load_space(self, index: int) -> BuddySpace:
-        """Fetch a space's directory page and decode it."""
+        """Fetch a space's directory page and decode it.
+
+        Always decodes what the page holds — fsck, the health collector
+        and ``inspect`` judge the stored directory, not the manager's
+        decoded copy of it.
+        """
         self.stats.directory_loads += 1
         extent = self.volume.spaces[index]
         with self.pool.page(extent.directory_page) as image:
             return BuddySpace.from_page(self.page_size, image)
 
     def store_space(self, index: int, space: BuddySpace) -> None:
-        """Write a space's directory back through the buffer pool."""
+        """Write a space's directory back through the buffer pool.
+
+        A directory stored from outside replaces whatever the manager had
+        decoded: its copy is dropped and rebuilt from the page on next use.
+        """
+        self._decoded[index] = None
+        self._write_directory(index, space)
+
+    def decoded_space(self, index: int) -> BuddySpace | None:
+        """The decoded directory currently held for a space, if any.
+
+        For the invariant checker (``check_manager``); no I/O, no pin.
+        """
+        return self._decoded[index]
+
+    def _pinned_space(self, index: int) -> BuddySpace:
+        """Pin a space's directory page and return its decoded form.
+
+        The alloc/free path's :meth:`load_space`: same pin, same
+        hit-or-modelled-read, but the page is decoded only when no
+        decoded copy is held.
+        """
+        self.stats.directory_loads += 1
         extent = self.volume.spaces[index]
-        with self.pool.page(extent.directory_page, dirty=True) as image:
-            image[:] = space.to_page()
+        with self.pool.page(extent.directory_page) as image:
+            space = self._decoded[index]
+            if space is None:
+                space = BuddySpace.from_page(self.page_size, image)
+                self._decoded[index] = space
+            elif self.check_invariants and space.to_page() != image:
+                self._decoded[index] = None
+                raise InvariantViolation(
+                    f"buddy space {index}: the decoded directory no longer "
+                    f"matches its page (the page was written behind the "
+                    f"manager's back)"
+                )
+        return space
+
+    def _write_directory(self, index: int, space: BuddySpace) -> None:
+        """Serialise ``space`` into its pinned frame and write it through.
+
+        If the flush fails the frame gets its previous image back, so the
+        pool never shows a directory the disk write did not follow.
+        (Packing validates before it writes, so it cannot tear the frame.)
+        """
+        page = self.volume.spaces[index].directory_page
+        with self.pool.page(page, dirty=True) as image:
+            before = bytes(image)
+            space.to_page(into=image)
         if self.write_through:
-            self.pool.flush_page(extent.directory_page)
+            try:
+                self.pool.flush_page(page)
+            except BaseException:
+                with self.pool.page(page) as image:
+                    image[:] = before
+                raise
+
+    def _account_scans(self, ran: ScanStats) -> None:
+        """Fold the jump scans one space operation ran into the stats."""
+        if ran.scans:
+            self.stats.scans += ran.scans
+            self.stats.scan_probes += ran.probes
+            self.obs.metrics.histogram("buddy.scan.probes").observe(ran.probes)
 
     def _update_guess(self, index: int, space: BuddySpace) -> None:
         with self.superdirectory_latch:
@@ -197,18 +274,18 @@ class BuddyManager:
             self.obs.metrics.histogram("buddy.alloc.pages").observe(ref.n_pages)
             return ref
 
-    def _space_order(self, *, exact: bool, avoid: int | None = None) -> list[int]:
+    def _space_order(
+        self, guesses: list[int], *, exact: bool, avoid: int | None = None
+    ) -> list[int]:
         """Spaces to probe, in order.
 
         Exact requests go first-fit (keeps related data clustered in low
         spaces); best-effort requests try the space the superdirectory
-        believes has the largest free segment first.  ``avoid`` drops
-        one space from the candidates entirely.
+        (``guesses``) believes has the largest free segment first.
+        ``avoid`` drops one space from the candidates entirely.
         """
         indices = [i for i in range(self.volume.n_spaces) if i != avoid]
         if not exact and self.use_superdirectory:
-            with self.superdirectory_latch:
-                guesses = list(self._super)
             indices.sort(key=lambda i: guesses[i], reverse=True)
         return indices
 
@@ -216,32 +293,39 @@ class BuddyManager:
         self, n_pages: int, *, exact: bool, avoid: int | None = None
     ) -> SegmentRef | None:
         needed_type = ceil_log2(n_pages) if exact else 0
-        for index in self._space_order(exact=exact, avoid=avoid):
-            if self.use_superdirectory:
-                with self.superdirectory_latch:
-                    guess = self._super[index]
-                if guess < needed_type:
-                    # "...to eliminate unnecessary access to an individual
-                    # buddy space directory, if the maximum segment size in
-                    # that space is less than the one requested."
-                    self.stats.superdirectory_skips += 1
-                    continue
-            space = self.load_space(index)
-            if exact:
-                start = space.allocate(n_pages)
-                got = n_pages if start is not None else 0
-            else:
-                result = space.allocate_up_to(n_pages)
-                start, got = result if result is not None else (None, 0)
-            if start is None:
-                if self.use_superdirectory:
-                    self.stats.superdirectory_corrections += 1
-                self._update_guess(index, space)
+        # One latched read of the guesses serves the whole request: a
+        # guess only changes for a space this loop has already visited.
+        guesses = self.superdirectory()
+        for index in self._space_order(guesses, exact=exact, avoid=avoid):
+            if self.use_superdirectory and guesses[index] < needed_type:
+                # "...to eliminate unnecessary access to an individual
+                # buddy space directory, if the maximum segment size in
+                # that space is less than the one requested."
+                self.stats.superdirectory_skips += 1
                 continue
+            space = self._pinned_space(index)
+            space.scan_stats = ran = ScanStats()  # this operation's scans only
+            try:
+                if exact:
+                    start = space.allocate(n_pages)
+                    got = n_pages
+                else:
+                    start, got = space.allocate_up_to(n_pages) or (None, 0)
+                self._account_scans(ran)
+                if start is None:
+                    if self.use_superdirectory:
+                        self.stats.superdirectory_corrections += 1
+                    self._update_guess(index, space)
+                    continue
+                if self.check_invariants:
+                    self._check_after("allocate", index, space)
+                self._write_directory(index, space)
+            except BaseException:
+                # The frame still holds the last good directory; the
+                # half-applied decoded copy (and its hints) must go.
+                self._decoded[index] = None
+                raise
             self._update_guess(index, space)
-            if self.check_invariants:
-                self._check_after("allocate", index, space)
-            self.store_space(index, space)
             extent = self.volume.spaces[index]
             return SegmentRef(extent.to_physical(start), got)
         return None
@@ -266,12 +350,16 @@ class BuddyManager:
             "buddy.free", first_page=first_page, pages=n_pages
         ):
             self.stats.frees += 1
-            space = self.load_space(extent.index)
-            space.free(local, n_pages)
+            space = self._pinned_space(extent.index)
+            try:
+                space.free(local, n_pages)
+                if self.check_invariants:
+                    self._check_after("free", extent.index, space)
+                self._write_directory(extent.index, space)
+            except BaseException:
+                self._decoded[extent.index] = None
+                raise
             self._update_guess(extent.index, space)
-            if self.check_invariants:
-                self._check_after("free", extent.index, space)
-            self.store_space(extent.index, space)
 
     def free_segment(self, ref: SegmentRef) -> None:
         """Free a whole segment previously returned by :meth:`allocate`."""
@@ -302,9 +390,8 @@ class BuddyManager:
         out: list[tuple[int, int]] = []
         for index in range(self.volume.n_spaces):
             space = self.load_space(index)
-            max_type = space.max_free_type()
-            largest = (1 << max_type) if space.free_pages() else 0
-            out.append((space.free_pages(), largest))
+            free = space.free_pages()
+            out.append((free, (1 << space.max_free_type()) if free else 0))
         return out
 
     def verify(self) -> None:

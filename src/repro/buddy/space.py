@@ -5,7 +5,9 @@ allocation map:
 
 * the **jump scan** of Section 3.1 — locating a free segment of size
   ``n`` by repeatedly stepping ``S = S + max(n, m)`` over segment starts,
-  so only a handful of map bytes are examined rather than all of them;
+  so only a handful of map bytes are examined rather than all of them
+  (on an aged space "a handful" needs the per-type scan-start hints,
+  see :attr:`BuddySpace.scan_hints`);
 * **splitting** — when no free segment of the requested type exists, the
   smallest larger one is "recursively split in half until a segment of
   the desired size is finally made up" (Section 3.2);
@@ -27,7 +29,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.buddy.amap import AllocationMap, SegmentView
+from repro.buddy.amap import (
+    ALLOCATED_FLAG,
+    LARGE_FLAG,
+    TYPE_MASK,
+    AllocationMap,
+    SegmentView,
+)
 from repro.buddy.directory import (
     effective_max_type,
     max_segment_type,
@@ -76,6 +84,15 @@ class BuddySpace:
         self.counts = [0] * (self.k + 1)
         self.amap = AllocationMap(capacity)
         self.scan_stats = ScanStats()
+        #: ``scan_hints[t]`` is a lower bound on the address of the lowest
+        #: free type-``t`` segment; the jump scan for type ``t`` starts
+        #: there.  Like the superdirectory (Section 3.3) the hints live in
+        #: main memory only: 0 is always valid, so a space decoded from its
+        #: directory page simply starts with no knowledge.  They move in
+        #: two places: :meth:`_add_free` lowers one wherever a free
+        #: segment comes into being, and :meth:`_take_free` raises one
+        #: past the segment a scan found and consumed.
+        self.scan_hints = [0] * (self.k + 1)
 
     # ------------------------------------------------------------------
     # Construction / serialisation
@@ -94,11 +111,11 @@ class BuddySpace:
         pos = 0
         while pos + max_size <= capacity:
             space.amap.set_segment(pos, max_size, allocated=False)
-            space.counts[space.max_type] += 1
+            space._add_free(space.max_type, pos)
             pos += max_size
         for addr, size in aligned_run_decomposition(pos, capacity - pos):
             space.amap.set_segment(addr, size, allocated=False)
-            space.counts[floor_log2(size)] += 1
+            space._add_free(floor_log2(size), addr)
         return space
 
     @classmethod
@@ -114,10 +131,14 @@ class BuddySpace:
         space.amap = AllocationMap.from_bytes(amap_bytes, capacity)
         return space
 
-    def to_page(self) -> bytearray:
-        """Serialise this space into a directory page image."""
+    def to_page(self, into: bytearray | None = None) -> bytearray:
+        """Serialise this space into a directory page image.
+
+        ``into`` is an existing page image to overwrite (the manager
+        packs straight into the pinned buffer-pool frame).
+        """
         return pack_directory(
-            self.page_size, self.capacity, self.counts, self.amap.to_bytes()
+            self.page_size, self.capacity, self.counts, self.amap.raw, into
         )
 
     # ------------------------------------------------------------------
@@ -151,33 +172,86 @@ class BuddySpace:
     # The jump scan (Section 3.1)
     # ------------------------------------------------------------------
 
-    def find_free(self, size_type: int) -> int:
-        """Locate a free segment of type ``size_type`` by the jump scan.
+    def find_free(self, size_type: int, *, hinted: bool = True) -> int:
+        """Locate the lowest free segment of type ``size_type`` by the jump scan.
 
-        Precondition: ``counts[size_type] > 0``.  Starting at segment 0,
-        if the segment at S has size m != n the scan "continues
-        recursively at segment S = S + max(n, m)".  The count array
-        guarantees termination; a corrupt directory raises.
+        Precondition: ``counts[size_type] > 0``.  If the segment at S has
+        size m != n the scan "continues recursively at segment
+        S = S + max(n, m)".  The count array guarantees termination; a
+        corrupt directory raises.
+
+        The scan starts at ``scan_hints[size_type]`` — a ``2**t``-aligned
+        lower bound on the answer, so it returns what a scan from
+        segment 0 returns (``hinted=False``, the sanitizer's cross-check)
+        after fewer probes.  Each probe reads one map byte: a start byte
+        gives type and status by mask, a quad byte the two bits that
+        matter; nothing is decoded into objects.
         """
         n = 1 << size_type
-        self.scan_stats.scans += 1
-        s = 0
-        while s < self.capacity:
-            self.scan_stats.probes += 1
-            seg = self.amap.segment_containing(s)
-            if seg.start != s:
-                # Landed inside a segment that started earlier: resume at
-                # its end (cannot happen with aligned stepping, but keeps
-                # the scan robust against any canonical map).
-                s = seg.end
-                continue
-            if not seg.allocated and seg.size == n:
-                return s
-            s += max(n, seg.size)
+        raw = self.amap.raw
+        capacity = self.capacity
+        free_start = LARGE_FLAG | size_type
+        s = self.scan_hints[size_type] if hinted else 0
+        probes = 0
+        try:
+            while s < capacity:
+                probes += 1
+                byte = raw[s >> 2]
+                if byte & LARGE_FLAG and not s & 3:
+                    if byte == free_start:
+                        return s
+                    m = 1 << (byte & TYPE_MASK)
+                    s += m if m > n else n
+                elif byte and not byte & LARGE_FLAG:
+                    if n >= 4 or byte & (8 >> (s & 3)):
+                        s += n  # one or two pages, or an allocated page
+                    elif byte & (8 >> ((s ^ 1) & 3)):
+                        if n == 1:
+                            return s  # a lone free page
+                        s += 2
+                    elif s & 1:
+                        s += 1  # second page of a free pair: resume at its end
+                    elif n == 2:
+                        return s
+                    else:
+                        s += 2
+                else:
+                    # A continuation byte (or a start byte seen from inside
+                    # its quad): S lies in a segment that started earlier.
+                    # Aligned stepping from segment 0 never lands here; a
+                    # hint can, after the free segment it pointed at
+                    # coalesced into a larger one.  Resume at that
+                    # segment's end.
+                    start, size, _ = self.amap.locate(s)
+                    s = start + size
+        finally:
+            self.scan_stats.scans += 1
+            self.scan_stats.probes += probes
         raise DirectoryCorrupt(
             f"count array promises a free segment of {n} pages but the scan "
             f"found none"
         )
+
+    def _take_free(self, size_type: int) -> int:
+        """Find the lowest free type-``size_type`` segment and consume it.
+
+        Every other free segment of the type lies beyond it, so the scan
+        hint moves past it.
+        """
+        start = self.find_free(size_type)
+        self.counts[size_type] -= 1
+        self.scan_hints[size_type] = start + (1 << size_type)
+        return start
+
+    def _add_free(self, size_type: int, start: int) -> None:
+        """Account for a free type-``size_type`` segment coming into being.
+
+        The one place ``counts[t]`` grows, so the one place a scan hint
+        has to be lowered.
+        """
+        self.counts[size_type] += 1
+        if start < self.scan_hints[size_type]:
+            self.scan_hints[size_type] = start
 
     # ------------------------------------------------------------------
     # Power-of-two allocate / free (Section 3.2)
@@ -192,8 +266,7 @@ class BuddySpace:
         if size_type > self.max_type:
             raise SegmentTooLarge(1 << size_type, self.max_segment_pages)
         if self.counts[size_type]:
-            start = self.find_free(size_type)
-            self.counts[size_type] -= 1
+            start = self._take_free(size_type)
             self.amap.set_segment(start, 1 << size_type, allocated=True)
             return start
         # "Otherwise, we find smallest type j such that j > t and
@@ -203,15 +276,14 @@ class BuddySpace:
                 break
         else:
             return None
-        start = self.find_free(j)
-        self.counts[j] -= 1
+        start = self._take_free(j)
         block_size = 1 << j
         halves: list[tuple[int, int]] = []
         while j > size_type:
             j -= 1
             half = 1 << j
             halves.append((start + half, half))
-            self.counts[j] += 1
+            self._add_free(j, start + half)
         for addr, size in halves:
             if size >= 4:
                 self.amap.set_segment(addr, size, allocated=False)
@@ -256,7 +328,7 @@ class BuddySpace:
             t += 1
             size <<= 1
         self.amap.set_segment(start_of_merged, size, allocated=False)
-        self.counts[t] += 1
+        self._add_free(t, start_of_merged)
 
     # ------------------------------------------------------------------
     # Any-size allocation (Figure 4.a/4.b)
@@ -296,7 +368,7 @@ class BuddySpace:
             # Remainder pieces cannot coalesce: their buddies lie in the
             # allocated prefix, and their sizes are pairwise distinct.
             self.amap.set_segment(pos, piece, allocated=False)
-            self.counts[floor_log2(piece)] += 1
+            self._add_free(floor_log2(piece), pos)
             pos += piece
 
     def allocate_up_to(self, n_pages: int) -> tuple[int, int] | None:
@@ -349,16 +421,15 @@ class BuddySpace:
         self._split_at(end)
         pos = start
         while pos < end:
-            seg = self.amap.segment_containing(pos)
-            if not seg.allocated:
+            seg_start, size, allocated = self.amap.locate(pos)
+            if not allocated:
                 raise BadSegment(f"page {pos} is already free")
-            if seg.start != pos or seg.end > end:
+            if seg_start != pos or pos + size > end:
                 raise DirectoryCorrupt(
-                    f"boundary split left a crossing segment at page {seg.start}"
+                    f"boundary split left a crossing segment at page {seg_start}"
                 )
-            next_pos = seg.end
-            self._free_pow2(pos, floor_log2(seg.size))
-            pos = next_pos
+            self._free_pow2(pos, floor_log2(size))
+            pos += size
 
     def _split_at(self, boundary: int) -> None:
         """Ensure no allocated segment crosses ``boundary``.
@@ -370,21 +441,21 @@ class BuddySpace:
         """
         if boundary <= 0 or boundary >= self.capacity:
             return
-        seg = self.amap.segment_containing(boundary)
-        if seg.start == boundary:
+        start, size, allocated = self.amap.locate(boundary)
+        if start == boundary:
             return
-        if not seg.allocated:
+        if not allocated:
             raise BadSegment(
                 f"free range boundary {boundary} falls inside the free "
-                f"segment at page {seg.start}"
+                f"segment at page {start}"
             )
-        if seg.size < 4:
+        if size < 4:
             return  # per-page representation; nothing crosses
-        self.amap.break_large(seg.start)
-        left = aligned_run_decomposition(seg.start, boundary - seg.start)
-        right = aligned_run_decomposition(boundary, seg.end - boundary)
-        for addr, size in [*left, *right]:
-            self.amap.set_segment(addr, size, allocated=True)
+        self.amap.break_large(start)
+        left = aligned_run_decomposition(start, boundary - start)
+        right = aligned_run_decomposition(boundary, start + size - boundary)
+        for addr, piece in [*left, *right]:
+            self.amap.set_segment(addr, piece, allocated=True)
 
     # ------------------------------------------------------------------
     # Verification

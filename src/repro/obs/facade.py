@@ -63,6 +63,13 @@ class AllocSnapshot:
     directory_loads: int = 0
     superdirectory_skips: int = 0
     superdirectory_corrections: int = 0
+    scans: int = 0
+    scan_probes: int = 0
+
+    @property
+    def probes_per_scan(self) -> float:
+        """Map bytes examined per jump scan (0.0 when none ran)."""
+        return self.scan_probes / self.scans if self.scans else 0.0
 
     def __sub__(self, other: "AllocSnapshot") -> "AllocSnapshot":
         """Componentwise difference."""
@@ -76,6 +83,8 @@ class AllocSnapshot:
             superdirectory_corrections=(
                 self.superdirectory_corrections - other.superdirectory_corrections
             ),
+            scans=self.scans - other.scans,
+            scan_probes=self.scan_probes - other.scan_probes,
         )
 
 
@@ -161,6 +170,8 @@ class StatsSnapshot(_IOForwarding):
                 "superdirectory_corrections": (
                     self.alloc.superdirectory_corrections
                 ),
+                "scans": self.alloc.scans,
+                "scan_probes": self.alloc.scan_probes,
             },
         }
 
@@ -215,6 +226,8 @@ class DatabaseStats:
                 directory_loads=alloc.directory_loads,
                 superdirectory_skips=alloc.superdirectory_skips,
                 superdirectory_corrections=alloc.superdirectory_corrections,
+                scans=alloc.scans,
+                scan_probes=alloc.scan_probes,
             ),
         )
         # Keep the registry's gauges current whenever somebody looks.
@@ -237,6 +250,7 @@ class DatabaseStats:
         alloc = db.buddy.stats
         alloc.allocations = alloc.frees = alloc.directory_loads = 0
         alloc.superdirectory_skips = alloc.superdirectory_corrections = 0
+        alloc.scans = alloc.scan_probes = 0
         db.obs.metrics.reset()
 
     @contextlib.contextmanager

@@ -50,7 +50,7 @@ import argparse
 import struct
 from dataclasses import dataclass, field
 
-from repro.analysis.buddycheck import check_space
+from repro.analysis.buddycheck import check_manager_space, check_space
 from repro.api import EOSDatabase
 from repro.core.node import Node
 from repro.errors import ReproError
@@ -175,7 +175,8 @@ def fsck(db: EOSDatabase, *, expect_no_leaks: bool = True) -> FsckReport:
             report.errors.append(f"space {index}: {exc}")
             continue
         check = check_space(space)
-        report.errors.extend(f"space {index}: {p}" for p in check.problems)
+        found = check.problems + check_manager_space(db.buddy, index, space, check)
+        report.errors.extend(f"space {index}: {p}" for p in found)
         if check.segments is None:
             continue
         segments = check.segments

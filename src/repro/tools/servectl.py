@@ -363,6 +363,9 @@ def render_top(doc: dict, rate: float | None) -> str:
             f"/{space.get('total_pages', 0)} pages"
             f" (util {space.get('utilization', 0.0) * 100.0:.1f}%)"
         )
+    alloc = stats.get("alloc") or {}
+    if alloc.get("scans"):
+        line += f"  scan {alloc['scan_probes'] / alloc['scans']:.1f} probes"
     lines.append(line)
     flight = server.get("flight") or {}
     lines.append(

@@ -3,7 +3,7 @@ and the buffer-pool additions that support them."""
 
 import pytest
 
-from repro.analysis.buddycheck import check_space
+from repro.analysis.buddycheck import check_manager, check_scan_hints, check_space
 from repro.analysis.lockorder import LockOrderSanitizer
 from repro.analysis.pinleak import PinLeakSanitizer
 from repro.analysis.sanitize import ENV_VAR, SanitizerSettings, sanitizers_from_env
@@ -178,6 +178,71 @@ class TestBuddyInvariantSanitizer:
         ref = manager.allocate(8)
         manager.free_segment(ref)
         manager.verify()
+
+
+class TestScanHintAndMirrorChecks:
+    """The allocator's main-memory state (scan hints, the decoded
+    directory) is checked the way the superdirectory is."""
+
+    @staticmethod
+    def fragmented_manager():
+        manager = make_manager(capacity=64)
+        refs = [manager.allocate(4) for _ in range(8)]
+        manager.free_segment(refs[2])
+        manager.free_segment(refs[5])
+        return manager
+
+    def test_valid_hints_pass(self):
+        manager = self.fragmented_manager()
+        decoded = manager.decoded_space(0)
+        assert check_scan_hints(decoded, decoded.verify()) == []
+        assert check_manager(manager) == []
+
+    def test_hint_above_the_lowest_free_segment_is_reported(self):
+        manager = self.fragmented_manager()
+        decoded = manager.decoded_space(0)
+        decoded.scan_hints[2] = 16      # the free type-2 at page 8 lies below
+        problems = check_manager(manager)
+        assert any("scan hint for type 2 is page 16" in p for p in problems)
+        assert any("a scan from segment 0 finds page 8" in p for p in problems)
+
+    def test_sanitizer_raises_on_a_bad_hint_before_it_can_move_data(self):
+        manager = self.fragmented_manager()
+        manager.attach_invariant_sanitizer()
+        manager.decoded_space(0).scan_hints[2] = 16
+        before = manager.load_space(0).to_page()
+        with pytest.raises(InvariantViolation, match="scan hint"):
+            manager.allocate(1)
+        assert manager.load_space(0).to_page() == before
+        assert manager.decoded_space(0) is None
+        assert manager.allocate(4).first_page == 2 + 8   # first fit again
+
+    def test_page_written_behind_the_managers_back(self):
+        manager = self.fragmented_manager()
+        other = BuddyManager(manager.volume, manager.pool)
+        other.allocate(4)
+        problems = check_manager(manager)
+        assert len(problems) == 1 and "differs from the stored page" in problems[0]
+        manager.attach_invariant_sanitizer()
+        with pytest.raises(InvariantViolation, match="no longer matches its page"):
+            manager.allocate(4)
+        # The stale copy is gone; the manager carries on from the page.
+        assert check_manager(manager) == []
+        assert manager.allocate(4).first_page == 2 + 20
+
+    def test_fsck_covers_the_decoded_directory(self):
+        db = EOSDatabase.create(64, page_size=256)
+        db.op_create(b"y" * 900)
+        assert db.buddy.decoded_space(0) is not None
+        assert fsck(db).clean
+        decoded = db.buddy.decoded_space(0)
+        free_type = decoded.max_free_type()
+        decoded.scan_hints[free_type] = decoded.capacity
+        report = fsck(db)
+        assert not report.clean
+        assert any(
+            f"scan hint for type {free_type}" in error for error in report.errors
+        )
 
 
 class TestFsckSharesTheChecker:

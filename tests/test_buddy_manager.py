@@ -1,10 +1,18 @@
 """Unit tests for BuddyManager: multi-space allocation and the superdirectory."""
 
+import hashlib
+import random
+
 import pytest
 
+from repro.analysis.buddycheck import check_manager
+from repro.api import EOSDatabase
 from repro.buddy import BitmapAllocator, BuddyManager
 from repro.errors import BadSegment, OutOfSpace, SegmentTooLarge
 from repro.storage import DiskVolume, Volume
+from repro.storage.faults import DiskFault, FaultyDisk
+from repro.tools.fsck import fsck
+from repro.workloads.aging import AgingWorkload
 
 
 def make_manager(n_spaces=2, capacity=16, page_size=128, **kwargs):
@@ -168,6 +176,230 @@ class TestDirectoryIO:
         assert manager2.free_pages() == 5
         manager2.free_segment(ref)
         assert manager2.free_pages() == 16
+
+
+def aged_two_space_db() -> EOSDatabase:
+    """A two-space 4 KB-page volume after a fill and two days of churn."""
+    db = EOSDatabase.create(
+        num_pages=1 + 2 * (1 + 4096), page_size=4096, space_capacity=4096
+    )
+    aging = AgingWorkload(db, mix="mixed", seed=7, target_utilization=0.55)
+    aging.build()
+    for _ in range(2):
+        aging.run_epoch(150)
+    return db
+
+
+def allocator_script(buddy: BuddyManager, rng: random.Random, n_ops: int = 2000):
+    """A seeded alloc / alloc-up-to / whole-free / partial-free mix.
+
+    Returns every granted ``(first_page, n_pages)`` in order, ``"oos"``
+    for a refused request.
+    """
+    granted: list[object] = []
+    live: list[tuple[int, int]] = []
+    for _ in range(n_ops):
+        point = rng.random()
+        if point < 0.45 or not live:
+            n = rng.choice((1, 2, 3, 5, 8, 13, 21, 34, 64, 100))
+            up_to = point < 0.08
+            try:
+                ref = buddy.allocate_up_to(4 * n) if up_to else buddy.allocate(n)
+            except OutOfSpace:
+                granted.append("oos")
+                continue
+            granted.append((ref.first_page, ref.n_pages))
+            live.append((ref.first_page, ref.n_pages))
+        else:
+            first, n = live.pop(rng.randrange(len(live)))
+            if point < 0.75 or n == 1:
+                buddy.free(first, n)
+                continue
+            # Free a middle portion; what is left stays live.
+            lo = rng.randrange(n)
+            hi = rng.randrange(lo + 1, n + 1)
+            buddy.free(first + lo, hi - lo)
+            if lo:
+                live.append((first, lo))
+            if hi < n:
+                live.append((first + hi, n - hi))
+    return granted
+
+
+def directory_images(buddy: BuddyManager) -> list[bytes]:
+    return [
+        bytes(buddy.load_space(i).to_page()) for i in range(buddy.volume.n_spaces)
+    ]
+
+
+class TestGoldenLayout:
+    """Allocation decisions are pinned to the values the object-per-probe
+    scan (the commit before the byte-level scan, the scan hints and the
+    decoded-directory cache) produced on the same script."""
+
+    GRANTED_SHA = "00efce8c1a363062632f394764055c8b8b7a93ae47be210482286358f6c63d76"
+    DIRECTORY_SHA = [
+        "f12fd24bdac6c663a1fae30313136cdb362c86054ad07b3f99d7dae506d4d625",
+        "0fb0ca7cb4bd145d7c01ca6d0dba17896bfd5bcd2f30278fc5e9ceba29b9108f",
+    ]
+
+    def test_seeded_script_on_an_aged_volume_matches_recorded_values(self):
+        db = aged_two_space_db()
+        stats, pool = db.buddy.stats, db.buddy.pool.stats
+
+        def counters():
+            return (
+                stats.allocations, stats.frees, stats.directory_loads,
+                stats.superdirectory_skips, stats.superdirectory_corrections,
+                pool.hits, pool.misses,
+            )
+
+        before, io_before = counters(), db.disk.stats.snapshot()
+        granted = allocator_script(db.buddy, random.Random(14))
+        delta = tuple(b - a for a, b in zip(before, counters()))
+        io = db.disk.stats.snapshot() - io_before
+
+        assert len(granted) == 906 and granted.count("oos") == 197
+        assert hashlib.sha256(repr(granted).encode()).hexdigest() == self.GRANTED_SHA
+        assert delta == (906, 1094, 1803, 775, 0, 3606, 0)
+        assert (io.seeks, io.page_reads, io.page_writes) == (1803, 0, 1803)
+        assert [
+            hashlib.sha256(image).hexdigest() for image in directory_images(db.buddy)
+        ] == self.DIRECTORY_SHA
+        assert check_manager(db.buddy) == []
+        db.close()
+
+
+class TestScanAccounting:
+    def test_scans_and_probes_reach_the_allocator_stats(self):
+        manager = make_manager(n_spaces=1, capacity=64)
+        manager.allocate(8)            # one scan, one probe: the free 64 at 0
+        assert (manager.stats.scans, manager.stats.scan_probes) == (1, 1)
+        manager.allocate(8)            # hint for type 3 is 0: probes 0, then 8
+        assert (manager.stats.scans, manager.stats.scan_probes) == (2, 3)
+        manager.free(2, 8)
+        assert manager.stats.scans == 2  # frees never scan
+
+    def test_probe_histogram_and_db_stats(self):
+        db = EOSDatabase.create(64, page_size=256)
+        db.obs.enable()
+        db.stats.reset()
+        with db.stats.delta() as d:
+            db.buddy.allocate(3)
+            db.buddy.allocate(3)
+        assert d.alloc.scans == 2
+        assert d.alloc.scan_probes == db.buddy.stats.scan_probes
+        assert d.alloc.probes_per_scan == d.alloc.scan_probes / 2
+        assert d.as_dict()["alloc"]["scan_probes"] == d.alloc.scan_probes
+        assert db.stats.metrics()["buddy.scan.probes"]["count"] == 2
+        db.stats.reset()
+        assert db.buddy.stats.scans == db.buddy.stats.scan_probes == 0
+        db.close()
+
+
+class TestDecodedDirectoryCache:
+    """The decoded directory is a mirror of the page's frame: kept across
+    calls, dropped on any failure, never trusted over the page."""
+
+    def test_decoded_space_survives_calls_and_external_store_drops_it(self):
+        manager = make_manager(n_spaces=1, capacity=64)
+        assert manager.decoded_space(0) is None
+        manager.allocate(8)
+        decoded = manager.decoded_space(0)
+        manager.allocate(8)
+        assert manager.decoded_space(0) is decoded
+        assert decoded.scan_hints[3] == 16
+        assert manager.load_space(0) is not decoded   # always a fresh decode
+        outside = manager.load_space(0)
+        outside.allocate(4)
+        manager.store_space(0, outside)
+        assert manager.decoded_space(0) is None
+        assert manager.allocate(4).first_page == 2 + 20  # sees the stored state
+
+    @pytest.mark.parametrize("write_through", [True, False])
+    def test_double_free_leaves_the_pre_operation_directory(self, write_through):
+        db = EOSDatabase.create(1 + 2 * 65, page_size=256, space_capacity=64)
+        db.buddy.write_through = write_through
+        ref = db.buddy.allocate(11)
+        db.buddy.allocate(5)
+        db.buddy.free(ref.first_page + 4, 3)
+        before = directory_images(db.buddy)
+        assert any(db.buddy.decoded_space(0).scan_hints)
+        # Pages 0-3 of the run are freed before the scan meets the hole.
+        with pytest.raises(BadSegment, match="already free"):
+            db.buddy.free(ref.first_page, 11)
+        assert db.buddy.decoded_space(0) is None      # hints went with it
+        assert directory_images(db.buddy) == before
+        db.buddy.verify()
+        assert check_manager(db.buddy) == []
+        assert fsck(db, expect_no_leaks=False).clean
+        db.buddy.free(ref.first_page, 4)              # the same pages, legally
+        assert db.buddy.decoded_space(0).scan_hints[2] == ref.first_page - 2
+        db.close()
+
+    @pytest.mark.parametrize("write_through", [True, False])
+    def test_out_of_range_free_touches_nothing(self, write_through):
+        db = EOSDatabase.create(1 + 2 * 65, page_size=256, space_capacity=64)
+        db.buddy.write_through = write_through
+        ref = db.buddy.allocate(8)
+        decoded = db.buddy.decoded_space(0)
+        before = directory_images(db.buddy)
+        last = db.volume.spaces[0].first_data_page + 63
+        with pytest.raises(BadSegment, match="crosses out"):
+            db.buddy.free(last, 2)
+        with pytest.raises(BadSegment, match="already free"):
+            db.buddy.free(ref.first_page + 8, 56)
+        assert directory_images(db.buddy) == before
+        assert db.buddy.decoded_space(0) is not decoded
+        db.buddy.verify()
+        assert fsck(db, expect_no_leaks=False).clean
+        db.close()
+
+    @pytest.mark.parametrize("operation", ["allocate", "free"])
+    def test_directory_flush_fault_rolls_the_frame_back(self, operation):
+        disk = FaultyDisk(DiskVolume(num_pages=1 + 2 * 65, page_size=256))
+        db = EOSDatabase.create(
+            1 + 2 * 65, page_size=256, space_capacity=64, disk=disk
+        )
+        ref = db.buddy.allocate(11)
+        before = directory_images(db.buddy)
+        directory_page = db.volume.spaces[0].directory_page
+        on_disk = disk.peek(directory_page)
+        disk.arm(fail_after_writes=0)
+        with pytest.raises(DiskFault):
+            if operation == "allocate":
+                db.buddy.allocate(5)
+            else:
+                db.buddy.free_segment(ref)
+        disk.heal()
+        assert db.buddy.decoded_space(0) is None
+        assert directory_images(db.buddy) == before
+        assert disk.peek(directory_page) == on_disk
+        db.buddy.verify()
+        assert check_manager(db.buddy) == []          # no guess ran ahead
+        assert fsck(db, expect_no_leaks=False).clean
+        # Either way the run of 11 is still allocated and the 5 is not:
+        # the retry gets the 8-page half the failed attempt had picked.
+        assert db.buddy.allocate(5).first_page == ref.first_page + 16
+        db.close()
+
+    def test_without_write_through_a_dead_disk_is_not_noticed(self):
+        disk = FaultyDisk(DiskVolume(num_pages=1 + 2 * 65, page_size=256))
+        db = EOSDatabase.create(
+            1 + 2 * 65, page_size=256, space_capacity=64, disk=disk
+        )
+        db.buddy.write_through = False
+        db.buddy.allocate(11)
+        disk.arm(fail_after_writes=0)
+        db.buddy.allocate(5)                          # no flush, no fault
+        with pytest.raises(DiskFault):
+            db.buddy.pool.flush_all()
+        disk.heal()
+        # The frame is ahead of the disk, and the decoded copy mirrors it.
+        assert check_manager(db.buddy) == []
+        db.buddy.pool.flush_all()
+        assert fsck(db, expect_no_leaks=False).clean
+        db.close()
 
 
 class TestBitmapBaseline:

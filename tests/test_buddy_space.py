@@ -8,6 +8,7 @@ from repro.buddy.amap import SegmentView
 from repro.buddy.directory import max_capacity, max_segment_type
 from repro.buddy.space import BuddySpace
 from repro.errors import BadSegment, DirectoryCorrupt, SegmentTooLarge
+from repro.util.bitops import floor_log2
 
 
 def segments_of(space: BuddySpace) -> list[SegmentView]:
@@ -271,3 +272,117 @@ class TestPropertyBased:
                         f"model says {model[p]}"
                     )
             assert space.free_pages() == capacity - sum(model)
+
+
+def reference_scan(space: BuddySpace, size_type: int, s: int) -> tuple[int, int]:
+    """The Section 3.1 stepping rule over decoded segments, from page ``s``:
+    ``(address found, segments probed)``.  What ``find_free`` must match."""
+    n = 1 << size_type
+    probes = 0
+    while s < space.capacity:
+        probes += 1
+        seg = space.amap.segment_containing(s)
+        if seg.start != s:
+            s = seg.end
+        elif not seg.allocated and seg.size == n:
+            return s, probes
+        else:
+            s += max(n, seg.size)
+    raise AssertionError(f"no free segment of type {size_type}")
+
+
+def scan_with_probes(space: BuddySpace, size_type: int, **kwargs) -> tuple[int, int]:
+    before = space.scan_stats.probes
+    return space.find_free(size_type, **kwargs), space.scan_stats.probes - before
+
+
+class TestByteLevelScan:
+    """The jump scan reads map bytes and starts at a hint; neither may
+    change what it finds or how it steps."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_scan_equals_decoded_map_and_reference_stepping(self, data):
+        # 168 = 128 + 32 + 8: the largest space a 64-byte page describes.
+        space = BuddySpace.create(page_size=64, capacity=168)
+        live: list[tuple[int, int]] = []
+        for _ in range(data.draw(st.integers(5, 30), label="steps")):
+            action = data.draw(st.sampled_from(["alloc", "up_to", "free"]))
+            if action == "free" and live:
+                start, n = live.pop(data.draw(st.integers(0, len(live) - 1)))
+                lo = data.draw(st.integers(0, n - 1), label="lo")
+                hi = data.draw(st.integers(lo + 1, n), label="hi")
+                space.free(start + lo, hi - lo)
+                if lo:
+                    live.append((start, lo))
+                if hi < n:
+                    live.append((start + hi, n - hi))
+            elif action == "up_to":
+                got = space.allocate_up_to(data.draw(st.integers(1, 168)))
+                if got is not None:
+                    live.append(got)
+            else:
+                n = data.draw(st.integers(1, 40), label="n_pages")
+                start = space.allocate(n)
+                if start is not None:
+                    live.append((start, n))
+
+            lowest: dict[int, int] = {}
+            for seg in space.amap.decode():
+                if not seg.allocated:
+                    lowest.setdefault(floor_log2(seg.size), seg.start)
+            for size_type, count in enumerate(space.counts):
+                assert (size_type in lowest) == bool(count)
+                if not count:
+                    continue
+                hint = space.scan_hints[size_type]
+                assert hint <= lowest[size_type] and hint % (1 << size_type) == 0
+                hinted = scan_with_probes(space, size_type)
+                unhinted = scan_with_probes(space, size_type, hinted=False)
+                assert hinted[0] == unhinted[0] == lowest[size_type]
+                assert hinted == reference_scan(space, size_type, hint)
+                assert unhinted == reference_scan(space, size_type, 0)
+
+    def test_hint_moves_past_a_consumed_segment_and_back_on_free(self):
+        space = BuddySpace.create(page_size=128, capacity=64)
+        assert space.scan_hints == [0] * len(space.counts)
+        first = space.allocate(8)   # splits the 64: free 8 @8, 16 @16, 32 @32
+        second = space.allocate(8)  # consumes the free 8 at page 8
+        assert (first, second) == (0, 8)
+        assert space.scan_hints[3] == 16  # every free type-3 lies beyond 8
+        space.free(0, 8)
+        assert space.scan_hints[3] == 0   # a free type-3 came into being at 0
+        assert space.find_free(3) == 0
+
+    def test_hint_left_inside_a_coalesced_segment_is_still_a_lower_bound(self):
+        space = BuddySpace.create(page_size=128, capacity=64)
+        for page in range(0, 32, 4):
+            assert space.allocate(4) == page
+        space.free(20, 4)
+        assert space.scan_hints[2] == 20
+        space.free(16, 4)           # 16+20 coalesce into a type-3 at 16
+        assert space.counts[2] == 0 and space.scan_hints[2] == 20
+        space.free(8, 4)
+        assert space.scan_hints[2] == 8
+        space.free(28, 4)
+        # The stale hint would have started this scan inside [16, 24).
+        assert space.find_free(2) == 8
+        space.scan_hints[2] = 20    # as if 8 had never been freed
+        found, probes = scan_with_probes(space, 2)
+        assert (found, probes) == (28, 3)  # 20 (inside) -> 24 -> 28
+
+    def test_space_decoded_from_its_page_starts_with_no_hints(self):
+        space = BuddySpace.create(page_size=128, capacity=64)
+        space.allocate(8)
+        space.allocate(16)
+        assert space.scan_hints[4] == 32
+        restored = BuddySpace.from_page(128, space.to_page())
+        assert restored.scan_hints == [0] * len(restored.counts)
+        assert restored.find_free(5) == space.find_free(5) == 32
+
+    def test_to_page_into_overwrites_every_byte(self):
+        space = BuddySpace.create(page_size=128, capacity=16)
+        space.allocate(3)
+        frame = bytearray(b"\xaa" * 128)
+        assert space.to_page(into=frame) is frame
+        assert frame == space.to_page()
