@@ -86,7 +86,7 @@ def append(
 
     if size > 0:
         path, _ = tree.descend(size)
-        entry = path[-1].node.entries[path[-1].index]
+        entry = path[-1].node.entry(path[-1].index)
         last_pages = entry.pages
         live_bytes = entry.count
         # 1. Complete the partial last page in place (logged).
@@ -144,7 +144,7 @@ def trim(tree: LargeObjectTree, buddy: BuddyManager) -> int:
     if size == 0:
         return 0
     path, _ = tree.descend(size)
-    entry = path[-1].node.entries[path[-1].index]
+    entry = path[-1].node.entry(path[-1].index)
     needed = ceil_div(entry.count, tree.config.page_size)
     spare = entry.pages - needed
     if spare <= 0:

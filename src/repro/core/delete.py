@@ -64,14 +64,14 @@ def delete_range(
     # ---- Step 1: locate the boundary segments --------------------------------
     path_l, local_l = tree.descend(lo)
     step_l = path_l[-1]
-    s_entry = step_l.node.entries[step_l.index]
+    s_entry = step_l.node.entry(step_l.index)
     s_lo = lo - local_l
     path_r, local_r = tree.descend(hi - 1)
     step_r = path_r[-1]
-    sp_entry = step_r.node.entries[step_r.index]
+    sp_entry = step_r.node.entry(step_r.index)
     sp_lo = (hi - 1) - local_r
     same_segment = s_lo == sp_lo
-    fill = len(step_l.node.entries) / tree.fanout
+    fill = step_l.node.n_entries / tree.fanout
 
     # ---- Step 2: the three conceptual segments -------------------------------
     p = local_l // ps

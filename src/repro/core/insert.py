@@ -66,7 +66,7 @@ def insert(
     ps = segio.page_size
     path, local = tree.descend(offset)
     step = path[-1]
-    entry = step.node.entries[step.index]
+    entry = step.node.entry(step.index)
     seg_lo = offset - local  # global byte offset where segment S starts
     s_c, s_pages, s_first = entry.count, entry.pages, entry.child
 
@@ -80,7 +80,7 @@ def insert(
     n0 = len(data) + (p_c - pb)
 
     # ---- Step 3: reshuffle ----------------------------------------------------
-    fill = len(step.node.entries) / tree.fanout
+    fill = step.node.n_entries / tree.fanout
     plan = plan_reshuffle(
         l0,
         n0,
@@ -125,7 +125,7 @@ def insert(
 
     if tree.config.adaptive_threshold:
         added = len(new_entries) - 1
-        if added > 0 and len(step.node.entries) + added > tree.fanout:
+        if added > 0 and step.node.n_entries + added > tree.fanout:
             node_lo = seg_lo - step.node.child_offset(step.index)
             _coalesce_unsafe(
                 tree, segio, buddy, node_lo, policy.effective(fill),

@@ -260,13 +260,13 @@ class LargeObject:
 
         def walk(node) -> None:
             nonlocal leaf_pages, segments, index_pages
-            for entry in node.entries:
-                if node.level == 0:
-                    segments += 1
-                    leaf_pages += entry.pages
-                else:
+            if node.level == 0:
+                segments += node.n_entries
+                leaf_pages += sum(node.pages)
+            else:
+                for child in node.child:
                     index_pages += 1
-                    walk(self.tree.pager.read(entry.child))
+                    walk(self.tree.pager.read(child))
 
         root = self.tree.read_root()
         walk(root)

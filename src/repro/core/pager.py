@@ -65,12 +65,12 @@ class InPlacePager(NodePager):
         self.page_size = page_size
 
     def read(self, page: PageId) -> Node:
-        """Fetch the page through the buffer pool and decode it."""
-        with self.pool.page(page) as image:
-            try:
-                return Node.from_page(image)
-            except Exception as exc:  # pragma: no cover - defensive
-                raise TreeCorrupt(f"page {page} failed to decode: {exc}") from exc
+        """The node on ``page``: decoded once per residency by the pool,
+        handed out as a private :class:`Node` over the shared columns."""
+        try:
+            return self.pool.decoded(page, Node.from_page).copy()
+        except TreeCorrupt as exc:
+            raise TreeCorrupt(f"page {page} failed to decode: {exc}") from exc
 
     def write(self, page: PageId, node: Node) -> PageId:
         with self.pool.page(page, dirty=True) as image:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.core.node import Node
 from repro.core.segio import SegmentIO
 from repro.core.tree import LargeObjectTree
 from repro.errors import ByteRangeError
@@ -36,9 +37,15 @@ PageLog = Callable[[int, bytes, bytes], None]
 
 
 def _plan_reads(
-    tree: LargeObjectTree, segio: SegmentIO, lo: int, hi: int
+    tree: LargeObjectTree,
+    segio: SegmentIO,
+    lo: int,
+    hi: int,
+    root: Node | None = None,
 ) -> list[tuple[int, int, list[tuple[int, int]]]]:
     """Plan the leaf transfers covering bytes [lo, hi).
+
+    ``root`` is the caller's freshly read root, if it has one.
 
     Returns coalesced runs ``(first_page, n_pages, parts)`` where each
     part ``(run_byte_offset, take)`` names a payload slice inside the
@@ -49,7 +56,7 @@ def _plan_reads(
     """
     ps = segio.page_size
     runs: list[tuple[int, int, list[tuple[int, int]]]] = []
-    for seg_offset, entry in list(tree.iter_segments(lo, hi)):
+    for seg_offset, entry in list(tree.iter_segments(lo, hi, root=root)):
         local_lo = max(lo, seg_offset) - seg_offset
         local_hi = min(hi, seg_offset + entry.count) - seg_offset
         if local_lo >= local_hi:
@@ -78,13 +85,16 @@ def read_range(
     leaf segments are then read as coalesced contiguous runs and the
     result is joined from borrowed views — one payload copy total.
     """
-    size = tree.size()
+    root = tree.read_root()
+    size = root.total_bytes
     if length < 0 or offset < 0 or offset + length > size:
         raise ByteRangeError(offset, length, size)
     if length == 0:
         return b""
     pieces: list[memoryview] = []
-    for first, n_pages, parts in _plan_reads(tree, segio, offset, offset + length):
+    for first, n_pages, parts in _plan_reads(
+        tree, segio, offset, offset + length, root
+    ):
         view = segio.view_run(first, n_pages)
         for part_off, take in parts:
             pieces.append(view[part_off : part_off + take])
@@ -104,14 +114,17 @@ def read_range_into(
     views are copied straight into it — zero intermediate buffers.
     Returns the byte count written.
     """
-    size = tree.size()
+    root = tree.read_root()
+    size = root.total_bytes
     if length < 0 or offset < 0 or offset + length > size:
         raise ByteRangeError(offset, length, size)
     out = memoryview(dest).cast("B")
     if len(out) < length:
         raise ByteRangeError(offset, length, len(out))
     position = 0
-    for first, n_pages, parts in _plan_reads(tree, segio, offset, offset + length):
+    for first, n_pages, parts in _plan_reads(
+        tree, segio, offset, offset + length, root
+    ):
         view = segio.view_run(first, n_pages)
         for part_off, take in parts:
             out[position : position + take] = view[part_off : part_off + take]
@@ -137,7 +150,8 @@ def replace_range(
     their unmodified bytes preserved); with logging enabled, each page's
     old and new images go to the log.
     """
-    size = tree.size()
+    root = tree.read_root()
+    size = root.total_bytes
     if offset < 0 or offset + len(data) > size:
         raise ByteRangeError(offset, len(data), size)
     if not len(data):
@@ -145,7 +159,7 @@ def replace_range(
     src = memoryview(data).cast("B")
     ps = segio.page_size
     lo, hi = offset, offset + len(src)
-    for seg_offset, entry in tree.iter_segments(lo, hi):
+    for seg_offset, entry in tree.iter_segments(lo, hi, root=root):
         local_lo = max(lo, seg_offset) - seg_offset
         local_hi = min(hi, seg_offset + entry.count) - seg_offset
         page_lo = local_lo // ps

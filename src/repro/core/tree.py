@@ -30,6 +30,9 @@ segments are partially kept).
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from typing import Iterator
+
 from repro.core.config import EOSConfig
 from repro.core.node import ENTRY_SIZE, HEADER_SIZE, Entry, Node, fanout, min_entries
 from repro.core.pager import NodePager
@@ -129,14 +132,14 @@ class LargeObjectTree:
             node = self.read_root()
             local = byte
             while True:
-                if not node.entries:
+                if not node.n_entries:
                     raise ByteRangeError(byte, 0, 0)
                 index, local = node.find_child(local)
                 path.append(PathStep(page, node, index))
                 if node.level == 0:
                     span.set(depth=len(path))
                     return path, local
-                page = node.entries[index].child
+                page = node.child[index]
                 node = self.pager.read(page)
 
     def leaf_entries(self) -> list[tuple[int, Entry]]:
@@ -145,40 +148,44 @@ class LargeObjectTree:
 
         def walk(node: Node, base: int) -> None:
             offset = base
-            for entry in node.entries:
+            for end, child, pages in zip(node.cum, node.child, node.pages):
+                end += base
                 if node.level == 0:
-                    out.append((offset, entry))
+                    out.append((offset, Entry(end - offset, child, pages)))
                 else:
-                    walk(self.pager.read(entry.child), offset)
-                offset += entry.count
-
-        root = self.read_root()
-        if root.entries:
-            walk(root, 0)
-        return out
-
-    def iter_segments(self, lo: int, hi: int):
-        """Yield ``(global_offset, entry)`` for leaf entries overlapping
-        [lo, hi), reading only the index pages on the way (Section 4.2's
-        stack traversal, expressed recursively)."""
-
-        def walk(node: Node, base: int):
-            offset = base
-            for entry in node.entries:
-                end = offset + entry.count
-                if end > lo and offset < hi:
-                    if node.level == 0:
-                        yield offset, entry
-                    else:
-                        yield from walk(self.pager.read(entry.child), offset)
-                if offset >= hi:
-                    break
+                    walk(self.pager.read(child), offset)
                 offset = end
 
+        walk(self.read_root(), 0)
+        return out
+
+    def iter_segments(
+        self, lo: int, hi: int, *, root: Node | None = None
+    ) -> Iterator[tuple[int, Entry]]:
+        """Yield ``(global_offset, entry)`` for leaf entries overlapping
+        [lo, hi), reading only the index pages on the way (Section 4.2's
+        stack traversal, expressed recursively).
+
+        Each node is entered by binary search at the first child ending
+        after ``lo``, not scanned from its first entry.  A caller that
+        already holds the freshly read root passes it as ``root``.
+        """
+
+        def walk(node: Node, base: int) -> Iterator[tuple[int, Entry]]:
+            cum, child, pages = node.cum, node.child, node.pages
+            i = bisect_right(cum, lo - base)
+            offset = base + (cum[i - 1] if i else 0)
+            while i < len(cum) and offset < hi:
+                end = base + cum[i]
+                if node.level == 0:
+                    yield offset, Entry(end - offset, child[i], pages[i])
+                else:
+                    yield from walk(self.pager.read(child[i]), offset)
+                offset = end
+                i += 1
+
         if lo < hi:
-            root = self.read_root()
-            if root.entries:
-                yield from walk(root, 0)
+            yield from walk(root if root is not None else self.read_root(), 0)
 
     # ------------------------------------------------------------------
     # The structural primitive
@@ -196,11 +203,11 @@ class LargeObjectTree:
         dropped leaf entries, whose segments the caller disposes of; this
         method itself never reads or writes a leaf page.
         """
-        size = self.size()
+        root = self.read_root()
+        size = root.total_bytes
         if not (0 <= lo < hi <= size):
             raise ByteRangeError(lo, hi - lo, size)
         dropped: list[Entry] = []
-        root = self.read_root()
         if root.level == 0:
             entries = self._splice_leaf(root.entries, lo, hi, new_entries, dropped)
             root.entries = entries
@@ -214,7 +221,7 @@ class LargeObjectTree:
         if not new_entries:
             return
         root = self.read_root()
-        if not root.entries:
+        if not root.n_entries:
             root.entries = [e.copy() for e in new_entries]
             self._finish_root(root)
             return
@@ -322,7 +329,7 @@ class LargeObjectTree:
             if fully_covered and (gave_new or not new_entries):
                 # Whole subtree dies: free its index pages, collect its
                 # leaf entries — without touching any leaf page.
-                self._free_subtree(entry, node.level - 1, dropped)
+                self._free_subtree(entry.child, node.level - 1, dropped)
                 continue
             # Boundary child (or the first covered child, which carries
             # the replacement entries down to leaf level).
@@ -400,25 +407,25 @@ class LargeObjectTree:
             )
         return parts
 
-    def _free_subtree(self, entry: Entry, level: int, dropped: list[Entry]) -> None:
-        """Collect the leaf entries below ``entry`` and free its index pages.
+    def _free_subtree(self, page: PageId, level: int, dropped: list[Entry]) -> None:
+        """Collect the leaf entries below ``page`` and free its index pages.
 
         Only index pages are read; the leaf segments are reported via
         ``dropped`` for the caller to hand "directly to the buddy
         system" (Section 4.3.2).
         """
-        node = self.pager.read(entry.child)
+        node = self.pager.read(page)
         if node.level != level:
             raise TreeCorrupt(
-                f"expected a level-{level} node at page {entry.child}, "
+                f"expected a level-{level} node at page {page}, "
                 f"found level {node.level}"
             )
         if node.level == 0:
             dropped.extend(node.entries)
         else:
-            for child_entry in node.entries:
-                self._free_subtree(child_entry, level - 1, dropped)
-        self.pager.free(entry.child)
+            for child in node.child:
+                self._free_subtree(child, level - 1, dropped)
+        self.pager.free(page)
 
     # ------------------------------------------------------------------
     # Underflow maintenance (delete step 5)
@@ -437,7 +444,7 @@ class LargeObjectTree:
     def _fix_child(self, node: Node, index: int) -> None:
         entry = node.entries[index]
         child = self.pager.read(entry.child)
-        if len(child.entries) >= self.min_entries:
+        if child.n_entries >= self.min_entries:
             return
         sibling_index = index - 1 if index > 0 else index + 1
         if not 0 <= sibling_index < len(node.entries):
@@ -450,7 +457,7 @@ class LargeObjectTree:
         right = (
             self.pager.read(right_entry.child) if right_entry is not entry else child
         )
-        if len(left.entries) + len(right.entries) <= self.fanout:
+        if left.n_entries + right.n_entries <= self.fanout:
             # Merge right into left; free the right page.
             left.entries = left.entries + right.entries
             new_left = self.pager.write(left_entry.child, left)
@@ -537,7 +544,7 @@ class LargeObjectTree:
         """
         root = self.read_root()
         claimed_pages: list[tuple[int, int, str]] = [(self.root_page, 1, "root")]
-        leaf_entries: list[Entry] = []
+        leaf_segments: list[tuple[int, int, int]] = []  # (count, first page, pages)
 
         # A byte-limited root (footnote 3) can force under-half-full
         # nodes: a root capped at k entries may have to push fewer than
@@ -546,53 +553,53 @@ class LargeObjectTree:
         root_is_limited = self.root_fanout < self.fanout
         occupancy_floor = 1 if root_is_limited else self.min_entries
 
-        def walk(node: Node, is_root: bool, under_root: bool = False) -> int:
-            if not is_root and len(node.entries) < occupancy_floor:
+        def walk(node: Node, is_root: bool) -> int:
+            n = node.n_entries
+            if not is_root and n < occupancy_floor:
                 raise TreeCorrupt(
-                    f"non-root node has {len(node.entries)} entries; "
-                    f"minimum is {occupancy_floor}"
+                    f"non-root node has {n} entries; minimum is {occupancy_floor}"
                 )
-            if len(node.entries) > (self.root_fanout if is_root else self.fanout):
+            if n > (self.root_fanout if is_root else self.fanout):
                 raise TreeCorrupt("node exceeds its fan-out")
             total = 0
-            for entry in node.entries:
+            for end, child_page, pages in zip(node.cum, node.child, node.pages):
+                count = end - total
+                total = end
                 if node.level == 0:
-                    if entry.count <= 0:
-                        raise TreeCorrupt(f"leaf entry with {entry.count} bytes")
-                    needed = ceil_div(entry.count, self.config.page_size)
-                    if entry.pages < needed:
+                    if count <= 0:
+                        raise TreeCorrupt(f"leaf entry with {count} bytes")
+                    needed = ceil_div(count, self.config.page_size)
+                    if pages < needed:
                         raise TreeCorrupt(
-                            f"segment at page {entry.child} has {entry.pages} "
-                            f"pages for {entry.count} bytes"
+                            f"segment at page {child_page} has {pages} "
+                            f"pages for {count} bytes"
                         )
-                    claimed_pages.append((entry.child, entry.pages, "segment"))
-                    leaf_entries.append(entry)
+                    claimed_pages.append((child_page, pages, "segment"))
+                    leaf_segments.append((count, child_page, pages))
                 else:
-                    child = self.pager.read(entry.child)
+                    child = self.pager.read(child_page)
                     if child.level != node.level - 1:
                         raise TreeCorrupt(
                             f"level skew: node level {node.level} has child "
                             f"level {child.level}"
                         )
-                    claimed_pages.append((entry.child, 1, "index"))
-                    child_total = walk(child, False, under_root=is_root)
-                    if child_total != entry.count:
+                    claimed_pages.append((child_page, 1, "index"))
+                    child_total = walk(child, False)
+                    if child_total != count:
                         raise TreeCorrupt(
-                            f"entry says {entry.count} bytes, child holds "
+                            f"entry says {count} bytes, child holds "
                             f"{child_total}"
                         )
-                total += entry.count
             return total
 
-        if root.entries:
-            walk(root, True)
+        walk(root, True)
         # Spare capacity is legal only in the rightmost segment.
-        for entry in leaf_entries[:-1]:
-            exact = ceil_div(entry.count, self.config.page_size)
-            if entry.pages != exact:
+        for count, first_page, pages in leaf_segments[:-1]:
+            exact = ceil_div(count, self.config.page_size)
+            if pages != exact:
                 raise TreeCorrupt(
-                    f"non-tail segment at page {entry.child} holds spare pages "
-                    f"({entry.pages} vs {exact})"
+                    f"non-tail segment at page {first_page} holds spare pages "
+                    f"({pages} vs {exact})"
                 )
         # Disjointness.
         spans = sorted((p, p + n, what) for p, n, what in claimed_pages)

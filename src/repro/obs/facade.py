@@ -33,6 +33,7 @@ class BufferSnapshot:
     misses: int = 0
     evictions: int = 0
     writebacks: int = 0
+    decodes: int = 0
 
     @property
     def accesses(self) -> int:
@@ -51,6 +52,7 @@ class BufferSnapshot:
             misses=self.misses - other.misses,
             evictions=self.evictions - other.evictions,
             writebacks=self.writebacks - other.writebacks,
+            decodes=self.decodes - other.decodes,
         )
 
 
@@ -160,6 +162,7 @@ class StatsSnapshot(_IOForwarding):
                 "misses": self.buffer.misses,
                 "evictions": self.buffer.evictions,
                 "writebacks": self.buffer.writebacks,
+                "decodes": self.buffer.decodes,
                 "hit_ratio": round(self.buffer.hit_ratio, 4),
             },
             "alloc": {
@@ -219,6 +222,7 @@ class DatabaseStats:
                 misses=pool.misses,
                 evictions=pool.evictions,
                 writebacks=pool.writebacks,
+                decodes=pool.decodes,
             ),
             alloc=AllocSnapshot(
                 allocations=alloc.allocations,
@@ -247,6 +251,7 @@ class DatabaseStats:
         db.disk.stats.reset()
         pool = db.pool.stats
         pool.hits = pool.misses = pool.evictions = pool.writebacks = 0
+        pool.decodes = 0
         alloc = db.buddy.stats
         alloc.allocations = alloc.frees = alloc.directory_loads = 0
         alloc.superdirectory_skips = alloc.superdirectory_corrections = 0

@@ -176,6 +176,7 @@ def gauges_from_status(status: dict) -> dict[str, float]:
     stats = status.get("stats")
     if stats:
         out["buffer.hit_ratio"] = stats["buffer"]["hit_ratio"]
+        out["buffer.decodes"] = stats["buffer"]["decodes"]
     health = status.get("health")
     if health:
         for sample in health.get("samples", ()):
@@ -233,6 +234,7 @@ def gauges_from_status(status: dict) -> dict[str, float]:
         sstats = sdoc.get("stats")
         if sstats:
             out[f"buffer.hit_ratio{label}"] = sstats["buffer"]["hit_ratio"]
+            out[f"buffer.decodes{label}"] = sstats["buffer"]["decodes"]
     out["up"] = 0.0 if status.get("closed") else 1.0
     return out
 

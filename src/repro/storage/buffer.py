@@ -16,6 +16,12 @@ The pool implements the classic protocol:
   :class:`~repro.errors.AllPagesPinned` is raised.
 
 A ``with pool.page(pid) as frame:`` form handles pin/unpin pairing.
+
+Readers that only want a page's *meaning* — an index node — use
+:meth:`decoded` instead: the frame keeps the decoded form of its clean
+image beside the image, so a resident page is decoded once, not once per
+touch.  The decoded form has no life of its own: it is void the moment
+the mutable image is handed out and it goes wherever the frame goes.
 """
 
 from __future__ import annotations
@@ -23,21 +29,26 @@ from __future__ import annotations
 import contextlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Any, Callable, Iterator, TypeVar
 
 from repro.analysis.confine import ThreadConfinement
 from repro.analysis.pinleak import PinLeakSanitizer
 from repro.analysis.sanitize import sanitizers_from_env
-from repro.errors import AllPagesPinned, PageNotPinned
+from repro.errors import AllPagesPinned, InvariantViolation, PageNotPinned
 from repro.storage.disk import DiskVolume
 from repro.storage.page import PageId
 
+T = TypeVar("T")
 
-@dataclass
+
+@dataclass(slots=True)
 class _Frame:
     image: bytearray
     pin_count: int = 0
     dirty: bool = False
+    # What ``image`` means to the last :meth:`BufferPool.decoded` caller;
+    # None whenever the image may have changed since it was computed.
+    decoded: Any = None
 
 
 @dataclass
@@ -48,6 +59,9 @@ class BufferPoolStats:
     misses: int = 0
     evictions: int = 0
     writebacks: int = 0
+    #: :meth:`BufferPool.decoded` calls that had to run the decoder (the
+    #: frame was new, or its image had been handed out since).
+    decodes: int = 0
 
     @property
     def accesses(self) -> int:
@@ -92,9 +106,8 @@ class BufferPool:
 
     # -- core protocol ------------------------------------------------------
 
-    def fetch(self, page: PageId) -> bytearray:
-        """Pin ``page`` and return its (shared, mutable) in-memory image."""
-        self._confine("BufferPool.fetch")
+    def _touch(self, page: PageId) -> _Frame:
+        """Make ``page`` resident and most recently used; count the access."""
         frame = self._frames.get(page)
         if frame is None:
             self.stats.misses += 1
@@ -104,10 +117,45 @@ class BufferPool:
         else:
             self.stats.hits += 1
             self._frames.move_to_end(page)
+        return frame
+
+    def fetch(self, page: PageId) -> bytearray:
+        """Pin ``page`` and return its (shared, mutable) in-memory image."""
+        self._confine("BufferPool.fetch")
+        frame = self._touch(page)
+        frame.decoded = None  # the holder may write through the image
         frame.pin_count += 1
         if self.pin_sanitizer is not None:
             self.pin_sanitizer.record_pin(page)
         return frame.image
+
+    def decoded(self, page: PageId, decode: Callable[[bytearray], T]) -> T:
+        """What ``page`` holds, as ``decode(image)`` computed at most once
+        per clean residency.
+
+        Residency is accounted exactly as by :meth:`fetch` (hit or miss,
+        LRU touch, eviction, the disk read on a miss) but no pin is taken
+        and the image itself never leaves the pool.  The result is shared
+        between callers, so ``decode`` must return something immutable or
+        the caller must copy before editing.  It is remembered on the
+        frame and forgotten when :meth:`fetch`/:meth:`fetch_new` hand the
+        image out or the frame leaves the pool; while a pin is out it is
+        not remembered at all.
+        """
+        self._confine("BufferPool.decoded")
+        frame = self._touch(page)
+        form = frame.decoded
+        if form is None:
+            self.stats.decodes += 1
+            form = decode(frame.image)
+            if not frame.pin_count:
+                frame.decoded = form
+        elif self.pin_sanitizer is not None and decode(frame.image) != form:
+            raise InvariantViolation(
+                f"page {page}: the frame's decoded form no longer matches its "
+                f"image (the image was written without a pin)"
+            )
+        return form
 
     def fetch_new(self, page: PageId, image: bytes | bytearray) -> bytearray:
         """Install a freshly built page image without reading the disk.

@@ -238,17 +238,15 @@ def fsck(db: EOSDatabase, *, expect_no_leaks: bool = True) -> FsckReport:
 
         def walk(node: Node, oid=oid, share=share,
                  extents=extents, latest_pages=latest_pages) -> None:
-            for entry in node.entries:
+            for child, n_pages in zip(node.child, node.pages):
                 if node.level == 0:
-                    claim(entry.child, entry.pages, f"segment of oid {oid}", share)
-                    extents.append((entry.child, entry.pages))
-                    latest_pages.update(
-                        range(entry.child, entry.child + entry.pages)
-                    )
+                    claim(child, n_pages, f"segment of oid {oid}", share)
+                    extents.append((child, n_pages))
+                    latest_pages.update(range(child, child + n_pages))
                 else:
-                    claim(entry.child, 1, f"index of oid {oid}", share)
-                    latest_pages.add(entry.child)
-                    walk(db.pager.read(entry.child))
+                    claim(child, 1, f"index of oid {oid}", share)
+                    latest_pages.add(child)
+                    walk(db.pager.read(child))
 
         walk(obj.tree.read_root())
         if versioned:
@@ -454,17 +452,17 @@ def _walk_version(db: EOSDatabase, oid: int, record, claim) -> set[int]:
     pages = {record.root_page}
 
     def walk(node: Node) -> None:
-        for entry in node.entries:
+        for child, n_pages in zip(node.child, node.pages):
             if node.level == 0:
                 claim(
-                    entry.child, entry.pages,
+                    child, n_pages,
                     f"segment of oid {oid} v{record.version}", oid,
                 )
-                pages.update(range(entry.child, entry.child + entry.pages))
+                pages.update(range(child, child + n_pages))
             else:
-                claim(entry.child, 1, f"index of oid {oid} v{record.version}", oid)
-                pages.add(entry.child)
-                walk(db.pager.read(entry.child))
+                claim(child, 1, f"index of oid {oid} v{record.version}", oid)
+                pages.add(child)
+                walk(db.pager.read(child))
 
     walk(db.pager.read(record.root_page))
     return pages

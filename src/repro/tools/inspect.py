@@ -65,26 +65,27 @@ def dump_object(tree: LargeObjectTree, *, max_entries: int = 32) -> str:
         pad = "  " * (depth + 1)
         kind = "leaf-parent" if node.level == 0 else f"level {node.level}"
         lines.append(
-            f"{pad}node @ page {page} ({kind}): cumulative {node.cumulative()}"
+            f"{pad}node @ page {page} ({kind}): cumulative {list(node.cum)}"
         )
         offset = base
         shown = 0
-        for entry in node.entries:
+        for end, child, n_pages in zip(node.cum, node.child, node.pages):
+            end += base
             if node.level == 0:
                 if shown < max_entries:
                     lines.append(
-                        f"{pad}  bytes [{offset} .. {offset + entry.count - 1}] "
-                        f"-> segment @ page {entry.child} x{entry.pages}"
+                        f"{pad}  bytes [{offset} .. {end - 1}] "
+                        f"-> segment @ page {child} x{n_pages}"
                     )
                 shown += 1
             else:
-                walk(tree.pager.read(entry.child), entry.child, depth + 1, offset)
-            offset += entry.count
+                walk(tree.pager.read(child), child, depth + 1, offset)
+            offset = end
         if node.level == 0 and shown > max_entries:
             lines.append(f"{pad}  ... {shown - max_entries} more segments")
 
     root = tree.read_root()
-    if root.entries:
+    if root.n_entries:
         walk(root, tree.root_page, 0, 0)
     else:
         lines.append("  (empty)")

@@ -356,7 +356,10 @@ def render_top(doc: dict, rate: float | None) -> str:
         f"  (n={lat.get('count', 0)})",
     ]
     buffer = stats.get("buffer") or {}
-    line = f"buffer hit {buffer.get('hit_ratio', 0.0) * 100.0:.1f}%"
+    line = (
+        f"buffer hit {buffer.get('hit_ratio', 0.0) * 100.0:.1f}%"
+        f"  node decodes {buffer.get('decodes', 0)}"
+    )
     if space:
         line += (
             f"  buddy free {space.get('free_pages', 0)}"

@@ -217,13 +217,13 @@ class VersionManager:
 
             def walk(node) -> None:
                 nonlocal segments, leaf_pages, index_pages
-                for entry in node.entries:
-                    if node.level == 0:
-                        segments += 1
-                        leaf_pages += entry.pages
-                    else:
+                if node.level == 0:
+                    segments += node.n_entries
+                    leaf_pages += sum(node.pages)
+                else:
+                    for child in node.child:
                         index_pages += 1
-                        walk(tree.pager.read(entry.child))
+                        walk(tree.pager.read(child))
 
             walk(tree.read_root())
             return ObjectStat(
@@ -336,11 +336,11 @@ class VersionManager:
         def walk(page: PageId) -> None:
             pages.add(page)
             node = self._snap_pager.read(page)
-            for entry in node.entries:
+            for child, n_pages in zip(node.child, node.pages):
                 if node.level == 0:
-                    pages.update(range(entry.child, entry.child + entry.pages))
+                    pages.update(range(child, child + n_pages))
                 else:
-                    walk(entry.child)
+                    walk(child)
 
         walk(root_page)
         return pages

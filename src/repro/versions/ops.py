@@ -74,7 +74,7 @@ def cow_replace(
     _, local_lo = tree.descend(lo)
     span_lo = lo - local_lo
     path_hi, local_hi = tree.descend(hi - 1)
-    tail_entry = path_hi[-1].node.entries[path_hi[-1].index]
+    tail_entry = path_hi[-1].node.entry(path_hi[-1].index)
     span_hi = (hi - 1) - local_hi + tail_entry.count
 
     patched = bytearray(read_range(tree, segio, span_lo, span_hi - span_lo))

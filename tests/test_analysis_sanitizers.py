@@ -78,6 +78,59 @@ class TestPinLeakSanitizer:
         sanitizer.assert_no_leaks()
 
 
+class TestDecodedFormCoherence:
+    """With the pin sanitizer attached, every hit on a frame's decoded
+    form is re-derived from the image and compared."""
+
+    def make(self, **config):
+        db = EOSDatabase.create(
+            64, page_size=256, config=EOSConfig(page_size=256, **config)
+        )
+        oid = db.op_create(b"x" * 1000)
+        obj = db.get_object(oid)
+        assert obj.size() == 1000  # the root's decoded form is resident
+        return db, obj
+
+    def scribble(self, db, obj):
+        """The seeded bug: change a resident image without a pin."""
+        frame = db.pool._frames[obj.root_page]
+        assert frame.decoded is not None
+        bent = obj.tree.read_root()
+        bent.entries[0].count += 1
+        frame.image[:] = bent.to_page(256)
+
+    def test_stale_decoded_form_is_caught(self):
+        db, obj = self.make(sanitize_pins=True)
+        self.scribble(db, obj)
+        with pytest.raises(InvariantViolation) as excinfo:
+            obj.size()
+        assert f"page {obj.root_page}" in str(excinfo.value)
+
+    def test_attached_later_checks_too(self, monkeypatch):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        db, obj = self.make()
+        assert db.pool.pin_sanitizer is None
+        db.pool.attach_pin_sanitizer()
+        self.scribble(db, obj)
+        with pytest.raises(InvariantViolation):
+            obj.read(0, 10)
+
+    def test_unsanitized_pool_trusts_the_frame(self, monkeypatch):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        db, obj = self.make()
+        self.scribble(db, obj)
+        assert obj.size() == 1000  # exactly the bug the sanitizer exists for
+
+    def test_legitimate_writes_stay_silent(self):
+        db, obj = self.make(sanitize_pins=True)
+        obj.insert(500, b"y" * 300)
+        obj.append(b"z" * 2000)
+        obj.delete(0, 100)
+        assert obj.size() == 3200
+        obj.verify()
+        db.close()
+
+
 class TestLockOrderSanitizer:
     def test_opposite_order_raises_cycle(self):
         locks = LockManager()

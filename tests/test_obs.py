@@ -301,6 +301,36 @@ class TestStatsFacade:
         assert snap.buffer.accesses == 0
         assert snap.alloc.allocations == 0
 
+    def test_node_decodes_are_counted_once_per_residency(self):
+        db = make_db()
+        obj = db.create_object(bytes(8 * PAGE))
+        db.checkpoint()
+        with db.stats.delta(cold=True) as cold:
+            for _ in range(5):
+                obj.read(0, PAGE)
+        assert cold.buffer.decodes == cold.buffer.misses == 1
+        assert cold.buffer.hits == 4
+        with db.stats.delta() as edit:
+            obj.append(b"x")  # hands the root image out: its decoded form is void
+            obj.size()
+        assert edit.buffer.decodes == 1
+        assert edit.as_dict()["buffer"]["decodes"] == 1
+        assert db.stats.snapshot().buffer.decodes == db.pool.stats.decodes > 0
+        db.stats.reset()
+        assert db.stats.snapshot().buffer.decodes == 0
+
+    def test_decodes_reach_the_console_and_the_exposition(self):
+        from repro.server.expo import gauges_from_status
+        from repro.tools.servectl import render_top
+
+        db = make_db()
+        db.create_object(bytes(4 * PAGE)).size()
+        doc = {"stats": db.stats.snapshot().as_dict()}
+        decodes = doc["stats"]["buffer"]["decodes"]
+        assert decodes > 0
+        assert f"node decodes {decodes}" in render_top(doc, None)
+        assert gauges_from_status(doc)["buffer.decodes"] == decodes
+
     def test_old_attribute_paths_still_work(self):
         db = make_db()
         db.create_object(bytes(4 * PAGE))

@@ -92,12 +92,12 @@ class TestFigure5c:
         assert obj.size() == 1820
         root = obj.tree.read_root()
         assert root.level == 1
-        assert root.cumulative() == [1020, 1820]
+        assert root.cumulative() == (1020, 1820)
         right = db.pager.read(root.entries[1].child)
         # "The first segment contains the first 280 bytes of these 800
         # bytes, the second the next 710-280=430, and the third the
         # remaining 800-710=90 bytes."
-        assert right.cumulative() == [280, 710, 800]
+        assert right.cumulative() == (280, 710, 800)
         obj.tree.verify()
 
     def test_traversal_arithmetic(self):

@@ -238,6 +238,93 @@ class TestBufferPool:
         assert disk.peek(3)[0] == 0
 
 
+class TestDecodedForm:
+    """``pool.decoded``: the frame keeps what its clean image means."""
+
+    def setup_method(self):
+        self.disk = DiskVolume(num_pages=10, page_size=64)
+        for page in range(10):
+            self.disk.write_page(page, bytes([page]) * 64)
+        self.disk.stats.reset()
+        self.pool = BufferPool(self.disk, capacity=2)
+
+    @staticmethod
+    def decode(image):
+        return bytes(image[:4])  # immutable, so safe to share
+
+    def test_decoded_once_per_residency(self):
+        first = self.pool.decoded(3, self.decode)
+        again = self.pool.decoded(3, self.decode)
+        assert first == bytes([3]) * 4 and again is first
+        assert self.pool.stats.decodes == 1
+
+    def test_residency_is_accounted_like_fetch(self):
+        """Same hits, misses, LRU order, evictions and disk reads as the
+        fetch/unpin pairs it replaces — and no pin."""
+        twin_disk = DiskVolume(num_pages=10, page_size=64)
+        twin = BufferPool(twin_disk, capacity=2)
+        for page in (0, 1, 0, 2, 1, 0, 0, 3):
+            self.pool.decoded(page, self.decode)
+            twin.fetch(page)
+            twin.unpin(page)
+            assert list(self.pool._frames) == list(twin._frames)
+        mine, theirs = self.pool.stats, twin.stats
+        assert (mine.hits, mine.misses, mine.evictions, mine.writebacks) == (
+            theirs.hits, theirs.misses, theirs.evictions, theirs.writebacks
+        )
+        assert self.disk.stats.page_reads == twin_disk.stats.page_reads
+        self.pool.clear()  # would raise if decoded() had left a pin
+
+    def test_handing_out_the_image_voids_it(self):
+        self.pool.decoded(3, self.decode)
+        self.pool.fetch(3)
+        self.pool.unpin(3)
+        assert self.pool._frames[3].decoded is None
+        self.pool.decoded(3, self.decode)
+        with self.pool.page(3, dirty=True) as image:
+            image[:4] = b"edit"
+        assert self.pool.decoded(3, self.decode) == b"edit"
+        assert self.pool.stats.decodes == 3
+
+    def test_fresh_image_replaces_it(self):
+        self.pool.decoded(3, self.decode)
+        self.pool.put_new(3, b"new!" + bytes(60))
+        assert self.pool._frames[3].decoded is None
+        assert self.pool.decoded(3, self.decode) == b"new!"
+        self.pool.decoded(4, self.decode)
+        self.pool.fetch_new(4, b"more" + bytes(60))
+        self.pool.unpin(4)
+        assert self.pool.decoded(4, self.decode) == b"more"
+
+    def test_not_remembered_while_a_pin_is_out(self):
+        image = self.pool.fetch(3)
+        assert self.pool.decoded(3, self.decode) == bytes([3]) * 4
+        image[:4] = b"late"  # the pin holder is still writing
+        assert self.pool._frames[3].decoded is None
+        self.pool.unpin(3, dirty=True)
+        assert self.pool.decoded(3, self.decode) == b"late"
+
+    def test_goes_with_the_frame(self):
+        self.pool.decoded(0, self.decode)
+        self.pool.decoded(1, self.decode)
+        self.pool.decoded(2, self.decode)  # evicts page 0
+        assert not self.pool.resident(0)
+        self.pool.drop(1)
+        self.pool.decoded(1, self.decode)
+        self.pool.clear()
+        self.pool.decoded(1, self.decode)
+        assert self.pool.stats.decodes == 5
+
+    def test_failed_decode_leaves_nothing_behind(self):
+        def refuse(image):
+            raise ValueError("not a node")
+
+        with pytest.raises(ValueError):
+            self.pool.decoded(3, refuse)
+        assert self.pool.resident(3) and self.pool._frames[3].decoded is None
+        assert self.pool.decoded(3, self.decode) == bytes([3]) * 4
+
+
 class TestVolumeLayout:
     def test_format_and_open(self):
         disk = DiskVolume(num_pages=1 + 2 * 9, page_size=128)

@@ -1,11 +1,17 @@
 """Unit tests for the positional tree's structural maintenance."""
 
+import hashlib
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import EOSConfig, EOSDatabase
-from repro.core.node import Entry
+from repro.core.node import Entry, Node
 from repro.core.tree import LargeObjectTree
 from repro.errors import ByteRangeError, TreeCorrupt
+from repro.workloads.aging import AgingWorkload
 
 PAGE = 100  # fanout 6, min 3
 
@@ -261,3 +267,187 @@ class TestVerify:
         db.pager.write_root(tree.root_page, root)
         with pytest.raises(TreeCorrupt):
             tree.verify()
+
+
+class TestIterSegmentsSeeks:
+    """Entering each node by binary search yields what the scan did."""
+
+    def build(self):
+        db = make_db()
+        tree = make_tree(db)
+        add_segments(db, tree, [100 + 7 * (i % 5) for i in range(60)])  # height 3
+        return db, tree
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(-5, 7000), st.integers(-5, 7000))
+    def test_matches_filtering_every_leaf(self, lo, hi):
+        _, tree = self.build()
+        everything = tree.leaf_entries()
+        expected = [
+            (offset, entry) for offset, entry in everything
+            if offset + entry.count > lo and offset < hi and lo < hi
+        ]
+        assert list(tree.iter_segments(lo, hi)) == expected
+
+    def test_reads_only_the_pages_on_the_way(self):
+        db, tree = self.build()
+        size = tree.size()
+        db.pool.clear()
+        before = db.pool.stats.misses
+        assert len(list(tree.iter_segments(size - 1, size))) == 1
+        assert db.pool.stats.misses - before == tree.height()
+
+    def test_a_root_in_hand_is_not_read_again(self):
+        db, tree = self.build()
+        stats = db.pool.stats
+        before = stats.accesses
+        plain = list(tree.iter_segments(300, 900))
+        touched = stats.accesses - before
+        root = tree.read_root()
+        before = stats.accesses
+        assert list(tree.iter_segments(300, 900, root=root)) == plain
+        assert stats.accesses - before == touched - 1
+
+
+def assert_decoded_forms_coherent(db):
+    """Every decoded form a frame holds is what its image decodes to."""
+    for page, frame in db.pool._frames.items():
+        if frame.decoded is not None:
+            assert frame.decoded == Node.from_page(frame.image), f"page {page}"
+
+
+class TestDecodedFormsStayCoherent:
+    """Random edits through a 4-frame pool: index pages are evicted,
+    re-read, rewritten and freed between every read and write, and no
+    frame may ever hold a decoded form its image does not back."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_random_edits_on_a_four_frame_pool(self, data):
+        config = EOSConfig(page_size=PAGE, threshold=2)
+        db = EOSDatabase.create(
+            num_pages=4000, page_size=PAGE, config=config, pool_capacity=4
+        )
+        obj = db.create_object(bytes(range(200)) * 20)
+        mirror = bytearray(bytes(range(200)) * 20)
+        i = 0
+        while obj.tree.height() < 3:  # fragment it
+            i += 1
+            at = (i * 487) % len(mirror)
+            obj.insert(at, b"ab" * 60)
+            mirror[at:at] = b"ab" * 60
+        evictions = db.pool.stats.evictions
+        for _ in range(data.draw(st.integers(1, 25), label="steps")):
+            kind = data.draw(
+                st.sampled_from(["insert", "delete", "append", "replace", "read"])
+            )
+            size = len(mirror)
+            n = data.draw(st.integers(1, 400), label="n")
+            at = data.draw(st.integers(0, max(0, size - 1)), label="at")
+            payload = bytes([n % 251]) * n
+            if kind == "insert":
+                obj.insert(at, payload)
+                mirror[at:at] = payload
+            elif kind == "append":
+                obj.append(payload)
+                mirror += payload
+            elif size == 0:
+                continue
+            elif kind == "delete":
+                obj.delete(at, min(n, size - at))
+                del mirror[at : at + n]
+            elif kind == "replace":
+                payload = payload[: size - at]
+                obj.replace(at, payload)
+                mirror[at : at + len(payload)] = payload
+            else:
+                assert obj.read(at, min(n, size - at)) == mirror[at : at + n]
+            assert_decoded_forms_coherent(db)
+        assert db.pool.stats.evictions > evictions
+        obj.verify()
+        assert obj.read_all() == mirror
+        assert_decoded_forms_coherent(db)
+
+
+class TestGoldenEditScript:
+    """A seeded 1 000-op edit script on an aged volume, against values
+    recorded from the commit before index nodes were decoded as columns
+    and kept on their frames (PR 14, 718527b): every disk transfer and
+    every pool miss, eviction and write-back is the same, and so is
+    every root page.  Pool hits differ by exactly the duplicate root
+    reads that commit made and this one does not."""
+
+    PARENT = {
+        "seeks": 4086, "page_reads": 5414, "page_writes": 5947,
+        "read_calls": 1858, "write_calls": 2311,
+        "misses": 680, "evictions": 679, "writebacks": 459,
+        "roots": "59b605c79b5503d37ed892a701e478d0d288c9c900e4dcf789c64e76a8f7fde9",
+    }
+    PARENT_HITS = 5579
+    #: One per ``replace_leaf_range`` (size, then the root again) and one
+    #: per non-empty read or replace (size, then ``iter_segments``).
+    DUPLICATE_ROOT_READS = 851
+
+    def test_same_io_same_pool_traffic_same_roots(self, monkeypatch):
+        db = EOSDatabase.create(num_pages=8192, page_size=4096, pool_capacity=4)
+        aging = AgingWorkload(db, mix="mixed", seed=1992, target_utilization=0.6)
+        aging.build()
+        for _ in range(2):
+            aging.run_epoch(200)
+        rng = random.Random(15)
+        docs = [db.get_object(oid) for oid in rng.sample(aging.live_oids(), 12)]
+        db.checkpoint()
+        db.stats.reset()
+
+        duplicates = 0
+        replace_leaf_range = LargeObjectTree.replace_leaf_range
+
+        def counting(tree, lo, hi, new_entries):
+            nonlocal duplicates
+            duplicates += 1
+            return replace_leaf_range(tree, lo, hi, new_entries)
+
+        monkeypatch.setattr(LargeObjectTree, "replace_leaf_range", counting)
+        for _ in range(1000):
+            obj = docs[rng.randrange(len(docs))]
+            size = obj.size()
+            kind = rng.choice(
+                ("insert", "insert", "delete", "append", "replace", "read", "read")
+            )
+            n = rng.randint(1, 6000)
+            if kind == "insert":
+                obj.insert(rng.randint(0, size), bytes([rng.randrange(256)]) * n)
+            elif kind == "append":
+                obj.append(bytes([rng.randrange(256)]) * n)
+            elif size == 0:
+                continue
+            elif kind == "delete":
+                lo = rng.randrange(size)
+                obj.delete(lo, min(n, size - lo))
+            elif kind == "replace":
+                lo = rng.randrange(size)
+                obj.replace(lo, bytes([rng.randrange(256)]) * min(n, size - lo))
+                duplicates += 1
+            else:
+                lo = rng.randrange(size)
+                obj.read(lo, min(n, size - lo))
+                duplicates += 1
+
+        pool, io = db.pool.stats, db.disk.stats
+        observed = {
+            "seeks": io.seeks, "page_reads": io.page_reads,
+            "page_writes": io.page_writes,
+            "read_calls": io.read_calls, "write_calls": io.write_calls,
+            "misses": pool.misses, "evictions": pool.evictions,
+            "writebacks": pool.writebacks,
+        }
+        hits = pool.hits
+        db.checkpoint()
+        digest = hashlib.sha256()
+        for obj in docs:
+            digest.update(db.disk.peek(obj.root_page))
+            obj.verify()
+        observed["roots"] = digest.hexdigest()
+        assert observed == self.PARENT
+        assert duplicates == self.DUPLICATE_ROOT_READS
+        assert hits == self.PARENT_HITS - self.DUPLICATE_ROOT_READS
