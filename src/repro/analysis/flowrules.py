@@ -872,10 +872,12 @@ def rule_eos010(tree: ast.AST, mod: str, lines: list[str]) -> list[Finding]:
     """Object mutation outside a version unit on a versioning path.
 
     When ``db.versions`` is (or may be) enabled, every mutation must go
-    through ``VersionManager.mutate(...)`` so index pages are written
-    inside a ``VersionPager`` unit and a frozen version is published.
-    Direct ``obj.append/insert/delete/replace/destroy`` is only legal
-    on paths where the rule can prove ``versions is None``; callables
+    through ``EOSDatabase.mutate(...)`` (which hands it to
+    ``VersionManager.mutate``) so index pages are written inside a
+    ``VersionPager`` unit and a frozen version is published.  Direct
+    ``obj.append/insert/delete/replace/destroy`` is only legal on paths
+    where the rule can prove ``versions is None`` — in ``src/`` that is
+    the unversioned branch of ``EOSDatabase.mutate`` alone; callables
     handed to ``mutate(...)`` run inside the unit and are sanctioned.
     """
     if not _eos010_in_scope(mod):
@@ -924,8 +926,9 @@ def rule_eos010(tree: ast.AST, mod: str, lines: list[str]) -> list[Finding]:
                         call,
                         f"direct .{attr}() on an object handle on a "
                         f"{qualifier}versioning-enabled path; route "
-                        "the mutation through versions.mutate(...) so "
-                        "it runs in a VersionPager unit",
+                        "the mutation through db.mutate(...) so it runs "
+                        "as a versions.mutate(...) unit under a "
+                        "VersionPager",
                     )
                 )
     return findings

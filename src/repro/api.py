@@ -31,7 +31,6 @@ import dataclasses
 import os
 import struct
 import threading
-import warnings
 
 from repro.buddy.directory import max_capacity
 from repro.buddy.manager import BuddyManager
@@ -48,7 +47,7 @@ from repro.errors import (
 )
 from repro.obs.facade import DatabaseStats
 from repro.obs.tracer import Observability
-from repro.ops import ObjectStat, VersionInfo, legacy_positional, require
+from repro.ops import ObjectStat, VersionInfo
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskVolume
 from repro.storage.volume import Volume
@@ -61,25 +60,16 @@ from repro.versions import (
 )
 
 
-def _shift_offset_data(method: str, offset_in_data, args, offset):
-    """Shim the legacy ``(oid, offset, data)`` positional order.
+def _append(data):
+    """The ``(plain, cow)`` pair of an append, for :meth:`EOSDatabase.mutate`.
 
-    The canonical order puts the payload first (``op_write(oid, data,
-    offset=...)``); a legacy call arrives with the offset bound to the
-    ``data`` parameter and the payload in ``args``.
+    The in-place executor patches the partial tail page; under
+    versioning those bytes may be live in an older snapshot.
     """
-    if len(args) != 1 or offset is not None:
-        raise TypeError(
-            f"{method}() takes (oid, data, *, offset=...); "
-            f"got {1 + len(args)} positional arguments after oid"
-        )
-    warnings.warn(
-        f"{method}(oid, offset, data) positional order is deprecated; "
-        f"use {method}(oid, data, offset=...)",
-        DeprecationWarning,
-        stacklevel=3,
+    return (
+        lambda o: o.append(data),
+        lambda o: cow_append(o.tree, o.segio, o.buddy, data),
     )
-    return args[0], offset_in_data
 
 
 class EOSDatabase:
@@ -255,14 +245,10 @@ class EOSDatabase:
         self._objects[oid] = obj
         if self.versions is not None:
             # Version 1 is the empty object; initial content commits as
-            # version 2 through the uniform CoW mutation path.
+            # version 2 through the uniform mutation path.
             self.versions.publish_initial(oid, tree)
-            if data:
-                self.versions.mutate(
-                    oid, lambda o: cow_append(o.tree, o.segio, o.buddy, data)
-                )
-        elif data:
-            obj.append(data)
+        if data:
+            self.mutate(oid, *_append(data))
         return obj
 
     def get_object(self, oid: int) -> LargeObject:
@@ -325,21 +311,29 @@ class EOSDatabase:
             obj = self.create_object(data, size_hint=size_hint)
             return obj.oid  # type: ignore[attr-defined]
 
+    def mutate(self, oid: int, plain, cow=None):
+        """Run one mutation of a catalogued object; the only sanctioned
+        route, and the one place that asks whether it is versioned.
+
+        Under ``op_lock``: an unversioned database runs ``plain(obj)`` on
+        the handle in place; a versioned one runs ``cow`` (default:
+        ``plain``, for executors that never overwrite a live page) as
+        one version unit, so older snapshots stay intact and the result
+        is published as the next version.  Returns the callable's result.
+        """
+        with self.op_lock:
+            if self.versions is not None:
+                return self.versions.mutate(oid, cow or plain)
+            return plain(self.get_object(oid))
+
     def op_append(self, oid: int, data: bytes) -> int:
         """Append to the object; returns its new size."""
         with self.op_lock:
-            if self.versions is not None:
-                self.versions.mutate(
-                    oid, lambda o: cow_append(o.tree, o.segio, o.buddy, data)
-                )
-                return self.get_object(oid).size()
-            obj = self.get_object(oid)
-            obj.append(data)
-            return obj.size()
+            self.mutate(oid, *_append(data))
+            return self.get_object(oid).size()
 
     def op_read(
-        self, oid: int, *args: int,
-        offset: int | None = None, length: int | None = None,
+        self, oid: int, *, offset: int, length: int,
         version: int | None = None,
     ) -> bytes:
         """Read ``length`` bytes at ``offset``.
@@ -347,11 +341,6 @@ class EOSDatabase:
         On a versioned database every read — latest or explicit
         ``version`` — resolves an immutable snapshot root and runs
         lock-free (no ``op_lock``, no buffer pool)."""
-        if args:
-            offset, length = legacy_positional(
-                "op_read", ("offset", "length"), args, (offset, length)
-            )
-        require("op_read", offset=offset, length=length)
         if self.versions is not None:
             self._ensure_open("read an object")
             return self.versions.read(
@@ -363,8 +352,7 @@ class EOSDatabase:
             return self.get_object(oid).read(offset, length)
 
     def op_read_into(
-        self, oid: int, dest, *,
-        offset: int | None = None, length: int | None = None,
+        self, oid: int, dest, *, offset: int, length: int,
         version: int | None = None,
     ) -> int:
         """Read ``length`` bytes at ``offset`` into a writable buffer.
@@ -372,7 +360,6 @@ class EOSDatabase:
         The zero-copy read: coalesced page views land directly in
         ``dest``.  Returns the byte count written.
         """
-        require("op_read_into", offset=offset, length=length)
         if self.versions is not None:
             self._ensure_open("read an object")
             return self.versions.read_into(
@@ -383,74 +370,37 @@ class EOSDatabase:
         with self.op_lock:
             return self.get_object(oid).read_into(offset, length, dest)
 
-    def op_write(
-        self, oid: int, data: bytes | None = None, *args,
-        offset: int | None = None,
-    ) -> int:
+    def op_write(self, oid: int, data: bytes, *, offset: int) -> int:
         """Overwrite bytes in place; returns the (unchanged) size."""
-        if args:  # legacy positional order was (oid, offset, data)
-            data, offset = _shift_offset_data("op_write", data, args, offset)
-        require("op_write", data=data, offset=offset)
         with self.op_lock:
-            if self.versions is not None:
-                self.versions.mutate(
-                    oid,
-                    lambda o: cow_replace(
-                        o.tree, o.segio, o.buddy, offset, data
-                    ),
-                )
-                return self.get_object(oid).size()
-            obj = self.get_object(oid)
-            obj.replace(offset, data)
-            return obj.size()
-
-    def op_insert(
-        self, oid: int, data: bytes | None = None, *args,
-        offset: int | None = None,
-    ) -> int:
-        """Insert bytes at ``offset``; returns the new size."""
-        if args:  # legacy positional order was (oid, offset, data)
-            data, offset = _shift_offset_data("op_insert", data, args, offset)
-        require("op_insert", data=data, offset=offset)
-        with self.op_lock:
-            if self.versions is not None:
-                self.versions.mutate(
-                    oid, lambda o: self._versioned_insert(o, offset, data)
-                )
-                return self.get_object(oid).size()
-            obj = self.get_object(oid)
-            obj.insert(offset, data)
-            return obj.size()
-
-    @staticmethod
-    def _versioned_insert(obj: LargeObject, offset: int, data) -> None:
-        # Insert-at-end takes the append fast path, which patches the
-        # partial tail page in place; under versioning those bytes may
-        # be live in an older snapshot, so route it through cow_append.
-        if offset == obj.size():
-            cow_append(obj.tree, obj.segio, obj.buddy, data)
-        else:
-            obj.insert(offset, data)
-
-    def op_delete(
-        self, oid: int, *args: int,
-        offset: int | None = None, length: int | None = None,
-    ) -> int:
-        """Delete a byte range; returns the new size."""
-        if args:
-            offset, length = legacy_positional(
-                "op_delete", ("offset", "length"), args, (offset, length)
+            self.mutate(
+                oid,
+                lambda o: o.replace(offset, data),
+                lambda o: cow_replace(o.tree, o.segio, o.buddy, offset, data),
             )
-        require("op_delete", offset=offset, length=length)
+            return self.get_object(oid).size()
+
+    def op_insert(self, oid: int, data: bytes, *, offset: int) -> int:
+        """Insert bytes at ``offset``; returns the new size."""
+
+        def cow_insert(o: LargeObject) -> None:
+            # Insert-at-end takes the append fast path, which patches the
+            # partial tail page in place; under versioning those bytes may
+            # be live in an older snapshot, so route it through cow_append.
+            if offset == o.size():
+                cow_append(o.tree, o.segio, o.buddy, data)
+            else:
+                o.insert(offset, data)
+
         with self.op_lock:
-            if self.versions is not None:
-                self.versions.mutate(
-                    oid, lambda o: o.delete(offset, length)
-                )
-                return self.get_object(oid).size()
-            obj = self.get_object(oid)
-            obj.delete(offset, length)
-            return obj.size()
+            self.mutate(oid, lambda o: o.insert(offset, data), cow_insert)
+            return self.get_object(oid).size()
+
+    def op_delete(self, oid: int, *, offset: int, length: int) -> int:
+        """Delete a byte range; returns the new size."""
+        with self.op_lock:
+            self.mutate(oid, lambda o: o.delete(offset, length))
+            return self.get_object(oid).size()
 
     def op_size(self, oid: int) -> int:
         """The object's size in bytes."""
@@ -469,14 +419,8 @@ class EOSDatabase:
             raise VersionNotFound(oid, version)
         with self.op_lock:
             obj = self.get_object(oid)
-            stats = obj.stats()
             return ObjectStat(
-                size_bytes=stats.size_bytes,
-                segments=stats.segments,
-                leaf_pages=stats.leaf_pages,
-                index_pages=stats.index_pages,
-                height=stats.height,
-                root_page=obj.root_page,
+                **dataclasses.asdict(obj.stats()), root_page=obj.root_page
             )
 
     def op_versions(self, oid: int) -> list[VersionInfo]:

@@ -9,12 +9,13 @@ the replacement segments are fully on disk before the tree's leaf range
 swaps over, and only then are the old extents freed.
 
 Versioning changes nothing structurally — the relocation body runs
-inside :meth:`~repro.versions.manager.VersionManager.mutate`, so the
-tree pages it touches are copied (never overwritten), the "frees" of
-the old extents are deferred to chain reclamation (snapshot roots stay
-byte-identical; CoW-shared pages are copied into the new version, never
-moved in place), and the new root commits through the shadow/new-root
-path: a crash mid-compaction leaves the previous version intact.
+through :meth:`~repro.api.EOSDatabase.mutate`, on a versioned database
+as one version unit, so the tree pages it touches are copied (never
+overwritten), the "frees" of the old extents are deferred to chain
+reclamation (snapshot roots stay byte-identical; CoW-shared pages are
+copied into the new version, never moved in place), and the new root
+commits to a new page: a crash mid-compaction leaves the previous
+version intact.
 
 Thread confinement (EOS008): everything here touches the buddy
 allocator, the pager, and segment I/O, so on a served database these
@@ -188,18 +189,14 @@ def relocate_object(
 ) -> MoveResult:
     """Relocate one object's extents into contiguous segments.
 
-    Takes the database op lock; on a versioned database the rewrite is
-    one version unit (EOS010), so snapshots of older versions keep
-    reading their original, untouched pages.  Runs on the owning
-    shard's worker when the database is served.
+    One :meth:`~repro.api.EOSDatabase.mutate`: under the database op
+    lock, and on a versioned database one version unit, so snapshots of
+    older versions keep reading their original, untouched pages.  Runs
+    on the owning shard's worker when the database is served.
     """
-    with db.op_lock:
-        if db.versions is not None:
-            return db.versions.mutate(
-                oid, lambda o: _rewrite_contiguous(o, avoid_space=avoid_space)
-            )
-        obj = db.get_object(oid)
-        return _rewrite_contiguous(obj, avoid_space=avoid_space)
+    return db.mutate(
+        oid, lambda o: _rewrite_contiguous(o, avoid_space=avoid_space)
+    )
 
 
 def _max_segment_pages(db) -> int:

@@ -5,6 +5,8 @@ Layering within this package:
 * :mod:`~repro.core.node` — positional-tree index nodes (Figure 5);
 * :mod:`~repro.core.pager` — index-page storage policies (in-place vs
   the shadowing of Section 4.5);
+* :mod:`~repro.core.unit` — the copy-on-write unit both recovery and
+  versioning run their updates in;
 * :mod:`~repro.core.tree` — descent and structural maintenance;
 * :mod:`~repro.core.reshuffle` — byte/page reshuffling (4.3/4.4);
 * :mod:`~repro.core.segio` — contiguous leaf-segment I/O;

@@ -63,6 +63,34 @@ class ObjectStats:
         return self.size_bytes / (self.leaf_pages * page_size)
 
 
+def tree_stats(tree: LargeObjectTree) -> ObjectStats:
+    """Space accounting of one tree (reads the whole index, no leaf I/O)."""
+    size = tree.size()
+    leaf_pages = 0
+    segments = 0
+    index_pages = 1  # the root
+
+    def walk(node) -> None:
+        nonlocal leaf_pages, segments, index_pages
+        if node.level == 0:
+            segments += node.n_entries
+            leaf_pages += sum(node.pages)
+        else:
+            for child in node.child:
+                index_pages += 1
+                walk(tree.pager.read(child))
+
+    root = tree.read_root()
+    walk(root)
+    return ObjectStats(
+        size_bytes=size,
+        segments=segments,
+        leaf_pages=leaf_pages,
+        index_pages=index_pages,
+        height=root.level + 1,
+    )
+
+
 class LargeObject:
     """One large dynamic object, addressed by byte position."""
 
@@ -253,30 +281,7 @@ class LargeObject:
 
     def stats(self) -> ObjectStats:
         """Space accounting (reads the whole index, no leaf I/O)."""
-        size = self.tree.size()
-        leaf_pages = 0
-        segments = 0
-        index_pages = 1  # the root
-
-        def walk(node) -> None:
-            nonlocal leaf_pages, segments, index_pages
-            if node.level == 0:
-                segments += node.n_entries
-                leaf_pages += sum(node.pages)
-            else:
-                for child in node.child:
-                    index_pages += 1
-                    walk(self.tree.pager.read(child))
-
-        root = self.tree.read_root()
-        walk(root)
-        return ObjectStats(
-            size_bytes=size,
-            segments=segments,
-            leaf_pages=leaf_pages,
-            index_pages=index_pages,
-            height=root.level + 1,
-        )
+        return tree_stats(self.tree)
 
     def mean_segment_pages(self) -> float:
         """Average leaf-segment size in pages (clustering metric, E3)."""

@@ -9,9 +9,11 @@ delete, or append, only the modified index pages need to be shadowed."
 :class:`NodePager` is the interface the tree uses for index pages.
 :class:`InPlacePager` is the prototype's behaviour (EOS "runs on a
 single process, with no support for transactions").
-:class:`~repro.recovery.shadow.ShadowPager` relocates every written
-node, leaving the old images intact until commit; the root page is the
-single in-place switch point.
+:class:`~repro.core.unit.UnitPager` relocates every written node,
+leaving the old images intact until commit; its two commit policies are
+:class:`~repro.recovery.shadow.ShadowPager` (the root page is the single
+in-place switch point) and :class:`~repro.versions.pager.VersionPager`
+(a new root page per version).
 """
 
 from __future__ import annotations

@@ -18,23 +18,19 @@ and all geometry — ``offset``, ``length``, ``size_hint`` — keyword-only,
 so call sites read unambiguously (``op_write(oid, data, offset=0)``)
 and the historical positional orders (which disagreed between methods:
 ``op_write(oid, offset, data)`` but ``op_read(oid, offset, length)``)
-can never be silently transposed again.  The old positional forms keep
-working for one release through shims that emit
-:class:`DeprecationWarning` (see :func:`legacy_positional`).
+can never be silently transposed again.
 
 :class:`ObjectStat` replaces the loose dict ``op_stat`` used to return:
 a frozen dataclass whose field order matches the STAT wire encoding
-(:data:`repro.server.protocol._STAT`), with a deprecated ``[...]`` shim
-so old dict-style readers keep working during the transition.
+(:data:`repro.server.protocol._STAT`).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import asdict, dataclass
-from typing import Any, Protocol, cast, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
-__all__ = ["ObjectOps", "ObjectStat", "VersionInfo", "legacy_positional"]
+__all__ = ["ObjectOps", "ObjectStat", "VersionInfo"]
 
 
 @dataclass(frozen=True)
@@ -60,23 +56,6 @@ class ObjectStat:
         """The stat as a plain dict (for JSON documents)."""
         return asdict(self)
 
-    def __getitem__(self, key: str) -> int:
-        """Deprecated dict-style access (``stat["size_bytes"]``).
-
-        ``op_stat`` returned a plain dict before the interface was
-        extracted; this shim keeps old readers working for one release.
-        """
-        warnings.warn(
-            "dict-style access to op_stat results is deprecated; "
-            f"use the ObjectStat attribute (stat.{key})",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        try:
-            return cast(int, getattr(self, key))
-        except AttributeError:
-            raise KeyError(key) from None
-
 
 @dataclass(frozen=True)
 class VersionInfo:
@@ -93,50 +72,6 @@ class VersionInfo:
     def as_dict(self) -> dict[str, int | float]:
         """The version record as a plain dict (for JSON documents)."""
         return asdict(self)
-
-
-def legacy_positional(
-    method: str,
-    names: tuple[str, ...],
-    args: tuple[object, ...],
-    values: tuple[object | None, ...],
-) -> list[object | None]:
-    """Map pre-interface positional arguments onto keyword-only params.
-
-    ``names`` are the keyword-only parameter names in the *old
-    positional order*; ``values`` are their currently-bound values
-    (None = not given).  Returns the completed value list, warning that
-    the positional form is deprecated.
-    """
-    if len(args) > len(names):
-        raise TypeError(
-            f"{method}() takes at most {len(names)} positional "
-            f"argument(s) after oid, got {len(args)}"
-        )
-    warnings.warn(
-        f"{method}() positional ({', '.join(names[:len(args)])}) is "
-        f"deprecated; pass keyword arguments "
-        f"({', '.join(f'{n}=...' for n in names[:len(args)])})",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    out: list[object | None] = list(values)
-    for i, value in enumerate(args):
-        if out[i] is not None:
-            raise TypeError(
-                f"{method}() got multiple values for argument {names[i]!r}"
-            )
-        out[i] = value
-    return out
-
-
-def require(method: str, **kwargs: object) -> None:
-    """Raise TypeError for any still-missing required keyword argument."""
-    for name, value in kwargs.items():
-        if value is None:
-            raise TypeError(
-                f"{method}() missing required keyword argument: {name!r}"
-            )
 
 
 @runtime_checkable

@@ -11,158 +11,51 @@ would be ruinous — "if segments are large and updates are small,
 shadowing will be slower than logging" — and the update algorithms were
 deliberately designed so it is never required.
 
-:class:`ShadowPager` wraps the in-place pager and relocates every index
-page written during one *shadow unit* (one update operation):
-
-* ``write`` to a pre-existing page allocates a fresh page instead and
-  leaves the old image untouched (its free is deferred to commit);
-* ``write_root`` is deferred entirely — the root is the single in-place
-  write that atomically switches from the old tree to the new one, and
-  it carries the operation's LSN;
-* :meth:`commit_unit` performs that root write and only then frees the
-  superseded pages; :meth:`abort_unit` (or a crash before the root
-  write) frees/leaks only *new* pages — the old tree was never touched.
+:class:`ShadowPager` is the copy-on-write unit of
+:mod:`repro.core.unit` with the paper's commit policy: the root is the
+single *in-place* write that atomically switches from the old tree to
+the new one, it carries the operation's LSN, and only after it are the
+superseded pages freed.  An abort (or a crash before the root write)
+frees/leaks only *new* pages — the old tree was never touched.
 """
 
 from __future__ import annotations
 
-from repro.core.node import Node
-from repro.core.pager import InPlacePager, NodePager
-from repro.errors import RecoveryError
-from repro.obs.tracer import NULL_OBS, Observability
+from repro.core.unit import UnitPager
 from repro.storage.page import PageId
 
 
-class ShadowPager(NodePager):
-    """Copy-on-write index paging with a single root switch point."""
+class ShadowPager(UnitPager):
+    """Copy-on-write index paging with a single in-place root switch."""
 
-    def __init__(
-        self, base: InPlacePager, *, obs: Observability | None = None
-    ) -> None:
-        self.base = base
-        self.obs = obs if obs is not None else NULL_OBS
-        self._active = False
-        self._new_pages: set[PageId] = set()
-        self._deferred_frees: set[PageId] = set()
-        self._pending_root: tuple[PageId, Node] | None = None
-
-    # ------------------------------------------------------------------
-    # Unit protocol
-    # ------------------------------------------------------------------
-
-    def begin_unit(self) -> None:
-        """Start a shadow unit (one update operation)."""
-        if self._active:
-            raise RecoveryError("shadow unit already active")
-        self._active = True
-        self._new_pages = set()
-        self._deferred_frees = set()
-        self._pending_root = None
+    kind = "shadow"
 
     def commit_unit(self, lsn: int) -> None:
         """Atomically switch to the new tree: one in-place root write."""
-        if not self._active:
-            raise RecoveryError("no shadow unit to commit")
+        self._require_unit("commit")
         with self.obs.tracer.span(
             "shadow.commit",
             lsn=lsn,
-            relocated=len(self._new_pages),
-            freed=len(self._deferred_frees),
+            relocated=len(self.local),
+            freed=len(self.superseded),
         ):
             if self._pending_root is not None:
                 page, node = self._pending_root
                 node.lsn = lsn
                 self.base.write_root(page, node)
+            # The switch happened: from here on nothing may abort it.
+            superseded = self.superseded
+            self._reset()
             # "...leaving the old one intact until it is no longer needed
             # for recovery" — which is now.
-            for page in self._deferred_frees:
+            for page in superseded:
                 self.base.free(page)
-        self._reset()
-
-    def abort_unit(self) -> set[PageId]:
-        """Discard the new version; the old tree was never modified.
-
-        Returns the pages that were newly allocated (freed here), mostly
-        so tests can assert nothing else moved.
-        """
-        if not self._active:
-            raise RecoveryError("no shadow unit to abort")
-        new_pages = set(self._new_pages)
-        for page in new_pages:
-            self.base.free(page)
-        self._reset()
-        return new_pages
 
     def crash_unit(self) -> set[PageId]:
         """Simulate a crash mid-operation: new pages leak (a real system
         reclaims them with a free-space scavenger at restart); the old
         tree is intact because the root was never written."""
-        if not self._active:
-            raise RecoveryError("no shadow unit to crash")
-        leaked = set(self._new_pages)
+        self._require_unit("crash")
+        leaked = self.local
         self._reset()
         return leaked
-
-    def _reset(self) -> None:
-        self._active = False
-        self._new_pages = set()
-        self._deferred_frees = set()
-        self._pending_root = None
-
-    @property
-    def in_unit(self) -> bool:
-        return self._active
-
-    # ------------------------------------------------------------------
-    # NodePager interface
-    # ------------------------------------------------------------------
-
-    def read(self, page: PageId) -> Node:
-        """Read a node; the pending root is served from memory."""
-        if self._pending_root is not None and page == self._pending_root[0]:
-            # Within a unit, later phases must see the root as edited.
-            return self._pending_root[1]
-        return self.base.read(page)
-
-    def write(self, page: PageId, node: Node) -> PageId:
-        if not self._active:
-            return self.base.write(page, node)
-        if page in self._new_pages:
-            # Already relocated in this unit; write in place.
-            return self.base.write(page, node)
-        relocated = self.base.allocate()
-        self.base.write_new(relocated, node)
-        self._new_pages.add(relocated)
-        self._deferred_frees.add(page)
-        self.obs.metrics.counter("shadow.relocations").inc()
-        return relocated
-
-    def write_new(self, page: PageId, node: Node) -> PageId:
-        if self._active:
-            self._new_pages.add(page)
-        return self.base.write_new(page, node)
-
-    def allocate(self) -> PageId:
-        """Allocate a page, tracked as unit-local when a unit is active."""
-        page = self.base.allocate()
-        if self._active:
-            self._new_pages.add(page)
-        return page
-
-    def free(self, page: PageId) -> None:
-        """Free immediately if unit-local, else defer to commit."""
-        if not self._active:
-            self.base.free(page)
-            return
-        if page in self._new_pages:
-            self._new_pages.remove(page)
-            self.base.free(page)
-        else:
-            # An old-version page: keep it until the root switch commits.
-            self._deferred_frees.add(page)
-
-    def write_root(self, page: PageId, node: Node) -> None:
-        if not self._active:
-            self.base.write_root(page, node)
-            return
-        self._pending_root = (page, node)

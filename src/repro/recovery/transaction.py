@@ -21,25 +21,25 @@ module implements the design the paper lays out for it.
 from __future__ import annotations
 
 from repro.api import EOSDatabase
-from repro.buddy.manager import BuddyManager, SegmentRef
+from repro.buddy.manager import BuddyManager
 from repro.concurrency.locks import LockManager, LockMode
 from repro.util.bitops import aligned_run_decomposition
 from repro.core.object import LargeObject
 from repro.core.tree import LargeObjectTree
+from repro.core.unit import UnitAllocator, run_unit
 from repro.errors import TransactionError
 from repro.recovery.log import OpKind, WriteAheadLog
 from repro.recovery.shadow import ShadowPager
 
 
-class TransactionalAllocator:
-    """Defers leaf-space frees to unit commit; tracks unit allocations.
+class TransactionalAllocator(UnitAllocator):
+    """The leaf-page half of a shadow unit, with the paper's free locks.
 
     During a shadow unit the old tree must stay fully materialised, so
     pages it references cannot return to the buddy system until the root
-    switch.  Pages allocated *within* the unit may be freed immediately
-    (trims of fresh segments) and are reclaimed wholesale on abort.
+    switch: :meth:`commit_unit` performs the frees the unit deferred.
 
-    When a lock manager and transaction id are bound, every transactional
+    When a lock manager and transaction id are bound, every deferred
     free also takes the [Lehm89] hierarchical locks the paper adopts:
     "when a segment is freed, a (release) lock is placed on the segment
     and an intention (release) lock is placed on all of the segment's
@@ -51,47 +51,22 @@ class TransactionalAllocator:
     _SPACE_NAMESPACE_SHIFT = 40
 
     def __init__(self, buddy: BuddyManager, locks: LockManager | None = None) -> None:
-        self.buddy = buddy
+        super().__init__(buddy)
         self.locks = locks
         self.current_txn: int | None = None
-        self.max_segment_pages = buddy.max_segment_pages
-        self._new_pages: set[int] = set()
-        self._deferred: list[tuple[int, int]] = []
 
-    def allocate(self, n_pages: int) -> SegmentRef:
-        """Allocate pages, tracked for abort cleanup."""
-        ref = self.buddy.allocate(n_pages)
-        self._new_pages.update(range(ref.first_page, ref.end))
-        return ref
-
-    def allocate_up_to(self, n_pages: int) -> SegmentRef:
-        """Best-effort allocation, tracked for abort cleanup."""
-        ref = self.buddy.allocate_up_to(n_pages)
-        self._new_pages.update(range(ref.first_page, ref.end))
-        return ref
-
-    def free(self, first_page: int, n_pages: int) -> None:
-        """Free now (unit-local pages) or defer and RELEASE-lock (old pages)."""
-        pages = range(first_page, first_page + n_pages)
-        if all(p in self._new_pages for p in pages):
-            self._new_pages.difference_update(pages)
-            self.buddy.free(first_page, n_pages)
-        else:
-            self._lock_release(first_page, n_pages)
-            self._deferred.append((first_page, n_pages))
-
-    def _lock_release(self, first_page: int, n_pages: int) -> None:
+    def _defer(self, first_page: int, n_pages: int) -> None:
         """Take RELEASE + intention locks on a transactionally freed run."""
-        if self.locks is None or self.current_txn is None:
-            return
-        extent = self.buddy.volume.space_of_physical(first_page)
-        local = extent.to_local(first_page)
-        namespace = extent.index << self._SPACE_NAMESPACE_SHIFT
-        max_size = self.max_segment_pages
-        for addr, size in aligned_run_decomposition(local, n_pages):
-            self.locks.acquire_release_lock(
-                self.current_txn, namespace + addr, size, max_size
-            )
+        if self.locks is not None and self.current_txn is not None:
+            extent = self.base.volume.space_of_physical(first_page)
+            local = extent.to_local(first_page)
+            namespace = extent.index << self._SPACE_NAMESPACE_SHIFT
+            max_size = self.max_segment_pages
+            for addr, size in aligned_run_decomposition(local, n_pages):
+                self.locks.acquire_release_lock(
+                    self.current_txn, namespace + addr, size, max_size
+                )
+        super()._defer(first_page, n_pages)
 
     def blocked_pages(self, txn_id: int) -> set[int]:
         """Space-namespaced addresses release-locked by other transactions
@@ -109,36 +84,9 @@ class TransactionalAllocator:
 
     def commit_unit(self) -> None:
         """Perform the deferred frees; the unit's root switch happened."""
-        for first_page, n_pages in self._deferred:
-            self.buddy.free(first_page, n_pages)
-        self._reset()
-
-    def abort_unit(self) -> None:
-        # Old-tree pages were never freed; reclaim this unit's allocations.
-        """Reclaim the unit's allocations; deferred frees are dropped."""
-        for first_page, n_pages in self._runs(self._new_pages):
-            self.buddy.free(first_page, n_pages)
-        self._reset()
-
-    def crash_unit(self) -> set[int]:
-        """Leak the unit's allocations, as a crash would."""
-        leaked = set(self._new_pages)
-        self._reset()
-        return leaked
-
-    def _reset(self) -> None:
-        self._new_pages = set()
-        self._deferred = []
-
-    @staticmethod
-    def _runs(pages: set[int]) -> list[tuple[int, int]]:
-        out = []
-        for page in sorted(pages):
-            if out and out[-1][0] + out[-1][1] == page:
-                out[-1] = (out[-1][0], out[-1][1] + 1)
-            else:
-                out.append((page, 1))
-        return out
+        _, deferred = self._close()
+        for first_page, n_pages in deferred:
+            self.base.free(first_page, n_pages)
 
 
 class Transaction:
@@ -277,24 +225,21 @@ class TransactionalObject:
 
     def _shadowed(self, operation, lsn: int) -> None:
         manager = self.manager
+
+        def unit(obj: LargeObject) -> None:
+            operation(obj)
+            if manager.crash_before_root_write:
+                # Fault injection: the unit never reaches its root switch.
+                manager.shadow.crash_unit()
+                raise SimulatedCrash(lsn)
+
         with manager.db.obs.tracer.span(
             "txn.unit", txn=self.txn.txn_id, lsn=lsn
         ):
             manager.allocator.current_txn = self.txn.txn_id
-            manager.shadow.begin_unit()
-            try:
-                operation(self._plain())
-            except BaseException:
-                manager.shadow.abort_unit()
-                manager.allocator.abort_unit()
-                raise
-            if manager.crash_before_root_write:
-                # Fault injection: the unit never reaches its root switch.
-                manager.shadow.crash_unit()
-                manager.allocator.crash_unit()
-                raise SimulatedCrash(lsn)
-            manager.shadow.commit_unit(lsn)
-            manager.allocator.commit_unit()
+            run_unit(
+                manager.shadow, manager.allocator, self._plain(), unit, lsn
+            )
 
 
 class SimulatedCrash(Exception):
@@ -374,20 +319,12 @@ class RecoveryManager:
 
     def _apply_inverse(self, obj: LargeObject, record, clr_lsn: int) -> None:
         inverse = {
-            OpKind.INSERT: lambda: obj.delete(record.offset, len(record.data)),
-            OpKind.APPEND: lambda: obj.delete(record.offset, len(record.data)),
-            OpKind.DELETE: lambda: obj.insert(record.offset, record.data),
-            OpKind.REPLACE: lambda: obj.replace(record.offset, record.old_data),
+            OpKind.INSERT: lambda o: o.delete(record.offset, len(record.data)),
+            OpKind.APPEND: lambda o: o.delete(record.offset, len(record.data)),
+            OpKind.DELETE: lambda o: o.insert(record.offset, record.data),
+            OpKind.REPLACE: lambda o: o.replace(record.offset, record.old_data),
         }[record.kind]
         if record.kind == OpKind.REPLACE:
-            inverse()  # in place, already logged via the CLR
-            return
-        self.shadow.begin_unit()
-        try:
-            inverse()
-        except BaseException:
-            self.shadow.abort_unit()
-            self.allocator.abort_unit()
-            raise
-        self.shadow.commit_unit(clr_lsn)
-        self.allocator.commit_unit()
+            inverse(obj)  # in place, already logged via the CLR
+        else:
+            run_unit(self.shadow, self.allocator, obj, inverse, clr_lsn)

@@ -19,7 +19,7 @@ CLI: ``python -m repro.tools.servectl serve`` / ``ping`` / ``put`` /
 
 from repro.server.client import EOSClient
 from repro.server.expo import MetricsHTTPServer, status_snapshot
-from repro.server.protocol import Opcode, RemoteStat, Status
+from repro.server.protocol import Opcode, Status
 from repro.server.runner import ServerThread
 from repro.server.server import EOSServer
 from repro.server.sharding import Shard, ShardSet
@@ -29,7 +29,6 @@ __all__ = [
     "EOSServer",
     "MetricsHTTPServer",
     "Opcode",
-    "RemoteStat",
     "ServerThread",
     "Shard",
     "ShardSet",

@@ -39,8 +39,9 @@ import socket
 from repro.errors import ConnectionClosed, ProtocolError
 from repro.obs.sinks import JsonLinesSink
 from repro.obs.tracer import NULL_TRACER, Observability
+from repro.ops import ObjectStat
 from repro.server import protocol
-from repro.server.protocol import Opcode, RemoteStat, Status
+from repro.server.protocol import Opcode, Status
 from repro.util import copytrace
 
 
@@ -334,7 +335,7 @@ class EOSClient:
             self.call(Opcode.SIZE, protocol.pack_oid(oid), oid=oid)
         )
 
-    def stat(self, oid: int, *, version: int | None = None) -> RemoteStat:
+    def stat(self, oid: int, *, version: int | None = None) -> ObjectStat:
         """Space accounting plus the root page (of ``version``, if given).
 
         A plain ``stat(oid)`` sends the short (legacy) request form and
@@ -428,7 +429,7 @@ class EOSClient:
         """The object's size in bytes (``ObjectOps`` spelling)."""
         return self.size(oid)
 
-    def op_stat(self, oid: int, *, version: int | None = None) -> RemoteStat:
+    def op_stat(self, oid: int, *, version: int | None = None) -> ObjectStat:
         """Space accounting plus the root page (``ObjectOps`` spelling)."""
         return self.stat(oid, version=version)
 

@@ -515,14 +515,8 @@ def unpack_u64(payload: bytes) -> int:
     return _U64.unpack(payload)[0]
 
 
-#: The STAT response payload decodes to the canonical stat dataclass of
-#: the :class:`~repro.ops.ObjectOps` interface; ``RemoteStat`` is the
-#: historical wire-side name, kept as an alias.
-RemoteStat = ObjectStat
-
-
-def pack_stat(stat: RemoteStat, *, with_version: bool = False) -> bytes:
-    """The STAT response payload for a :class:`RemoteStat`.
+def pack_stat(stat: ObjectStat, *, with_version: bool = False) -> bytes:
+    """The STAT response payload for an :class:`~repro.ops.ObjectStat`.
 
     The server packs the version-carrying long form only for requesters
     that sent the long request form; version-unaware clients keep
@@ -539,16 +533,16 @@ def pack_stat(stat: RemoteStat, *, with_version: bool = False) -> bytes:
     )
 
 
-def unpack_stat(payload: bytes) -> RemoteStat:
-    """Decode a STAT response payload into a :class:`RemoteStat`.
+def unpack_stat(payload: bytes) -> ObjectStat:
+    """Decode a STAT response payload into an :class:`~repro.ops.ObjectStat`.
 
     Accepts both response shapes; the short form decodes with
     ``version=0`` (its dataclass default).
     """
     if len(payload) == _STAT.size:
-        return RemoteStat(*_STAT.unpack(payload))
+        return ObjectStat(*_STAT.unpack(payload))
     if len(payload) == _STAT_VER.size:
-        return RemoteStat(*_STAT_VER.unpack(payload))
+        return ObjectStat(*_STAT_VER.unpack(payload))
     raise ProtocolError(
         f"expected a {_STAT.size}- or {_STAT_VER.size}-byte stat payload, "
         f"got {len(payload)}"
@@ -653,7 +647,6 @@ __all__ = [
     "WRITE_OPCODES",
     "EXPOSITION_OPCODES",
     "Header",
-    "RemoteStat",
     "ConnectionClosed",
     "encode_frame",
     "encode_request",

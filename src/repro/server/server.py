@@ -685,6 +685,18 @@ class EOSServer:
                     },
                 )
 
+    async def _run_read(
+        self, shard: Shard, opcode: Opcode, req: _RequestTrace, txn_id: int,
+        acquire: Callable[[], None], op: Callable[[], object],
+    ) -> object:
+        """Run a read-side op: a lock-free snapshot read when the shard
+        is versioned, else on its worker under the shared lock
+        ``acquire`` takes."""
+        if shard.db.versions is not None:
+            return await self._run_snapshot(shard, opcode, req, op)
+        await self._acquire(txn_id, acquire, req)
+        return await self._run_on(shard, opcode, req, op)
+
     async def _execute(
         self, opcode: Opcode, payload: bytes, txn_id: int, req: _RequestTrace
     ) -> bytes:
@@ -794,22 +806,11 @@ class EOSServer:
                     f"read of {length} bytes exceeds the "
                     f"{self.max_payload}-byte response cap"
                 )
-            if db.versions is not None:
-                return await self._run_snapshot(
-                    shard, opcode, req,
-                    lambda: db.op_read(
-                        local, offset=offset, length=length, version=version
-                    ),
-                )
-            await self._acquire(
-                txn_id,
+            return await self._run_read(
+                shard, opcode, req, txn_id,
                 lambda: locks.acquire_range(
                     txn_id, oid, offset, offset + length, LockMode.S
                 ),
-                req,
-            )
-            return await self._run_on(
-                shard, opcode, req,
                 lambda: db.op_read(
                     local, offset=offset, length=length, version=version
                 ),
@@ -846,45 +847,23 @@ class EOSServer:
             )
             return protocol.pack_u64(size)
         if opcode is Opcode.SIZE:
-            if db.versions is not None:
-                size = await self._run_snapshot(
-                    shard, opcode, req, lambda: db.op_size(local)
-                )
-            else:
-                await self._acquire(
-                    txn_id,
-                    lambda: locks.acquire_root(txn_id, oid, LockMode.S),
-                    req,
-                )
-                size = await self._run_on(
-                    shard, opcode, req, lambda: db.op_size(local)
-                )
+            size = await self._run_read(
+                shard, opcode, req, txn_id,
+                lambda: locks.acquire_root(txn_id, oid, LockMode.S),
+                lambda: db.op_size(local),
+            )
             return protocol.pack_u64(size)
         if opcode is Opcode.VERSIONS:
-            if db.versions is not None:
-                versions = await self._run_snapshot(
-                    shard, opcode, req, lambda: db.op_versions(local)
-                )
-            else:
-                await self._acquire(
-                    txn_id,
-                    lambda: locks.acquire_root(txn_id, oid, LockMode.S),
-                    req,
-                )
-                versions = await self._run_on(
-                    shard, opcode, req, lambda: db.op_versions(local)
-                )
+            versions = await self._run_read(
+                shard, opcode, req, txn_id,
+                lambda: locks.acquire_root(txn_id, oid, LockMode.S),
+                lambda: db.op_versions(local),
+            )
             return protocol.pack_versions(versions)
         # STAT is the only single-object opcode left.
-        if db.versions is not None:
-            stat = await self._run_snapshot(
-                shard, opcode, req, lambda: db.op_stat(local, version=version)
-            )
-        else:
-            await self._acquire(
-                txn_id, lambda: locks.acquire_root(txn_id, oid, LockMode.S), req
-            )
-            stat = await self._run_on(
-                shard, opcode, req, lambda: db.op_stat(local, version=version)
-            )
+        stat = await self._run_read(
+            shard, opcode, req, txn_id,
+            lambda: locks.acquire_root(txn_id, oid, LockMode.S),
+            lambda: db.op_stat(local, version=version),
+        )
         return protocol.pack_stat(stat, with_version=long_stat)

@@ -198,8 +198,8 @@ class Shard:
     def _run(self, fn: Callable, *args, **kwargs):
         return self.submit(fn, *args, **kwargs).result()
 
-    def _run_snapshot(self, fn: Callable, *args, **kwargs):
-        """Run a lock-free snapshot read, bypassing the worker thread.
+    def _run_read(self, fn: Callable, *args, **kwargs):
+        """Run a read-side op: on the worker, or inline when versioned.
 
         Versioned reads touch no shard-exclusive state (no buffer pool,
         no op lock, no lock table) — they resolve an immutable version
@@ -208,6 +208,8 @@ class Shard:
         contention versioning removes.  Dead-shard semantics are kept:
         a killed shard refuses reads like any other op.
         """
+        if self.db.versions is None:
+            return self._run(fn, *args, **kwargs)
         if not self.alive:
             raise ShardUnavailable(f"shard {self.index} is not serving")
         return fn(*args, **kwargs)
@@ -229,12 +231,7 @@ class Shard:
         version: int | None = None,
     ) -> bytes:
         """Read ``length`` bytes at ``offset`` (lock-free when versioned)."""
-        if self.db.versions is not None:
-            return self._run_snapshot(
-                self.db.op_read, self.local_oid(oid),
-                offset=offset, length=length, version=version,
-            )
-        return self._run(
+        return self._run_read(
             self.db.op_read, self.local_oid(oid),
             offset=offset, length=length, version=version,
         )
@@ -244,12 +241,7 @@ class Shard:
         version: int | None = None,
     ) -> int:
         """Read into a writable buffer; the byte count."""
-        if self.db.versions is not None:
-            return self._run_snapshot(
-                self.db.op_read_into, self.local_oid(oid), dest,
-                offset=offset, length=length, version=version,
-            )
-        return self._run(
+        return self._run_read(
             self.db.op_read_into, self.local_oid(oid), dest,
             offset=offset, length=length, version=version,
         )
@@ -275,23 +267,17 @@ class Shard:
 
     def op_size(self, oid: int) -> int:
         """The object's size in bytes."""
-        if self.db.versions is not None:
-            return self._run_snapshot(self.db.op_size, self.local_oid(oid))
-        return self._run(self.db.op_size, self.local_oid(oid))
+        return self._run_read(self.db.op_size, self.local_oid(oid))
 
     def op_stat(self, oid: int, *, version: int | None = None) -> ObjectStat:
         """Space accounting plus the root page."""
-        if self.db.versions is not None:
-            return self._run_snapshot(
-                self.db.op_stat, self.local_oid(oid), version=version
-            )
-        return self._run(self.db.op_stat, self.local_oid(oid), version=version)
+        return self._run_read(
+            self.db.op_stat, self.local_oid(oid), version=version
+        )
 
     def op_versions(self, oid: int) -> list[VersionInfo]:
         """The object's committed versions, ascending."""
-        if self.db.versions is not None:
-            return self._run_snapshot(self.db.op_versions, self.local_oid(oid))
-        return self._run(self.db.op_versions, self.local_oid(oid))
+        return self._run_read(self.db.op_versions, self.local_oid(oid))
 
     def op_list(self) -> list[tuple[int, int]]:
         """This shard's objects as ``(wire_oid, size)``, ascending."""

@@ -22,13 +22,12 @@ from repro.versions.manager import (
     unpack_version_section,
 )
 from repro.versions.ops import cow_append, cow_replace
-from repro.versions.pager import DeferredFreeBuddy, DiskNodePager, VersionPager
+from repro.versions.pager import DiskNodePager, VersionPager
 
 __all__ = [
     "VersionManager",
     "VersionRecord",
     "VersionPager",
-    "DeferredFreeBuddy",
     "DiskNodePager",
     "cow_append",
     "cow_replace",

@@ -29,21 +29,17 @@ import struct
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
+from repro.core.object import tree_stats
 from repro.core.search import read_range, read_range_into
 from repro.core.segio import SegmentIO
 from repro.core.tree import LargeObjectTree
+from repro.core.unit import UnitAllocator, page_runs, run_unit
 from repro.errors import LargeObjectError, ObjectNotFound, VersionNotFound
 from repro.ops import ObjectStat, VersionInfo
 from repro.storage.page import PageId
-from repro.versions.ops import cow_append
-from repro.versions.pager import (
-    DeferredFreeBuddy,
-    DiskNodePager,
-    VersionPager,
-    _runs,
-)
+from repro.versions.pager import DiskNodePager, VersionPager
 
 # Version-chain catalog section: magic, u16 retention bound, u16 chain
 # count; per chain a u64 oid + u16 record count; per record u32 version,
@@ -98,36 +94,26 @@ class VersionManager:
     def mutate(self, oid: int, fn):
         """Run one mutation as a version unit and publish its root.
 
-        ``fn(obj)`` executes with the object's tree pager swapped to a
-        :class:`VersionPager` and its buddy to a
-        :class:`DeferredFreeBuddy`, so index and data pages of older
-        versions are never overwritten nor freed.  On success the new
-        root is published as the next version and the retention window
-        is enforced; on failure every unit-local page is freed and the
-        old tree is untouched.
+        ``fn(obj)`` executes inside :func:`~repro.core.unit.run_unit`
+        with the object bound to a :class:`VersionPager` and a
+        :class:`~repro.core.unit.UnitAllocator`, so index and data
+        pages of older versions are never overwritten nor freed.  On
+        success the new root is published as the next version and the
+        retention window is enforced; on failure every unit-local page
+        is freed and the old tree is untouched.
         """
         db = self.db
         obj = db.get_object(oid)
-        tree = obj.tree
-        unit_pager = VersionPager(db.pager, obs=db.obs)
-        unit_buddy = DeferredFreeBuddy(db.buddy)
-        saved_pager, saved_buddy = tree.pager, obj.buddy
-        tree.pager, obj.buddy = unit_pager, unit_buddy
-        unit_pager.begin_unit()
-        try:
-            result = fn(obj)
-        except BaseException:
-            unit_pager.abort_unit()
-            unit_buddy.abort()
-            tree.pager, obj.buddy = saved_pager, saved_buddy
-            raise
         with self._lock:
             next_version = self._chains[oid][-1].version + 1
-        superseded = unit_pager.superseded_pages
-        new_root = unit_pager.commit_unit(lsn=next_version)
-        tree.pager, obj.buddy = saved_pager, saved_buddy
+        unit_buddy = UnitAllocator(db.buddy)
+        result, new_root = run_unit(
+            VersionPager(db.pager, obs=db.obs), unit_buddy, obj, fn,
+            next_version,
+        )
         if new_root is None:
             return result
+        tree = obj.tree
         tree.root_page = new_root
         record = VersionRecord(
             next_version, new_root, time.time(), tree.size()
@@ -137,7 +123,7 @@ class VersionManager:
         metrics = db.obs.metrics
         metrics.counter("versions.published").inc()
         metrics.counter("versions.deferred_frees").inc(
-            superseded + unit_buddy.dropped_pages
+            unit_buddy.deferred_pages
         )
         self._reclaim(oid)
         metrics.gauge("versions.live").set(self._live_count())
@@ -210,28 +196,8 @@ class VersionManager:
     def stat(self, oid: int, *, version: int | None = None) -> ObjectStat:
         """Space accounting for one version, walked from its frozen tree."""
         with self.pinned(oid, version) as record:
-            tree = self._snap_tree(record)
-            segments = leaf_pages = 0
-            index_pages = 1
-            height = tree.height()
-
-            def walk(node) -> None:
-                nonlocal segments, leaf_pages, index_pages
-                if node.level == 0:
-                    segments += node.n_entries
-                    leaf_pages += sum(node.pages)
-                else:
-                    for child in node.child:
-                        index_pages += 1
-                        walk(tree.pager.read(child))
-
-            walk(tree.read_root())
             return ObjectStat(
-                size_bytes=record.byte_size,
-                segments=segments,
-                leaf_pages=leaf_pages,
-                index_pages=index_pages,
-                height=height,
+                **asdict(tree_stats(self._snap_tree(record))),
                 root_page=record.root_page,
                 version=record.version,
             )
@@ -347,7 +313,7 @@ class VersionManager:
 
     def _free_pages(self, pages: set[PageId]) -> None:
         pool = self.db.pool
-        for first, count in _runs(pages):
+        for first, count in page_runs(pages):
             for page in range(first, first + count):
                 pool.drop(page)
             self.db.buddy.free(first, count)
@@ -424,10 +390,3 @@ def unpack_version_section(
         return chains, retain
     except struct.error:
         return {}, None
-
-
-def initial_append(manager: VersionManager, oid: int, data) -> None:
-    """Publish the initial content of a just-created object as v2."""
-    manager.mutate(
-        oid, lambda obj: cow_append(obj.tree, obj.segio, obj.buddy, data)
-    )

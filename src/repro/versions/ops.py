@@ -17,7 +17,7 @@ live in an older snapshot, so both get CoW variants here:
 
 Insert and delete need no variants: they already write new data to
 fresh segments only and free (never overwrite) superseded ones, which
-the unit's :class:`~repro.versions.pager.DeferredFreeBuddy` defers.
+the unit's :class:`~repro.core.unit.UnitAllocator` defers.
 """
 
 from __future__ import annotations

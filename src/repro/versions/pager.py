@@ -1,20 +1,15 @@
 """Paging machinery for copy-on-write versioning.
 
-Three small adapters make one update operation publish a frozen tree:
-
-* :class:`VersionPager` — a :class:`~repro.recovery.shadow.ShadowPager`
-  variant whose commit does **not** overwrite the old root in place.
-  It allocates a brand-new page for the edited root, flushes every
-  index page the unit wrote, and returns the new root's page id; the
-  old tree — root included — stays byte-identical on disk.  Deferred
-  frees are *dropped*, not performed: superseded pages stay allocated
-  because older versions still reach them (the reclaimer frees them
-  when their last version expires).
-* :class:`DeferredFreeBuddy` — the data-page counterpart.  Frees of
-  pages allocated inside the current unit are real (covers the spare
-  trims of :func:`~repro.core.segio.allocate_and_write`); frees of
-  pre-existing pages are dropped for the reclaimer, because an older
-  version's leaves still live there.
+* :class:`VersionPager` — the copy-on-write unit of
+  :mod:`repro.core.unit` with the versioning commit policy: the commit
+  does **not** overwrite the old root in place.  It allocates a
+  brand-new page for the edited root, flushes every index page the
+  unit wrote, and returns the new root's page id; the old tree — root
+  included — stays byte-identical on disk.  Superseded pages are
+  *left allocated*, because older versions still reach them (the
+  reclaimer frees them when their last version expires).  The
+  data-page half is a plain :class:`~repro.core.unit.UnitAllocator`,
+  whose deferred frees are dropped for the same reason.
 * :class:`DiskNodePager` — a read-only pager that decodes index nodes
   straight from the disk volume, bypassing the buffer pool.  Snapshot
   readers use it from arbitrary threads: published version pages are
@@ -25,37 +20,16 @@ Three small adapters make one update operation publish a frozen tree:
 from __future__ import annotations
 
 from repro.core.node import Node
-from repro.core.pager import InPlacePager, NodePager
+from repro.core.pager import NodePager
+from repro.core.unit import UnitPager
 from repro.errors import RecoveryError
-from repro.obs.tracer import NULL_OBS, Observability
 from repro.storage.page import PageId
 
 
-class VersionPager(NodePager):
+class VersionPager(UnitPager):
     """Copy-on-write index paging that commits to a *new* root page."""
 
-    def __init__(
-        self, base: InPlacePager, *, obs: Observability | None = None
-    ) -> None:
-        self.base = base
-        self.obs = obs if obs is not None else NULL_OBS
-        self._active = False
-        self._new_pages: set[PageId] = set()
-        self._dropped_frees: set[PageId] = set()
-        self._pending_root: tuple[PageId, Node] | None = None
-
-    # ------------------------------------------------------------------
-    # Unit protocol
-    # ------------------------------------------------------------------
-
-    def begin_unit(self) -> None:
-        """Start a version unit (one update operation)."""
-        if self._active:
-            raise RecoveryError("version unit already active")
-        self._active = True
-        self._new_pages = set()
-        self._dropped_frees = set()
-        self._pending_root = None
+    kind = "versions"
 
     def commit_unit(self, lsn: int) -> PageId | None:
         """Publish the new tree under a freshly allocated root page.
@@ -66,10 +40,9 @@ class VersionPager(NodePager):
         the new root included, is flushed through the buffer pool so
         lock-free disk-direct readers see the full tree.
         """
-        if not self._active:
-            raise RecoveryError("no version unit to commit")
+        self._require_unit("commit")
         if self._pending_root is None:
-            if self._new_pages:
+            if self.local:
                 raise RecoveryError(
                     "version unit wrote index pages but never the root"
                 )
@@ -78,162 +51,26 @@ class VersionPager(NodePager):
         with self.obs.tracer.span(
             "versions.commit",
             lsn=lsn,
-            relocated=len(self._new_pages),
-            superseded=len(self._dropped_frees),
+            relocated=len(self.local),
+            superseded=len(self.superseded),
         ):
             _, node = self._pending_root
             node.lsn = lsn
             new_root = self.base.allocate()
+            # Unit-local before it is written, so an abort frees it.
+            self.local.add(new_root)
             self.base.write_new(new_root, node)
-            self._new_pages.add(new_root)
             # Disk-direct snapshot readers bypass the pool: make every
             # page of the new version durable before it is published.
-            for page in self._new_pages:
+            for page in self.local:
                 self.base.pool.flush_page(page)
+        # An old version still reaches the superseded pages; the
+        # reclaimer frees them when that version expires.
+        self.obs.metrics.counter("versions.deferred_frees").inc(
+            len(self.superseded)
+        )
         self._reset()
         return new_root
-
-    def abort_unit(self) -> set[PageId]:
-        """Discard the new version; the old tree was never modified."""
-        if not self._active:
-            raise RecoveryError("no version unit to abort")
-        new_pages = set(self._new_pages)
-        for page in new_pages:
-            self.base.free(page)
-        self._reset()
-        return new_pages
-
-    def _reset(self) -> None:
-        self._active = False
-        self._new_pages = set()
-        self._dropped_frees = set()
-        self._pending_root = None
-
-    @property
-    def in_unit(self) -> bool:
-        return self._active
-
-    @property
-    def superseded_pages(self) -> int:
-        """Index pages the unit would have freed (now reclaimer-owned)."""
-        return len(self._dropped_frees)
-
-    # ------------------------------------------------------------------
-    # NodePager interface
-    # ------------------------------------------------------------------
-
-    def read(self, page: PageId) -> Node:
-        """Read a node; the pending root is served from memory."""
-        if self._pending_root is not None and page == self._pending_root[0]:
-            return self._pending_root[1]
-        return self.base.read(page)
-
-    def write(self, page: PageId, node: Node) -> PageId:
-        if not self._active:
-            raise RecoveryError("VersionPager.write outside a unit")
-        if page in self._new_pages:
-            return self.base.write(page, node)
-        relocated = self.base.allocate()
-        self.base.write_new(relocated, node)
-        self._new_pages.add(relocated)
-        self._dropped_frees.add(page)
-        self.obs.metrics.counter("versions.relocations").inc()
-        return relocated
-
-    def write_new(self, page: PageId, node: Node) -> PageId:
-        if self._active:
-            self._new_pages.add(page)
-        return self.base.write_new(page, node)
-
-    def allocate(self) -> PageId:
-        page = self.base.allocate()
-        if self._active:
-            self._new_pages.add(page)
-        return page
-
-    def free(self, page: PageId) -> None:
-        """Free immediately if unit-local, else leave to the reclaimer."""
-        if not self._active:
-            raise RecoveryError("VersionPager.free outside a unit")
-        if page in self._new_pages:
-            self._new_pages.remove(page)
-            self.base.free(page)
-        else:
-            # An old version still reaches this page; the reclaimer
-            # frees it when that version expires.
-            self._dropped_frees.add(page)
-
-    def write_root(self, page: PageId, node: Node) -> None:
-        if not self._active:
-            raise RecoveryError("VersionPager.write_root outside a unit")
-        self._pending_root = (page, node)
-
-
-class DeferredFreeBuddy:
-    """Buddy-manager proxy that drops frees of pre-unit data pages.
-
-    Used only inside one version unit, swapped in as the object's
-    ``buddy``.  Allocations pass straight through (and are remembered
-    as unit-local); a free is honoured only for the unit-local part of
-    its range — mixed ranges are split per maximal sub-run — while
-    frees of old pages are counted and dropped, since an older
-    version's leaves still occupy them.
-    """
-
-    def __init__(self, base) -> None:
-        self.base = base
-        self._unit_pages: set[PageId] = set()
-        self.dropped_pages = 0
-
-    @property
-    def max_segment_pages(self) -> int:
-        return self.base.max_segment_pages
-
-    def allocate(self, n_pages: int, **kwargs):
-        """Allocate a segment and remember its pages as unit-local."""
-        ref = self.base.allocate(n_pages, **kwargs)
-        self._unit_pages.update(range(ref.first_page, ref.end))
-        return ref
-
-    def allocate_up_to(self, n_pages: int, **kwargs):
-        """Best-effort allocate; pages are remembered as unit-local."""
-        ref = self.base.allocate_up_to(n_pages, **kwargs)
-        self._unit_pages.update(range(ref.first_page, ref.end))
-        return ref
-
-    def free(self, first_page: PageId, n_pages: int) -> None:
-        """Free the unit-local sub-runs of the range; drop the rest."""
-        run_start: PageId | None = None
-        for page in range(first_page, first_page + n_pages):
-            if page in self._unit_pages:
-                if run_start is None:
-                    run_start = page
-            else:
-                if run_start is not None:
-                    self._free_local(run_start, page - run_start)
-                    run_start = None
-                self.dropped_pages += 1
-        if run_start is not None:
-            self._free_local(run_start, first_page + n_pages - run_start)
-
-    def free_segment(self, ref) -> None:
-        """Free a segment reference through :meth:`free`."""
-        self.free(ref.first_page, ref.n_pages)
-
-    def _free_local(self, first_page: PageId, n_pages: int) -> None:
-        self._unit_pages.difference_update(
-            range(first_page, first_page + n_pages)
-        )
-        self.base.free(first_page, n_pages)
-
-    def abort(self) -> None:
-        """Free every still-live unit-local allocation (failed unit)."""
-        for first, count in _runs(self._unit_pages):
-            self.base.free(first, count)
-        self._unit_pages = set()
-
-    def __getattr__(self, name: str):
-        return getattr(self.base, name)
 
 
 class DiskNodePager(NodePager):
@@ -266,19 +103,3 @@ class DiskNodePager(NodePager):
 
     def write_root(self, page: PageId, node: Node) -> None:
         raise RecoveryError("snapshot trees are immutable (write_root)")
-
-
-def _runs(pages: set[PageId]) -> list[tuple[PageId, int]]:
-    """Maximal runs ``(first_page, n_pages)`` of a set of page ids."""
-    out: list[tuple[PageId, int]] = []
-    start = prev = None
-    for page in sorted(pages):
-        if prev is not None and page == prev + 1:
-            prev = page
-            continue
-        if start is not None:
-            out.append((start, prev - start + 1))
-        start = prev = page
-    if start is not None:
-        out.append((start, prev - start + 1))
-    return out

@@ -3,7 +3,10 @@
 import pytest
 
 from repro import EOSConfig, EOSDatabase
-from repro.errors import LockConflict, TransactionError
+from repro.errors import LockConflict, RecoveryError, TransactionError
+from repro.storage.disk import DiskVolume
+from repro.storage.faults import DiskFault, FaultyDisk
+from repro.tools.fsck import fsck
 from repro.recovery import (
     OpKind,
     RecoveryManager,
@@ -170,12 +173,84 @@ class TestShadowing:
         with pytest.raises(TransactionError):
             txn.open(obj).insert(0, b"x")
 
-    def test_shadow_pager_outside_unit_passes_through(self):
+    def test_shadow_pager_outside_unit_raises(self):
         db, _ = fresh()
         shadow = ShadowPager(db.pager)
         obj = db.create_object(payload(500))
-        node = shadow.read(obj.root_page)
-        assert shadow.write(obj.root_page, node) == obj.root_page
+        node = shadow.read(obj.root_page)  # reads pass through
+        for call in (
+            lambda: shadow.write(obj.root_page, node),
+            lambda: shadow.write_root(obj.root_page, node),
+            lambda: shadow.free(obj.root_page),
+        ):
+            with pytest.raises(RecoveryError):
+                call()
+        assert db.pager.read(obj.root_page) == node
+
+
+class TestFailedUnitClosesTheShadowPager:
+    """A shadow unit that dies anywhere — the commit's own root write
+    included — is over: the long-lived pager is out of it, the old tree
+    is what the object is, and the next transaction runs."""
+
+    def check_then_commit_another(self, db, manager, obj, txn, old):
+        assert not manager.shadow.in_unit
+        txn.abort()  # undoes the op if its root switch did happen
+        assert obj.read_all() == old
+        fresh_txn = manager.begin()
+        fresh_txn.open(obj).insert(100, b"again")
+        fresh_txn.commit()
+        assert obj.read_all() == old[:100] + b"again" + old[100:]
+        db.verify()
+        return fsck(db)
+
+    def test_root_write_fails_inside_the_commit(self, monkeypatch):
+        db, manager = fresh()
+        old = payload(3000)
+        obj = db.create_object(old)
+        free0 = db.free_pages()
+
+        def failing_once(page, node):
+            monkeypatch.undo()
+            raise DiskFault("one-shot root write failure")
+
+        monkeypatch.setattr(db.pager, "write_root", failing_once)
+        txn = manager.begin()
+        with pytest.raises(DiskFault):
+            txn.open(obj).insert(500, b"x" * 800)
+        # The device is alive: the abort freed every page of the unit.
+        assert db.free_pages() == free0
+        assert self.check_then_commit_another(db, manager, obj, txn, old).clean
+
+    def test_device_dies_at_every_write_of_the_op(self):
+        faults = 0
+        for k in range(64):
+            config = EOSConfig(page_size=PAGE, threshold=2)
+            disk = FaultyDisk(DiskVolume(num_pages=6000, page_size=PAGE))
+            db = EOSDatabase.create(
+                6000, PAGE, config=config, pool_capacity=2, disk=disk
+            )
+            manager = RecoveryManager(db)
+            old = payload(3000)
+            obj = db.create_object(old)
+            db.checkpoint()
+            txn = manager.begin()
+            disk.arm(k)
+            try:
+                txn.open(obj).insert(500, b"x" * 800)
+            except DiskFault:
+                faults += 1
+            else:
+                break
+            finally:
+                disk.heal()
+            report = self.check_then_commit_another(db, manager, obj, txn, old)
+            assert report.double_claimed == []
+            assert report.claims_of_free_pages == []
+            assert report.errors == [], report.summary()
+        else:
+            pytest.fail("the op never completed")
+        assert faults >= 3
 
 
 class TestTransactionLocks:
@@ -254,7 +329,7 @@ class TestSegmentReleaseLockIntegration:
         ns = extent.index << manager.allocator._SPACE_NAMESPACE_SHIFT
         manager.allocator.current_txn = t1.txn_id
         manager.allocator.free(entry.child + 8, 4)  # t1 frees pages 8..11
-        manager.allocator._deferred.clear()         # (bookkeeping only)
+        manager.allocator.deferred.clear()          # (bookkeeping only)
         # t2 tries to free an overlapping descendant of the same region.
         manager.allocator.current_txn = t2.txn_id
         with pytest.raises(LockConflict):

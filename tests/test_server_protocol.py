@@ -14,8 +14,9 @@ from repro.errors import (
     ServerOverloaded,
     StorageError,
 )
+from repro.ops import ObjectStat
 from repro.server import protocol
-from repro.server.protocol import Opcode, RemoteStat, Status
+from repro.server.protocol import Opcode, Status
 from repro.storage.faults import DiskFault
 
 
@@ -125,7 +126,7 @@ class TestPayloadCodecs:
         assert protocol.unpack_oid_offset_length(packed) == (3, 77, 1000)
 
     def test_stat(self):
-        stat = RemoteStat(
+        stat = ObjectStat(
             size_bytes=1 << 33, segments=4, leaf_pages=9,
             index_pages=2, height=2, root_page=101,
         )

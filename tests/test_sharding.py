@@ -1,8 +1,6 @@
 """Sharded server: oid tagging, routing, fan-out, shard death, and the
 ObjectOps conformance contract across all three implementations."""
 
-import warnings
-
 import pytest
 
 from repro.api import EOSDatabase
@@ -226,56 +224,20 @@ class TestObjectOpsConformance:
 
 
 # ---------------------------------------------------------------------------
-# Deprecation shims: the old positional spellings still work, loudly
+# Geometry is keyword-only on every op
 # ---------------------------------------------------------------------------
 
 
-class TestDeprecationShims:
-    @pytest.fixture()
-    def db(self):
-        db = EOSDatabase.create(num_pages=PAGES, page_size=PAGE)
-        yield db
-        db.close()
-
-    def test_positional_read_warns(self, db):
-        oid = db.op_create(b"abcdef")
-        with pytest.deprecated_call():
-            assert db.op_read(oid, 1, 3) == b"bcd"
-        # The canonical spelling stays silent.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert db.op_read(oid, offset=1, length=3) == b"bcd"
-
-    def test_positional_write_transposes(self, db):
-        oid = db.op_create(b"abcdef")
-        with pytest.deprecated_call():
-            db.op_write(oid, 2, b"XY")  # old (oid, offset, data) order
-        assert db.op_read(oid, offset=0, length=6) == b"abXYef"
-
-    def test_positional_insert_transposes(self, db):
-        oid = db.op_create(b"abc")
-        with pytest.deprecated_call():
-            db.op_insert(oid, 1, b"--")
-        assert db.op_read(oid, offset=0, length=5) == b"a--bc"
-
-    def test_positional_delete_warns(self, db):
-        oid = db.op_create(b"abcdef")
-        with pytest.deprecated_call():
-            assert db.op_delete(oid, 1, 2) == 4
-
-    def test_missing_keywords_raise(self, db):
-        oid = db.op_create(b"abc")
-        with pytest.raises(TypeError):
-            db.op_read(oid)
-        with pytest.raises(TypeError):
-            db.op_write(oid, b"x")
-
-    def test_stat_dict_access_warns(self, db):
-        oid = db.op_create(b"abc")
-        stat = db.op_stat(oid)
-        with pytest.deprecated_call():
-            assert stat["size_bytes"] == 3
-        assert stat.as_dict()["size_bytes"] == 3
+class TestKeywordOnlySignatures:
+    def test_missing_keywords_raise(self):
+        with EOSDatabase.create(num_pages=PAGES, page_size=PAGE) as db:
+            oid = db.op_create(b"abc")
+            with pytest.raises(TypeError):
+                db.op_read(oid)
+            with pytest.raises(TypeError):
+                db.op_write(oid, b"x")
+            with pytest.raises(TypeError):
+                db.op_read(oid, 0, 3)  # geometry is keyword-only
 
 
 # ---------------------------------------------------------------------------

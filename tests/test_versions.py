@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from repro.api import EOSDatabase
 from repro.core.config import EOSConfig
 from repro.errors import LargeObjectError, ObjectNotFound, VersionNotFound
+from repro.storage.disk import DiskVolume
+from repro.storage.faults import DiskFault, FaultyDisk
 from repro.ops import ObjectOps, VersionInfo
 from repro.server import EOSClient, ServerThread, ShardSet
 from repro.server import protocol
@@ -257,6 +259,108 @@ class TestSnapshotIsolationProperty:
             assert db.op_stat(oid, version=version).size_bytes == len(expect)
         db.verify()
         assert fsck(db).clean
+
+
+# ---------------------------------------------------------------------------
+# A unit that dies leaves the handle bound to the database, not to the unit
+# ---------------------------------------------------------------------------
+
+
+class TestFaultedUnitRebinds:
+    """Wherever a version unit dies — inside the op, in the commit's
+    new-root allocate or flush, or in its own abort on a dead device —
+    the catalogued handle ends up bound to the database's pager and
+    allocator again, the old version is what readers see, and the next
+    op goes through."""
+
+    CONTENT = bytes(i % 251 for i in range(6 * PAGE))
+    OPS = {
+        "append": lambda db, oid: db.op_append(oid, b"A" * 5000),
+        "insert": lambda db, oid: db.op_insert(oid, b"I" * 5000, offset=700),
+        "delete": lambda db, oid: db.op_delete(oid, offset=300, length=1500),
+        "write": lambda db, oid: db.op_write(oid, b"W" * 2000, offset=1000),
+    }
+
+    def make(self):
+        disk = FaultyDisk(DiskVolume(num_pages=PAGES, page_size=PAGE))
+        cfg = EOSConfig(page_size=PAGE, versioning=True, version_retain=3)
+        db = EOSDatabase.create(PAGES, PAGE, config=cfg, disk=disk)
+        oid = db.op_create(self.CONTENT)
+        db.checkpoint()
+        return db, disk, oid
+
+    def assert_old_version_intact(self, db, oid, chain):
+        obj = db.get_object(oid)
+        assert obj.tree.pager is db.pager
+        assert obj.buddy is db.buddy
+        size = len(self.CONTENT)
+        assert db.op_size(oid) == size
+        assert db.op_read(oid, offset=0, length=size) == self.CONTENT
+        assert obj.read_all() == self.CONTENT
+        assert db.op_versions(oid) == chain
+
+    def assert_sound(self, db):
+        db.verify()
+        report = fsck(db)
+        assert report.double_claimed == []
+        assert report.claims_of_free_pages == []
+        assert report.errors == [], report.summary()
+        return report
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_device_dies_at_every_write_of_the_op(self, op):
+        faults = 0
+        for k in range(64):
+            db, disk, oid = self.make()
+            chain = db.op_versions(oid)
+            disk.arm(k)
+            try:
+                self.OPS[op](db, oid)
+            except DiskFault:
+                faults += 1
+            else:
+                break
+            finally:
+                disk.heal()
+            self.assert_old_version_intact(db, oid, chain)
+            # A dead device cannot take the abort's directory writes, so
+            # the unit's pages may leak (the paper's crash leak).
+            self.assert_sound(db)
+            self.OPS[op](db, oid)  # the next op succeeds
+            assert len(db.op_versions(oid)) == len(chain) + 1
+            self.assert_sound(db)
+        else:
+            pytest.fail("the op never completed")
+        # Several writes, so faults inside fn, allocate and flush all ran.
+        assert faults >= 3
+        assert len(db.op_versions(oid)) == len(chain) + 1
+        self.assert_sound(db)
+
+    @pytest.mark.parametrize("op", sorted(OPS))
+    def test_one_flush_fails_inside_the_commit(self, op, monkeypatch):
+        db, disk, oid = self.make()
+        chain = db.op_versions(oid)
+        free0 = db.free_pages()
+        flush_page = db.pool.flush_page
+        calls = []
+
+        def failing_once(page):
+            calls.append(page)
+            if len(calls) == 1:
+                raise DiskFault("one-shot flush failure")
+            return flush_page(page)
+
+        monkeypatch.setattr(db.pool, "flush_page", failing_once)
+        with pytest.raises(DiskFault):
+            self.OPS[op](db, oid)
+        self.assert_old_version_intact(db, oid, chain)
+        # The device is alive, so the abort freed every unit page — the
+        # new root, allocated inside the commit, included.
+        assert db.free_pages() == free0
+        assert self.assert_sound(db).leaked_pages == []
+        self.OPS[op](db, oid)
+        assert len(db.op_versions(oid)) == len(chain) + 1
+        assert self.assert_sound(db).clean
 
 
 # ---------------------------------------------------------------------------
