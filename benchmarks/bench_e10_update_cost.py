@@ -25,23 +25,32 @@ def fresh_object(db):
 
 
 def leaf_reads_during(db, obj, action):
-    """Count reads that touch the object's current leaf pages."""
+    """Count reads that touch the object's current leaf pages.
+
+    Both read entry points are spied: ``read_pages`` (copying) and
+    ``view_pages`` (zero-copy), through which segment I/O reads leaves.
+    """
     leaf_pages = {
         e.child + i for _, e in obj.segments() for i in range(e.pages)
     }
     db.pool.clear()
     touched = []
-    original = db.disk.read_pages
+    disk = db.disk
+    originals = {name: getattr(disk, name) for name in ("read_pages", "view_pages")}
 
-    def spy(first, n=1):
-        touched.extend(range(first, first + n))
-        return original(first, n)
+    def spy(original):
+        def read(first, n=1):
+            touched.extend(range(first, first + n))
+            return original(first, n)
+        return read
 
-    db.disk.read_pages = spy
+    for name, original in originals.items():
+        setattr(disk, name, spy(original))
     try:
         action()
     finally:
-        db.disk.read_pages = original
+        for name in originals:
+            delattr(disk, name)
     return len(set(touched) & leaf_pages)
 
 

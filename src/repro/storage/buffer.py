@@ -143,7 +143,28 @@ class BufferPool:
         not remembered at all.
         """
         self._confine("BufferPool.decoded")
-        frame = self._touch(page)
+        return self._form(page, self._touch(page), decode)
+
+    def resident_decoded(
+        self, page: PageId, decode: Callable[[bytearray], T]
+    ) -> T | None:
+        """What a *resident* ``page`` holds, as :meth:`decoded` would
+        return it, or None when the page is not in the pool.
+
+        Unlike :meth:`decoded` this is not an access: no hit or miss, no
+        LRU touch, never a disk read.  A decode it has to run is counted
+        and remembered on the frame exactly as there.
+        """
+        self._confine("BufferPool.resident_decoded")
+        frame = self._frames.get(page)
+        return None if frame is None else self._form(page, frame, decode)
+
+    def _form(
+        self, page: PageId, frame: _Frame, decode: Callable[[bytearray], T]
+    ) -> T:
+        """The frame's decoded form, computed (and remembered while no pin
+        is out) if it has none; checked against the image under the pin
+        sanitizer."""
         form = frame.decoded
         if form is None:
             self.stats.decodes += 1

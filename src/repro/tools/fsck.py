@@ -37,7 +37,12 @@ Cross-checks four independent sources of truth:
    ``cow_sharing`` must match the sharing fsck computes from the
    per-version page sets it claimed itself).  After a compaction pass
    this is the check that the relocated layout being reported is the
-   layout actually on disk.
+   layout actually on disk;
+8. on a live versioned database, the snapshot readers' node cache
+   (:class:`~repro.versions.pager.DiskNodePager`): every cached page
+   must be allocated, reachable from a live version, and decode to the
+   node the cache holds — an entry that breaks the cache's entry/exit
+   rules would serve readers bytes the disk no longer has.
 
 CLI::
 
@@ -76,6 +81,7 @@ class FsckReport:
     stale_catalog_roots: list[int] = field(default_factory=list)
     health_disagreements: list[str] = field(default_factory=list)
     layout_disagreements: list[str] = field(default_factory=list)
+    snapshot_cache_disagreements: list[str] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
 
     @property
@@ -92,6 +98,7 @@ class FsckReport:
             or self.stale_catalog_roots
             or self.health_disagreements
             or self.layout_disagreements
+            or self.snapshot_cache_disagreements
         )
 
     def summary(self) -> str:
@@ -148,6 +155,11 @@ class FsckReport:
             lines.extend(
                 f"  object layout disagreement: {d}"
                 for d in self.layout_disagreements[:10]
+            )
+        if self.snapshot_cache_disagreements:
+            lines.extend(
+                f"  snapshot cache disagreement: {d}"
+                for d in self.snapshot_cache_disagreements[:10]
             )
         lines.extend(f"  error: {e}" for e in self.errors)
         return "\n".join(lines)
@@ -254,6 +266,7 @@ def fsck(db: EOSDatabase, *, expect_no_leaks: bool = True) -> FsckReport:
 
     if versioned:
         _check_version_chains(db, report, allocated, claim, version_pages)
+        _check_snapshot_cache(db, report, allocated, version_pages)
 
     report.pages_claimed = len(claims)
     if expect_no_leaks:
@@ -439,6 +452,34 @@ def _check_version_chains(
                 report.dangling_version_roots.append((oid, record.version))
                 report.errors.append(
                     f"object {oid} version {record.version}: {exc}"
+                )
+
+
+def _check_snapshot_cache(
+    db: EOSDatabase,
+    report: FsckReport,
+    allocated: set[int],
+    version_pages: dict[int, list[set[int]]],
+) -> None:
+    """Every node the snapshot readers' cache holds must sit on an
+    allocated page that a live version reaches and equal what the disk
+    decodes to there (read with ``peek``, so unaccounted)."""
+    live = set().union(*(pages for sets in version_pages.values() for pages in sets))
+    for page, node in sorted(db.versions.snap_pager.cached().items()):
+        if page not in allocated:
+            report.snapshot_cache_disagreements.append(f"page {page} is free")
+        elif page not in live:
+            report.snapshot_cache_disagreements.append(
+                f"page {page} is reachable from no live version"
+            )
+        else:
+            try:
+                same = Node.from_page(db.disk.peek(page)) == node
+            except ReproError:
+                same = False
+            if not same:
+                report.snapshot_cache_disagreements.append(
+                    f"page {page} differs from disk"
                 )
 
 

@@ -5,9 +5,13 @@ ascending lists of :class:`VersionRecord` ``(version, root_page,
 commit_ts, byte_size)``.  Writers (already serialized under the
 database ``op_lock``) publish a record per committed mutation through
 :meth:`mutate`; readers resolve any live record and traverse its frozen
-tree straight from disk — the only shared state they touch is the
+tree without the buffer pool — the shared state they touch is the
 chain table, guarded by one short-hold lock that protects record
-resolution and per-version pin counts.
+resolution and per-version pin counts, and the cache of decoded index
+nodes in the :class:`~repro.versions.pager.DiskNodePager` they share
+with the reclaimer.  That cache's entry and exit rules are kept here:
+a commit seeds the pages it published, and every page is forgotten
+before it is freed.
 
 Reclamation is strictly oldest-first.  When a chain exceeds the
 retention window and its oldest version is unpinned, that record is
@@ -28,9 +32,11 @@ from __future__ import annotations
 import struct
 import threading
 import time
+from collections.abc import Iterable
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 
+from repro.core.node import Node
 from repro.core.object import tree_stats
 from repro.core.search import read_range, read_range_into
 from repro.core.segio import SegmentIO
@@ -74,7 +80,10 @@ class VersionManager:
         self._lock = threading.Lock()
         self._chains: dict[int, list[VersionRecord]] = {}
         self._pins: dict[tuple[int, int], int] = {}
-        self._snap_pager = DiskNodePager(db.disk, db.config.page_size)
+        #: Index nodes of every snapshot tree (readers and the reclaimer).
+        self.snap_pager = DiskNodePager(db.disk, db.config.page_size)
+        self.snap_pager.obs = db.obs
+        self.snap_pager.checked = db.pool.pin_sanitizer is not None
         self._snap_segio = SegmentIO(db.disk, db.config.page_size)
 
     # ------------------------------------------------------------------
@@ -84,6 +93,7 @@ class VersionManager:
     def publish_initial(self, oid: int, tree: LargeObjectTree) -> None:
         """Record version 1 of a just-created (or adopted) object."""
         self.db.pool.flush_page(tree.root_page)
+        self._seed((tree.root_page,))
         record = VersionRecord(1, tree.root_page, time.time(), tree.size())
         with self._lock:
             self._chains[oid] = [record]
@@ -106,15 +116,14 @@ class VersionManager:
         obj = db.get_object(oid)
         with self._lock:
             next_version = self._chains[oid][-1].version + 1
+        pager = VersionPager(db.pager, obs=db.obs)
         unit_buddy = UnitAllocator(db.buddy)
-        result, new_root = run_unit(
-            VersionPager(db.pager, obs=db.obs), unit_buddy, obj, fn,
-            next_version,
-        )
+        result, new_root = run_unit(pager, unit_buddy, obj, fn, next_version)
         if new_root is None:
             return result
         tree = obj.tree
         tree.root_page = new_root
+        self._seed(pager.published)
         record = VersionRecord(
             next_version, new_root, time.time(), tree.size()
         )
@@ -238,8 +247,10 @@ class VersionManager:
         ``distinct_pages`` is the size of their union.  A chain that
         shares nothing has equal numbers; the health collector turns the
         pair into a sharing ratio.  Unknown oids yield ``(0, 0)``.  The
-        frozen trees are walked disk-direct through the snapshot pager,
-        so no buffer-pool or buddy state is touched.
+        frozen trees are walked through the snapshot pager, so no
+        buffer-pool or buddy state is touched.  The versions walked are
+        not pinned: callers hold the ``op_lock`` (the health collector
+        does), which is what lets the walk enter the snapshot cache.
         """
         with self._lock:
             chain = list(self._chains.get(oid, ()))
@@ -253,7 +264,7 @@ class VersionManager:
 
     def _snap_tree(self, record: VersionRecord) -> LargeObjectTree:
         return LargeObjectTree(
-            self._snap_pager, self.db.config, record.root_page
+            self.snap_pager, self.db.config, record.root_page
         )
 
     # ------------------------------------------------------------------
@@ -281,14 +292,11 @@ class VersionManager:
             survivor_root = chain[0].root_page
         page_sets = [self._page_set(v.root_page) for v in victims]
         page_sets.append(self._page_set(survivor_root))
-        freed = 0
-        for current, newer in zip(page_sets, page_sets[1:]):
-            dead = current - newer
-            freed += len(dead)
-            self._free_pages(dead)
+        dead = [current - newer for current, newer in zip(page_sets, page_sets[1:])]
+        self._free_pages(*dead)
         metrics = self.db.obs.metrics
         metrics.counter("versions.reclaimed").inc(len(victims))
-        metrics.counter("versions.pages_reclaimed").inc(freed)
+        metrics.counter("versions.pages_reclaimed").inc(sum(map(len, dead)))
 
     def _page_set(self, root_page: PageId) -> set[PageId]:
         """Every page reachable from a version root (index + full runs).
@@ -301,7 +309,7 @@ class VersionManager:
 
         def walk(page: PageId) -> None:
             pages.add(page)
-            node = self._snap_pager.read(page)
+            node = self.snap_pager.read(page)
             for child, n_pages in zip(node.child, node.pages):
                 if node.level == 0:
                     pages.update(range(child, child + n_pages))
@@ -311,12 +319,32 @@ class VersionManager:
         walk(root_page)
         return pages
 
-    def _free_pages(self, pages: set[PageId]) -> None:
+    def _free_pages(self, *page_sets: set[PageId]) -> None:
+        """Free versioned pages, set by set — the only place one is ever
+        freed.
+
+        The snapshot cache's exit rule: every page leaves the cache
+        before the first run goes back to the allocator, which could
+        hand it to another tree.  A free that dies part-way leaks the
+        rest, as after a crash, but leaves no entry behind.
+        """
+        for pages in page_sets:
+            self.snap_pager.forget(pages)
         pool = self.db.pool
-        for first, count in page_runs(pages):
-            for page in range(first, first + count):
-                pool.drop(page)
-            self.db.buddy.free(first, count)
+        for pages in page_sets:
+            for first, count in page_runs(pages):
+                for page in range(first, first + count):
+                    pool.drop(page)
+                self.db.buddy.free(first, count)
+
+    def _seed(self, pages: Iterable[PageId]) -> None:
+        """The snapshot cache's commit-time entry: each just-flushed
+        page's decoded form from the writer's pool frame, if resident."""
+        pool = self.db.pool
+        for page in pages:
+            node = pool.resident_decoded(page, Node.from_page)
+            if node is not None:
+                self.snap_pager.seed(page, node)
 
     def _live_count(self) -> int:
         with self._lock:
@@ -332,9 +360,11 @@ class VersionManager:
             return {oid: list(chain) for oid, chain in self._chains.items()}
 
     def restore(self, chains: dict[int, list[VersionRecord]]) -> None:
-        """Replace the chain table (catalog attach path)."""
+        """Replace the chain table (catalog attach path); the snapshot
+        cache starts empty."""
         with self._lock:
             self._chains = {oid: list(chain) for oid, chain in chains.items()}
+        self.snap_pager.clear()
         self.db.obs.metrics.gauge("versions.live").set(self._live_count())
 
 

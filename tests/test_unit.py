@@ -205,13 +205,18 @@ class TestGoldenUnitScripts:
     """Every disk transfer, the free-page count and every root page are
     what the two separate implementations produced at 9cc35e6 (the
     commit before ``ShadowPager``/``VersionPager`` and
-    ``TransactionalAllocator``/``DeferredFreeBuddy`` were merged)."""
+    ``TransactionalAllocator``/``DeferredFreeBuddy`` were merged) —
+    except the versioned script's reads, which the snapshot node cache
+    lowered on purpose."""
 
     VERSIONED = {
-        "seeks": 2680, "page_reads": 1327, "page_writes": 2783,
-        "free_pages": 7156,
+        "page_writes": 2783, "free_pages": 7156,
         "roots": "a44f5bac45bdefa600e7d504759be992148082e884625bb2accddb833e8b6bd1",
     }
+    #: Was 2 680 seeks / 1 327 page reads before the snapshot pager kept
+    #: decoded nodes: every saved read was a reclaimer walk of an index
+    #: page some earlier commit had already published.
+    VERSIONED_READS = {"seeks": 2100, "page_reads": 739}
     TRANSACTIONAL = {
         "seeks": 1727, "page_reads": 1196, "page_writes": 1842,
         "free_pages": 7352,
@@ -219,7 +224,10 @@ class TestGoldenUnitScripts:
     }
 
     def test_version_units(self):
-        assert versioned_script() == self.VERSIONED
+        observed = versioned_script()
+        reads = {key: observed.pop(key) for key in self.VERSIONED_READS}
+        assert observed == self.VERSIONED
+        assert reads == self.VERSIONED_READS
 
     def test_shadow_units_with_aborts(self):
         assert transactional_script() == self.TRANSACTIONAL

@@ -1,16 +1,23 @@
 """Copy-on-write object versioning: snapshot isolation, retention,
 reclaim accounting, persistence, the wire surface, and conformance of
-all three ObjectOps implementations on a versioned backend."""
+all three ObjectOps implementations on a versioned dbend."""
 
 import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine, initialize, invariant, precondition, rule,
+)
 
 from repro.api import EOSDatabase
+from repro.compact.engine import relocate_object
 from repro.core.config import EOSConfig
-from repro.errors import LargeObjectError, ObjectNotFound, VersionNotFound
+from repro.core.node import Node
+from repro.errors import (
+    InvariantViolation, LargeObjectError, ObjectNotFound, VersionNotFound,
+)
 from repro.storage.disk import DiskVolume
 from repro.storage.faults import DiskFault, FaultyDisk
 from repro.ops import ObjectOps, VersionInfo
@@ -377,16 +384,16 @@ class TestPersistence:
         path = tmp_path / "v.db"
         db.save(path)
 
-        back = EOSDatabase.open_file(path)
-        assert [v.version for v in back.op_versions(oid)] == [1, 2, 3, 4]
-        assert back.op_read(oid, offset=0, length=11, version=3) \
+        db = EOSDatabase.open_file(path)
+        assert [v.version for v in db.op_versions(oid)] == [1, 2, 3, 4]
+        assert db.op_read(oid, offset=0, length=11, version=3) \
             == b"hello world"
-        assert back.op_read(oid, offset=0, length=11) == b"HELLO world"
-        assert back.op_stat(oid, version=2).size_bytes == 5
-        assert fsck(back).clean
+        assert db.op_read(oid, offset=0, length=11) == b"HELLO world"
+        assert db.op_stat(oid, version=2).size_bytes == 5
+        assert fsck(db).clean
         # And the reopened database keeps versioning: a new commit chains on.
-        back.op_append(back_oid := oid, b"!")
-        assert back.op_versions(back_oid)[-1].version == 5
+        db.op_append(db_oid := oid, b"!")
+        assert db.op_versions(db_oid)[-1].version == 5
 
     def test_fsck_flags_forged_chain_state(self):
         db = make_db()
@@ -525,3 +532,352 @@ class TestVersionedConformance:
                     exercise_versioned_reads(c)
             assert srv.leaked_tasks == []
             ss.close()
+
+
+# ---------------------------------------------------------------------------
+# The snapshot node cache: entry and exit rules
+# ---------------------------------------------------------------------------
+
+#: Eight entries per index node, so a few dozen edits give a tree of
+#: height >= 2 (index pages below the root).
+SMALL_PAGE = 128
+
+
+def make_small_page_db(retain, *, pool_capacity=128, disk=None, **config):
+    cfg = EOSConfig(
+        page_size=SMALL_PAGE, versioning=True, version_retain=retain, **config
+    )
+    return EOSDatabase.create(
+        PAGES, SMALL_PAGE, config=cfg, pool_capacity=pool_capacity, disk=disk
+    )
+
+
+def fragment(db, oid, mirror, rounds):
+    """Appends and small inserts: many extents, so a deep tree."""
+    for i in range(rounds):
+        chunk = bytes([i % 251]) * 300
+        db.op_append(oid, chunk)
+        mirror += chunk
+        db.op_insert(oid, b"x" * 10, offset=i * 5)
+        mirror[i * 5:i * 5] = b"x" * 10
+
+
+def disk_node(db, page):
+    return Node.from_page(db.disk.peek(page))
+
+
+def index_pages(db, root):
+    """Every index page under ``root``, walked from the disk."""
+    pages, stack = set(), [root]
+    while stack:
+        page = stack.pop()
+        pages.add(page)
+        node = disk_node(db, page)
+        if node.level:
+            stack.extend(node.child)
+    return pages
+
+
+def live_index_pages(db):
+    pages = set()
+    for chain in db.versions.snapshot_chains().values():
+        for record in chain:
+            pages |= index_pages(db, record.root_page)
+    return pages
+
+
+def free_page_set(db):
+    free = set()
+    for index in range(db.volume.n_spaces):
+        extent = db.volume.spaces[index]
+        for seg in db.buddy.load_space(index).amap.decode():
+            if not seg.allocated:
+                start = extent.to_physical(seg.start)
+                free.update(range(start, start + seg.size))
+    return free
+
+
+def assert_cache_coherent(db):
+    """Every entry is allocated, reachable from a live version and equal
+    to the disk; so the cache never outgrows the live index pages."""
+    cached = db.versions.snap_pager.cached()
+    live = live_index_pages(db)
+    free = free_page_set(db)
+    for page, node in cached.items():
+        assert page not in free, f"page {page} is cached but free"
+        assert page in live, f"page {page} is cached but no live version reaches it"
+        assert node == disk_node(db, page), f"page {page} is cached but differs"
+    assert len(cached) <= len(live)
+
+
+def leaf_data_pages(db, root):
+    """Pages a whole-object read transfers: each segment's used pages."""
+    pages = 0
+    for page in index_pages(db, root):
+        node = disk_node(db, page)
+        if node.level == 0:
+            pages += sum(
+                -(-node.entry(i).count // SMALL_PAGE) for i in range(node.n_entries)
+            )
+    return pages
+
+
+class TestSnapshotNodeCache:
+    def test_commit_read_and_reclaim_read_no_index_page(self):
+        db = make_small_page_db(retain=2)
+        db.obs.enable()
+        oid = db.op_create(b"")
+        mirror = bytearray()
+        fragment(db, oid, mirror, 12)
+        assert disk_node(db, db.versions.latest(oid).root_page).level >= 1
+        oldest = db.op_versions(oid)[0].version
+        misses = db.obs.metrics.counter("versions.node_misses")
+        reads, missed = db.disk.stats.page_reads, misses.value
+
+        db.op_append(oid, b"a" * 700)  # a commit, and the oldest's reclaim
+        mirror += b"a" * 700
+        assert db.op_read(oid, offset=0, length=len(mirror)) == mirror
+
+        assert db.op_versions(oid)[0].version == oldest + 1
+        assert db.obs.metrics.counter("versions.pages_reclaimed").value > 0
+        root = db.versions.latest(oid).root_page
+        assert db.disk.stats.page_reads - reads == leaf_data_pages(db, root)
+        assert misses.value == missed
+        assert_cache_coherent(db)
+
+    def test_a_freed_page_reused_elsewhere_reads_the_new_owner(self):
+        # A one-frame pool: pages a unit wrote early have left the pool by
+        # its commit, so they are not seeded and the first reader of the
+        # new owner's tree goes to the cache, then the disk.
+        db = make_small_page_db(retain=1, pool_capacity=1)
+        a, b = db.op_create(b""), db.op_create(b"")
+        mirrors = {a: bytearray(), b: bytearray()}
+        for oid in (a, b):
+            fragment(db, oid, mirrors[oid], 12)
+        before = index_pages(db, db.versions.latest(a).root_page)
+        db.op_insert(a, b"z" * 10, offset=7)  # the reclaimer frees part of A
+        mirrors[a][7:7] = b"z" * 10
+        freed = before - index_pages(db, db.versions.latest(a).root_page)
+        assert freed and not freed & set(db.versions.snap_pager.cached())
+
+        db.op_insert(b, b"w" * 10, offset=7)  # B's unit reallocates them
+        mirrors[b][7:7] = b"w" * 10
+        b_root = db.versions.latest(b).root_page
+        assert freed & (index_pages(db, b_root) - {b_root})
+        for oid, mirror in mirrors.items():
+            assert db.op_read(oid, offset=0, length=len(mirror)) == mirror
+        assert_cache_coherent(db)
+
+    @pytest.mark.parametrize("op", sorted(TestFaultedUnitRebinds.OPS))
+    def test_a_failed_unit_leaves_no_entry(self, op):
+        run_op = TestFaultedUnitRebinds.OPS[op]
+        failed_units = 0
+        for k in range(256):
+            disk = FaultyDisk(DiskVolume(num_pages=PAGES, page_size=SMALL_PAGE))
+            db = make_small_page_db(retain=1, disk=disk)
+            oid = db.op_create(b"")
+            fragment(db, oid, bytearray(), 12)
+            chain, live = db.op_versions(oid), live_index_pages(db)
+            assert len(live) > 1
+            disk.arm(k)
+            try:
+                run_op(db, oid)
+            except DiskFault:
+                pass
+            else:
+                break
+            finally:
+                disk.heal()
+            if db.op_versions(oid) == chain:  # the unit failed, nothing published
+                failed_units += 1
+                assert set(db.versions.snap_pager.cached()) <= live
+            # Or it published and the reclaimer died: leaked pages, no entries.
+            assert_cache_coherent(db)
+            size = db.op_size(oid)
+            assert db.op_read(oid, offset=0, length=size) == (
+                db.get_object(oid).read_all()
+            )
+        else:
+            pytest.fail("the op never completed")
+        assert failed_units >= 3
+
+    def test_sanitizer_checks_every_hit_against_the_disk(self):
+        db = make_small_page_db(retain=4, sanitize_pins=True)
+        oid = db.op_create(b"first")
+        db.op_append(oid, b" second")
+        old_root, new_root = (r.root_page for r in db.versions.snapshot_chains()[oid][-2:])
+        assert db.op_read(oid, offset=0, length=12) == b"first second"
+        db.disk.poke(new_root, db.disk.peek(old_root))  # rewrite a published page
+        with pytest.raises(InvariantViolation, match=f"page {new_root}"):
+            db.op_read(oid, offset=0, length=12)
+
+    def test_sanitized_counts_are_the_plain_counts(self):
+        def script(**config):
+            db = make_small_page_db(retain=2, **config)
+            oid = db.op_create(b"")
+            fragment(db, oid, bytearray(), 10)
+            for version in db.op_versions(oid):
+                db.op_read(oid, offset=0, length=version.size_bytes,
+                           version=version.version)
+            stats = db.disk.stats
+            return stats.seeks, stats.page_reads, stats.page_writes
+
+        assert script(sanitize_pins=True) == script()
+
+    def test_fsck_flags_entries_that_break_the_rules(self):
+        db = make_small_page_db(retain=4)
+        oid = db.op_create(b"a" * 1000)
+        db.op_append(oid, b"b" * 1000)
+        assert fsck(db).snapshot_cache_disagreements == []
+        chain = db.versions.snapshot_chains()[oid]
+        old_root, new_root = chain[-2].root_page, chain[-1].root_page
+        free_page = max(free_page_set(db))
+        cache = db.versions.snap_pager
+        cache.seed(free_page, disk_node(db, old_root))
+        cache.seed(new_root, disk_node(db, old_root))
+        report = fsck(db)
+        assert not report.clean
+        assert report.snapshot_cache_disagreements == [
+            f"page {new_root} differs from disk",
+            f"page {free_page} is free",
+        ]
+        assert "snapshot cache disagreement" in report.summary()
+
+    def test_metrics_count_misses_not_hits(self):
+        db = make_small_page_db(retain=4)
+        oid = db.op_create(b"")
+        fragment(db, oid, bytearray(), 12)
+        db.obs.enable()
+        db.versions.restore(db.versions.snapshot_chains())  # the attach path
+        assert db.versions.snap_pager.cached() == {}
+        root = db.versions.latest(oid).root_page
+        size = db.op_size(oid)
+        db.op_read(oid, offset=0, length=size)  # cold: one miss per index page
+        metrics = db.obs.metrics
+        misses = metrics.counter("versions.node_misses").value
+        assert misses == len(index_pages(db, root))
+        assert metrics.gauge("versions.node_cache").value == len(
+            db.versions.snap_pager.cached()
+        )
+        db.op_read(oid, offset=0, length=size)  # warm: hits only
+        assert metrics.counter("versions.node_misses").value == misses
+        assert_cache_coherent(db)
+
+
+class SnapshotCacheMachine(RuleBasedStateMachine):
+    """Random edits, destroys, relocations and snapshot reads of retained
+    versions; after every step the cache obeys its entry/exit rules and
+    every retained version reads db byte-identical."""
+
+    def __init__(self):
+        super().__init__()
+        self.db = make_small_page_db(retain=3)
+        self.current: dict[int, bytearray] = {}
+        self.history: dict[int, dict[int, bytes]] = {}
+
+    def _published(self, oid):
+        self.history[oid][self.db.op_versions(oid)[-1].version] = bytes(
+            self.current[oid]
+        )
+
+    def _pick(self, data):
+        return data.draw(st.sampled_from(sorted(self.current)))
+
+    @initialize()
+    def deep_object(self):
+        oid = self.db.op_create(b"")
+        self.current[oid] = bytearray()
+        self.history[oid] = {1: b""}
+        fragment(self.db, oid, self.current[oid], 12)
+        self._published(oid)
+
+    @rule(payload=st.binary(max_size=700))
+    def create(self, payload):
+        if len(self.current) >= 3:
+            return
+        oid = self.db.op_create(payload)
+        self.current[oid] = bytearray(payload)
+        self.history[oid] = {1: b""}
+        self._published(oid)
+
+    @precondition(lambda self: self.current)
+    @rule(data=st.data(), chunk=st.binary(min_size=1, max_size=500))
+    def append(self, data, chunk):
+        oid = self._pick(data)
+        self.db.op_append(oid, chunk)
+        self.current[oid] += chunk
+        self._published(oid)
+
+    @precondition(lambda self: self.current)
+    @rule(data=st.data(), chunk=st.binary(min_size=1, max_size=200))
+    def insert(self, data, chunk):
+        oid = self._pick(data)
+        offset = data.draw(st.integers(0, len(self.current[oid])))
+        self.db.op_insert(oid, chunk, offset=offset)
+        self.current[oid][offset:offset] = chunk
+        self._published(oid)
+
+    @precondition(lambda self: any(self.current.values()))
+    @rule(data=st.data())
+    def delete(self, data):
+        oid = data.draw(st.sampled_from(
+            sorted(oid for oid, content in self.current.items() if content)
+        ))
+        size = len(self.current[oid])
+        offset = data.draw(st.integers(0, size - 1))
+        length = data.draw(st.integers(1, size - offset))
+        self.db.op_delete(oid, offset=offset, length=length)
+        del self.current[oid][offset:offset + length]
+        self._published(oid)
+
+    @precondition(lambda self: any(self.current.values()))
+    @rule(data=st.data())
+    def write(self, data):
+        oid = data.draw(st.sampled_from(
+            sorted(oid for oid, content in self.current.items() if content)
+        ))
+        size = len(self.current[oid])
+        offset = data.draw(st.integers(0, size - 1))
+        chunk = data.draw(st.binary(min_size=1, max_size=size - offset))
+        self.db.op_write(oid, chunk, offset=offset)
+        self.current[oid][offset:offset + len(chunk)] = chunk
+        self._published(oid)
+
+    @precondition(lambda self: self.current)
+    @rule(data=st.data())
+    def destroy(self, data):
+        oid = self._pick(data)
+        self.db.delete_object(oid)
+        del self.current[oid], self.history[oid]
+
+    @precondition(lambda self: any(self.current.values()))
+    @rule(data=st.data())
+    def relocate(self, data):
+        oid = data.draw(st.sampled_from(
+            sorted(oid for oid, content in self.current.items() if content)
+        ))
+        relocate_object(self.db, oid)
+        self._published(oid)
+
+    @precondition(lambda self: self.current)
+    @rule(data=st.data())
+    def snapshot_read(self, data):
+        oid = self._pick(data)
+        recorded = self.history[oid]
+        version = data.draw(st.sampled_from(
+            [v.version for v in self.db.op_versions(oid) if v.version in recorded]
+        ))
+        expect = recorded[version]
+        assert self.db.op_read(
+            oid, offset=0, length=len(expect), version=version
+        ) == expect
+
+    @invariant()
+    def cache_is_coherent(self):
+        assert_cache_coherent(self.db)
+
+
+SnapshotCacheMachine.TestCase.settings = settings(
+    max_examples=50, stateful_step_count=40, deadline=None
+)
+TestSnapshotCacheMachine = SnapshotCacheMachine.TestCase
