@@ -19,8 +19,11 @@ The run, per size mix:
    storage-health collector records the trajectory row: fragmentation
    index, per-object est. seeks/MB, utilization.  A
    :class:`~repro.obs.health.HealthMonitor` runs at its default
-   interval *during* churn, and its measured sampling time must stay
-   under ``MONITOR_OVERHEAD_CEILING`` of the churn wall clock;
+   interval *during* churn, and its duty cycle — mean sampling time
+   over that interval — must stay under ``MONITOR_OVERHEAD_CEILING``
+   (its share of the churn wall clock is reported, not gated: one
+   sample against a phase that got faster says nothing about the
+   monitor);
 3. **aged** — the monitor is stopped (its pool reads would perturb the
    head model), then the surviving live set is scanned exactly like
    phase 1.  The gate: modelled aged throughput must stay at or above
@@ -49,7 +52,7 @@ MIXES = ("small", "mixed")
 #: Aged-volume modelled scan throughput must stay within this fraction
 #: of the fresh volume's — the buddy allocator's anti-aging guarantee.
 SCAN_RATIO_FLOOR = 0.8
-#: The monitor's sampling time over the churn phase's wall clock.
+#: The monitor's duty cycle: mean sampling time over its default interval.
 MONITOR_OVERHEAD_CEILING = 0.02
 
 
@@ -111,6 +114,11 @@ def _run_mix(mix, report):
             "sample_ms": round(monitor.total_sample_ms, 3),
             "churn_ms": round(churn_ms, 1),
             "overhead": round(monitor.total_sample_ms / churn_ms, 5),
+            "duty_cycle": round(
+                monitor.total_sample_ms / max(1, monitor.samples_taken)
+                / (DEFAULT_INTERVAL_S * 1000.0),
+                7,
+            ),
         }
 
         aged_mb_s = _scan_modelled_mb_s(db, report, workload.live_oids())
@@ -162,7 +170,8 @@ def test_age1_fragmentation(benchmark):
             f"({scan['ratio']:.2f}x, floor {SCAN_RATIO_FLOOR}x); monitor "
             f"sampled {monitors[mix]['samples']}x for "
             f"{monitors[mix]['sample_ms']:.1f} ms "
-            f"({monitors[mix]['overhead']:.2%} of churn)"
+            f"(duty cycle {monitors[mix]['duty_cycle']:.3%}; "
+            f"{monitors[mix]['overhead']:.2%} of churn, not gated)"
         )
     report.emit()
     # Shape: the buddy allocator's coalescing must keep aged placement
@@ -172,12 +181,13 @@ def test_age1_fragmentation(benchmark):
             f"{mix}: aged scan fell to {scan['ratio']:.2f}x of fresh "
             f"(floor {SCAN_RATIO_FLOOR}x): {scan}"
         )
-    # The monitor must be an observer, not a tenant: sampling time under
-    # 2% of the churn phase it ran against, at the default interval.
+    # The monitor must be an observer, not a tenant: at the default
+    # interval, sampling occupies under 2% of the time.
     for mix, stats in monitors.items():
-        assert stats["overhead"] < MONITOR_OVERHEAD_CEILING, (
-            f"{mix}: health sampling took {stats['overhead']:.2%} of the "
-            f"churn phase (ceiling {MONITOR_OVERHEAD_CEILING:.0%}): {stats}"
+        assert stats["duty_cycle"] < MONITOR_OVERHEAD_CEILING, (
+            f"{mix}: health sampling has a {stats['duty_cycle']:.2%} duty "
+            f"cycle at the default {DEFAULT_INTERVAL_S:g}s interval "
+            f"(ceiling {MONITOR_OVERHEAD_CEILING:.0%}): {stats}"
         )
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)

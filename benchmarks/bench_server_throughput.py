@@ -5,9 +5,9 @@ TCP sockets) with N client threads, each issuing a mix of sequential
 and random reads against a shared preloaded object, and reports
 requests/second plus p50/p99 request latency per concurrency level.
 
-The interesting shape: because reads take shared byte-range locks and
-the admission window is wide, throughput should *grow* with client
-count until the single worker executor saturates — concurrency comes
+The interesting shape: because the admission window is wide and the
+event loop overlaps sessions, throughput should *grow* with client
+count until the shard's single worker saturates — concurrency comes
 from overlapping network turnarounds, not parallel page reads.
 """
 
@@ -132,8 +132,8 @@ def test_server_throughput(benchmark):
     # Shape, not absolutes: more clients must not collapse throughput.
     assert by_clients[8] > by_clients[1] * 0.5
     report.note(
-        "single worker executor: scaling comes from overlapping request "
-        "turnarounds; reads hold shared range locks so no client blocks another"
+        "single shard worker runs one op at a time: scaling comes from "
+        "overlapping request turnarounds, not parallel page reads"
     )
     report.emit()
 

@@ -1,27 +1,25 @@
-"""VER1 — lock-free snapshot reads under a concurrent heavy appender.
+"""VER1 — worker-free snapshot reads under a concurrent heavy appender.
 
 The whole point of copy-on-write versioning is that readers of a
-committed version never take locks: the version's pages are immutable
-and flushed, so the server answers versioned READs on its default
-executor — off the shard worker, outside the
-:class:`~repro.locking.manager.LockManager` — while writers commit new
-versions at full speed.
+committed version never wait for a writer: the version's pages are
+immutable and flushed, so the server answers versioned READs on its
+default executor — off the shard worker and outside ``db.op_lock`` —
+while writers commit new versions at full speed.
 
 The workload is one object with a frozen 256 KB prefix.  An appender
 client mutates *that same object* with a steady stream of appends —
-every one a full version commit with the object's root X-locked and
-the shard worker busy.  Readers
+every one a full version commit with the shard worker busy.  Readers
 issue random chunk reads against the prefix, and the bench measures
 read p99 in four cells:
 
 * versioned server, reads pinned to the frozen version — idle, then
   with the appender running, in ``REPS`` back-to-back pairs.  The
-  lock-free snapshot path: the minimum per-rep contended-over-idle p99
+  worker-free snapshot path: the minimum per-rep contended-over-idle p99
   ratio must stay within ``RATIO_CEILING`` (1.3x), asserted here and
   gated against the committed baseline by :mod:`repro.bench.regress`.
 * unversioned server, plain latest reads — the same two phases as a
-  control for context.  These reads S-lock the very root the appender
-  X-locks and queue on the shard worker behind its commits; at this
+  control for context.  These reads queue on the shard worker behind
+  the appender's commits; at this
   paced commit rate they survive too, but their degradation grows with
   writer duty where the snapshot path's does not (reported, not
   asserted).
@@ -31,12 +29,12 @@ The shard's volume sits behind a :class:`~repro.storage.timing.TimedDisk`
 read latency reflects a real disk arm rather than a dict lookup.  That
 matters for measurement hygiene — everything here shares one CPython
 process (and possibly one core), so a commit's interpreter work is
-unavoidably stolen from whatever read overlaps it, locks or no locks.
+unavoidably stolen from whatever read overlaps it, worker or no worker.
 Against a realistic multi-millisecond read service time that theft is
 noise; against a microsecond dict read it would be the whole signal.
 For the same reason the appender is paced to a fixed offered rate
 rather than closed-loop (a closed-loop writer saturates the GIL and
-time-shares every thread, measuring interpreter scheduling, not locks),
+time-shares every thread, measuring interpreter scheduling, not queueing),
 GC is paused, and the run lowers the interpreter's thread switch
 interval (a single default GIL hand-off stall is 5 ms).
 """
@@ -76,7 +74,7 @@ SEEK_MS = 0.0
 TRANSFER_MS_PER_PAGE = 0.02
 #: Paired idle/contended repetitions per server.  The asserted ratio is
 #: the *minimum* over reps: environmental tail noise (GC, scheduler
-#: jitter) inflates individual p99 samples but a genuine lock-queueing
+#: jitter) inflates individual p99 samples but a genuine queueing
 #: regression inflates every rep, so the min isolates the systematic
 #: component the bench exists to detect.
 REPS = 3
@@ -281,17 +279,17 @@ def test_snapshot_reads_under_appender(benchmark):
     for (server, mode), (rps, p50, p99) in rows.items():
         report.add_row([server, mode, round(rps), round(p50, 3), round(p99, 3)])
     ratio = min(ratios["versioned"])
-    locked = min(ratios["unversioned"])
+    queued = min(ratios["unversioned"])
     per_rep = ", ".join(f"{r:.2f}" for r in ratios["versioned"])
     report.note(
         f"snapshot-read p99 under {rates['versioned']:.0f} commits/s = "
         f"{ratio:.2f}x idle (per rep: {per_rep}; ceiling {RATIO_CEILING}x); "
-        f"locked latest-read control: {locked:.2f}x — snapshot reads never "
-        "touch the lock table or the shard worker"
+        f"worker-queued latest-read control: {queued:.2f}x — snapshot "
+        "reads never touch the shard worker"
     )
     report.emit()
-    # Shape: the whole point of lock-free snapshot reads.  If versioned
-    # READs queued behind the appender's X-locked commits like the
+    # Shape: the whole point of worker-free snapshot reads.  If versioned
+    # READs queued behind the appender's commits like the
     # control does, every rep's contended p99 would track commit
     # duration, not idle read latency.
     assert ratio <= RATIO_CEILING, (

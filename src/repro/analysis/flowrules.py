@@ -12,10 +12,10 @@ EOS007  A borrowed zero-copy buffer (``memoryview`` from
         after its ``unpin``/outside its ``with`` scope, or captured by
         a closure handed to another thread or executor.
 EOS008  Shard-owned substrate (``pool``/``buddy``/``volume``/``disk``/
-        ``pager``/``segio`` and the shard's ``locks``) reached from
-        server code outside the shard's worker thread.  Work submitted
-        via ``shard.submit(...)`` runs *on* the worker and is
-        sanctioned; the snapshot-read pagers never touch these.
+        ``pager``/``segio``) reached from server code outside the
+        shard's worker thread.  Work submitted via
+        ``shard.submit(...)`` runs *on* the worker and is sanctioned;
+        the snapshot-read pagers never touch these.
 EOS009  A blocking call (disk page I/O, ``LockManager.acquire_*``,
         ``time.sleep``, ``open``, flight-recorder dumps, pool flushes)
         directly in an ``async def`` body of server code, including one
@@ -507,10 +507,6 @@ def _escape_place(
 # EOS008 — shard confinement
 # ---------------------------------------------------------------------------
 
-#: LockManager is internally mutex-protected; the scheduler's lock
-#: stage in server.py owns lock admission by design, and sharding.py
-#: defines the shard itself.
-_LOCKS_OK_MODULES = frozenset({"server/server.py", "server/sharding.py"})
 _SHARD_SOURCE_CALLS = frozenset({"shard_for", "pick_for_create"})
 
 
@@ -643,10 +639,9 @@ def rule_eos008(tree: ast.AST, mod: str, lines: list[str]) -> list[Finding]:
     """Shard-owned substrate touched outside the shard's worker thread.
 
     A shard's ``pool``/``buddy``/``volume``/``disk``/``pager``/
-    ``segio`` (and its ``locks``, outside the scheduler) are
-    shared-nothing: only the worker thread may touch them.  Route the
-    access through ``shard.submit(...)`` — or the snapshot-read pagers,
-    which bypass this state entirely.
+    ``segio`` are shared-nothing: only the worker thread may touch
+    them.  Route the access through ``shard.submit(...)`` — or the
+    snapshot-read pagers, which bypass this state entirely.
     """
     if not _eos008_in_scope(mod):
         return []
@@ -665,7 +660,7 @@ def rule_eos008(tree: ast.AST, mod: str, lines: list[str]) -> list[Finding]:
                 if isinstance(node, ast.Attribute):
                     findings.extend(
                         _eos008_check_attribute(
-                            node, mod, shard_names, shard_db_names, parents
+                            node, shard_names, shard_db_names, parents
                         )
                     )
                 elif isinstance(node, ast.Call):
@@ -683,7 +678,6 @@ def rule_eos008(tree: ast.AST, mod: str, lines: list[str]) -> list[Finding]:
 
 def _eos008_check_attribute(
     node: ast.Attribute,
-    mod: str,
     shard_names: set[str],
     shard_db_names: set[str],
     parents: dict[ast.AST, ast.AST],
@@ -699,20 +693,6 @@ def _eos008_check_attribute(
                 f"shard-owned substrate .{node.attr} reached outside "
                 "the shard worker; route through shard.submit(...) or "
                 "the snapshot-read pagers",
-            )
-        ]
-    if (
-        node.attr == "locks"
-        and mod not in _LOCKS_OK_MODULES
-        and _is_shard_expr(node.value, shard_names)
-    ):
-        if _inside_submit_args(node, parents):
-            return []
-        return [
-            _finding(
-                node,
-                "shard .locks reached outside the scheduler; lock "
-                "admission belongs to the server's lock stage",
             )
         ]
     return []

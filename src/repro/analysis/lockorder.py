@@ -1,11 +1,15 @@
 """Lock-order recorder: the acquired-before graph and its cycles.
 
-The server's :class:`~repro.concurrency.locks.LockManager` is
-try-acquire — a conflict raises and the scheduler retries — so a true
+Its only scope is the :class:`~repro.concurrency.locks.LockManager`
+that :class:`~repro.recovery.RecoveryManager` owns: the paper's
+byte-range locks and §4.5 segment release locks, held by concurrent
+transactions inside one database.  (The server has no lock table; its
+shard workers order every op.)  The table is try-acquire — a conflict
+raises :class:`~repro.errors.LockConflict` to the caller — so a true
 blocking deadlock cannot form.  What *can* form is its moral
 equivalent: two transactions that acquire the same resources in
-opposite orders will, under load, park each other forever in the retry
-loop.  The classic detector for this is the acquired-before graph
+opposite orders will, under load, make each other retry forever.  The
+classic detector for this is the acquired-before graph
 [Havender68-style ordering]: every time a transaction that already
 holds lock A acquires lock B, add edge A -> B; a cycle in the graph
 means the locking protocol admits a deadlock, even if this particular

@@ -301,9 +301,8 @@ class EOSDatabase:
     # buffer pool, allocator and tracer.  The ``op_*`` methods are: each
     # is one whole operation, addressed by oid, executed under
     # ``op_lock``.  This is what `repro.server`'s request scheduler
-    # calls from its worker threads; byte-range concurrency control
-    # (readers in parallel, overlapping writers serialized) happens
-    # above this layer, in the scheduler's LockManager.
+    # calls from each shard's single worker thread, which is all the
+    # concurrency control a served op needs: ops run one at a time.
 
     def op_create(self, data: bytes = b"", *, size_hint: int | None = None) -> int:
         """Create an object; returns its oid."""

@@ -289,7 +289,7 @@ class Tracer:
         The serving layer uses this for spans whose lifetime does not
         follow call structure — per-request roots that stay open across
         event-loop awaits while other requests interleave, and phase
-        children (admission/lock/encode) measured with plain timers.
+        children (admission/encode) measured with plain timers.
         Ids come from :meth:`new_span_id`/:meth:`new_trace_id`;
         ``remote_parent`` marks a ``parent_id`` that lives in another
         process's trace file (the wire-propagated client span id).

@@ -33,6 +33,12 @@ Errors travel as a response whose status names a class in the
 client so ``except ObjectNotFound:`` works across the wire exactly as it
 does in-process.
 
+``TIMEOUT`` (:class:`~repro.errors.RequestTimeout`) means "outcome
+unknown", not "not applied": the request's budget ran out, but an op
+already handed to its shard's worker still runs to completion, whole.
+A later read sees either the old bytes or the op's new bytes, never a
+mix; a client that must know re-reads before it retries.
+
 Request payload encodings (sizes in bytes):
 
 =========  =====================================  ======================
@@ -168,7 +174,7 @@ class Status(enum.IntEnum):
     SERVER_ERROR = 1        # anything without a more precise mapping
     PROTOCOL_ERROR = 2
     OVERLOADED = 3
-    TIMEOUT = 4
+    TIMEOUT = 4             # outcome unknown: the op may still complete
     OBJECT_NOT_FOUND = 5
     BYTE_RANGE = 6
     STORAGE = 7             # disk-level failures (including DiskFault)

@@ -13,9 +13,9 @@ The event loop is a thin coordinator.  At admission each request is
 routed by pure arithmetic on its oid (``oid % n_shards`` names the
 owning shard; creates go to the least-loaded shard and the response
 carries the shard-tagged oid home).  The op then runs on the owning
-shard's dedicated worker thread against that shard's own database,
-buffer pool and lock manager — no storage state is shared between
-shards, so they scale like independent disk arms.  Multi-object ops
+shard's dedicated worker thread against that shard's own database
+and buffer pool — no storage state is shared between shards, so they
+scale like independent disk arms.  Multi-object ops
 (LIST, the METRICS snapshot) fan out to every shard and merge; a dead
 shard answers :class:`~repro.errors.ShardUnavailable` instead of
 hanging.  A server constructed from a single database (``EOSServer(db)``)
@@ -24,7 +24,7 @@ unsharded wire surface and metrics registry are preserved exactly.
 
 Request scheduling
 ------------------
-Every request passes three stages:
+Every request passes two stages:
 
 1. **Admission control** — decided synchronously, before any queueing.
    If ``max_inflight`` requests are already being served, or the request
@@ -34,32 +34,30 @@ Every request passes three stages:
    degrades into fast, explicit rejections rather than growing queues
    and eventual timeouts.
 
-2. **Lock acquisition** — object ops route through a
-   :class:`~repro.concurrency.LockManager`: reads take S byte-range
-   locks, in-place writes take X byte-range locks, and size-changing ops
-   (append/insert/delete) take X root locks, so concurrent readers
-   proceed while writers to the same byte range serialize.  The lock
-   table is try-acquire, so the scheduler retries on conflict, parking
-   the request on an event that release pulses.  On a shard whose
-   database has versioning enabled (:mod:`repro.versions`), READ, SIZE,
-   STAT and VERSIONS skip this stage entirely: they resolve against an
-   immutable version root, so the lock matrix shrinks to writer–writer
-   and snapshot reads never park behind an appender.
-
-3. **Execution** — the op runs in a worker thread through the
-   database's thread-safe ``op_*`` entry points, keeping the event loop
-   free to accept, reject and answer other sessions.  The whole request
-   runs under a ``request_timeout`` budget; when it expires the client
-   gets :class:`~repro.errors.RequestTimeout` instead of silence.
+2. **Execution** — the op runs as one call on the owning shard's
+   single worker thread, under the database's ``op_lock``, through its
+   thread-safe ``op_*`` entry points.  That worker is the isolation: two
+   ops on one shard never interleave, so every op is atomic and ops on
+   one object run in submission order.  On a shard whose database has
+   versioning enabled (:mod:`repro.versions`), READ, SIZE, STAT and
+   VERSIONS skip the worker instead: they resolve against an immutable
+   version root, so they never queue behind an appender.  The event
+   loop stays free to accept, reject and answer other sessions.  The
+   whole request runs under a ``request_timeout`` budget; when it
+   expires the client gets :class:`~repro.errors.RequestTimeout`
+   instead of silence.  A timeout means "outcome unknown": the op may
+   already be queued or running on the worker, and it then still
+   completes whole — the client learns only that no answer came in
+   time.
 
 Observability
 -------------
 Every request becomes a ``server.request`` root span with phase
-children — ``server.admission``, ``server.lock``, ``server.execute``
-(the worker-thread span that carries the storage stack's own child
-spans) and ``server.encode`` — plus matching phase histograms
-(``server.admission_wait_ms``, ``server.lock_wait_ms``,
-``server.execute_ms``, ``server.encode_ms``) and the end-to-end
+children — ``server.admission``, ``server.execute`` (the
+worker-thread span that carries the storage stack's own child spans)
+and ``server.encode`` — plus matching phase histograms
+(``server.admission_wait_ms``, ``server.execute_ms``,
+``server.encode_ms``) and the end-to-end
 ``server.latency_ms``.  When the client propagated a wire trace context
 (:data:`~repro.server.protocol.FLAG_TRACE`), the root hangs under the
 client's span id with ``remote_parent`` set, so ``tracefmt --merge``
@@ -81,9 +79,7 @@ import time
 from typing import Awaitable, Callable
 
 from repro.api import EOSDatabase
-from repro.concurrency import LockManager, LockMode
 from repro.errors import (
-    LockConflict,
     ProtocolError,
     ReproError,
     RequestTimeout,
@@ -110,8 +106,7 @@ class _RequestTrace:
 
     __slots__ = (
         "tracer", "opcode", "trace_id", "root_id", "parent_id", "remote",
-        "oid", "shard", "admission_ms", "lock_wait_ms", "lock_waits",
-        "locked", "exec_ms", "encode_ms",
+        "oid", "shard", "admission_ms", "exec_ms", "encode_ms",
     )
 
     def __init__(self, tracer, opcode: Opcode,
@@ -121,9 +116,6 @@ class _RequestTrace:
         self.oid: int | None = None
         self.shard: int | None = None
         self.admission_ms = admission_ms
-        self.lock_wait_ms = 0.0
-        self.lock_waits = 0
-        self.locked = False
         self.exec_ms = 0.0
         self.encode_ms = 0.0
         if wire_trace is not None:
@@ -150,8 +142,6 @@ class _RequestTrace:
         if not self.tracer.enabled:
             return
         self._phase("admission", self.admission_ms)
-        if self.locked:
-            self._phase("lock", self.lock_wait_ms, waits=self.lock_waits)
         self._phase("encode", self.encode_ms)
         attrs = {"opcode": self.opcode.name.lower(), "status": status.name.lower()}
         if self.oid is not None:
@@ -171,7 +161,7 @@ class _RequestTrace:
 
 
 class EOSServer:
-    """Serve a shard set over TCP with admission control and locking.
+    """Serve a shard set over TCP with admission control.
 
     Construct with either one database (adopted as a single identity-
     mapped shard — the unsharded-compatible form) or an explicit
@@ -189,7 +179,6 @@ class EOSServer:
         max_write_queue: int = 16,
         request_timeout: float = 30.0,
         max_payload: int = protocol.MAX_PAYLOAD,
-        locks: LockManager | None = None,
         op_hook: Callable[[Opcode], Awaitable[None]] | None = None,
         flight_capacity: int = 256,
         flight_dump_dir: str | os.PathLike | None = None,
@@ -198,7 +187,7 @@ class EOSServer:
         if shards is None:
             if db is None:
                 raise ValueError("EOSServer needs a database or a ShardSet")
-            shards = ShardSet.adopt(db, locks=locks)
+            shards = ShardSet.adopt(db)
         elif db is not None:
             raise ValueError("pass either db or shards, not both")
         self.shards = shards
@@ -240,8 +229,6 @@ class EOSServer:
         self.inflight = 0
         self.write_queued = 0
         self._server: asyncio.AbstractServer | None = None
-        self._released = asyncio.Event()
-        self._next_txn = 1
         self._conn_tasks: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
         self._flight_tracers: dict[int, object] = {}
@@ -473,8 +460,6 @@ class EOSServer:
         admission_ms: float = 0.0,
     ) -> None:
         metrics = self.obs.metrics
-        txn_id = self._next_txn
-        self._next_txn += 1
         self.inflight += 1
         is_write = opcode in protocol.WRITE_OPCODES
         if is_write:
@@ -488,7 +473,7 @@ class EOSServer:
         failure: BaseException | None = None
         try:
             result = await asyncio.wait_for(
-                self._execute(opcode, payload, txn_id, req), self.request_timeout
+                self._execute(opcode, payload, req), self.request_timeout
             )
         except asyncio.TimeoutError:
             failure = RequestTimeout(
@@ -503,18 +488,12 @@ class EOSServer:
             failure = ReproError(f"{exc.__class__.__name__}: {exc}")
             status, error = Status.SERVER_ERROR, exc.__class__.__name__
         finally:
-            # A txn only ever locks on the one shard its oid routed to,
-            # but release_all on an uninvolved shard is a cheap no-op, so
-            # sweeping every shard is simpler than remembering which.
-            for shard in self.shards.shards:
-                shard.locks.release_all(txn_id)
-            self._pulse_released()
             self.inflight -= 1
             if is_write:
                 self.write_queued -= 1
             metrics.gauge("server.inflight").set(self.inflight)
 
-        # Stage 4: serialize the response.  Accounting happens *before*
+        # Then serialize the response.  Accounting happens *before*
         # the frame is written, so a client that has seen the response is
         # guaranteed to see the request in the metrics too.  The frames
         # borrow the result buffer (a READ hands out the read path's
@@ -556,7 +535,6 @@ class EOSServer:
             metrics.counter("server.errors").inc()
         metrics.histogram("server.latency_ms").observe(total_ms)
         metrics.histogram("server.admission_wait_ms").observe(req.admission_ms)
-        metrics.histogram("server.lock_wait_ms").observe(req.lock_wait_ms)
         metrics.histogram("server.execute_ms").observe(req.exec_ms)
         metrics.histogram("server.encode_ms").observe(req.encode_ms)
         if self.health is not None and req.oid is not None:
@@ -573,7 +551,6 @@ class EOSServer:
             "ms": {
                 "total": round(total_ms, 3),
                 "admission": round(req.admission_ms, 3),
-                "lock": round(req.lock_wait_ms, 3),
                 "execute": round(req.exec_ms, 3),
                 "encode": round(req.encode_ms, 3),
             },
@@ -589,35 +566,6 @@ class EOSServer:
             entry["span"] = req.root_id
         self.flight.record(entry)
 
-    def _pulse_released(self) -> None:
-        """Wake every request parked on a lock conflict."""
-        event = self._released
-        self._released = asyncio.Event()
-        event.set()
-
-    async def _acquire(
-        self, txn_id: int, acquire: Callable[[], None], req: _RequestTrace
-    ) -> None:
-        """Retry a try-acquire until it succeeds, parking between tries.
-
-        The overall request timeout (``wait_for`` in the caller) bounds
-        the wait; cancellation releases the transaction's locks in the
-        caller's ``finally``.  The time spent here is the request's
-        lock-wait phase.
-        """
-        req.locked = True
-        t0 = time.perf_counter()
-        try:
-            while True:
-                try:
-                    acquire()
-                    return
-                except LockConflict:
-                    req.lock_waits += 1
-                    await self._released.wait()
-        finally:
-            req.lock_wait_ms += (time.perf_counter() - t0) * 1000.0
-
     async def _run_on(
         self, shard: Shard, opcode: Opcode, req: _RequestTrace,
         op: Callable[[], object],
@@ -630,7 +578,10 @@ class EOSServer:
         worker is a :class:`~repro.server.sharding.Shard`'s single
         thread, so ops on one shard serialize while shards proceed
         independently; a killed shard raises
-        :class:`~repro.errors.ShardUnavailable` here.
+        :class:`~repro.errors.ShardUnavailable` here.  The op is shielded
+        from the request's timeout: once submitted it runs whole, so a
+        timed-out request never leaves a queued op silently dropped (and
+        the shard's ``pending`` count never leaks).
         """
         db = shard.db
 
@@ -644,7 +595,8 @@ class EOSServer:
 
         t0 = time.perf_counter()
         try:
-            return await asyncio.wrap_future(shard.submit(locked))
+            future = asyncio.wrap_future(shard.submit(locked))
+            return await asyncio.shield(future)
         finally:
             req.exec_ms += (time.perf_counter() - t0) * 1000.0
 
@@ -652,10 +604,10 @@ class EOSServer:
         self, shard: Shard, opcode: Opcode, req: _RequestTrace,
         op: Callable[[], object],
     ) -> object:
-        """Run a lock-free snapshot read off the shard's worker thread.
+        """Run a snapshot read off the shard's worker thread.
 
         Versioned reads resolve an immutable root and never touch the
-        buffer pool or lock table, so they go to the default executor
+        buffer pool or the op lock, so they go to the default executor
         instead of the shard's single worker — concurrent snapshot reads
         on one shard proceed in parallel with each other *and* with a
         writer occupying the worker.  The execute span is hand-emitted
@@ -686,19 +638,17 @@ class EOSServer:
                 )
 
     async def _run_read(
-        self, shard: Shard, opcode: Opcode, req: _RequestTrace, txn_id: int,
-        acquire: Callable[[], None], op: Callable[[], object],
+        self, shard: Shard, opcode: Opcode, req: _RequestTrace,
+        op: Callable[[], object],
     ) -> object:
-        """Run a read-side op: a lock-free snapshot read when the shard
-        is versioned, else on its worker under the shared lock
-        ``acquire`` takes."""
+        """Run a read-side op: a snapshot read off the worker when the
+        shard is versioned, else on its worker like any other op."""
         if shard.db.versions is not None:
             return await self._run_snapshot(shard, opcode, req, op)
-        await self._acquire(txn_id, acquire, req)
         return await self._run_on(shard, opcode, req, op)
 
     async def _execute(
-        self, opcode: Opcode, payload: bytes, txn_id: int, req: _RequestTrace
+        self, opcode: Opcode, payload: bytes, req: _RequestTrace
     ) -> bytes:
         if self.op_hook is not None:
             await self.op_hook(opcode)
@@ -768,8 +718,7 @@ class EOSServer:
             return json.dumps(docs, separators=(",", ":")).encode("utf-8")
 
         # Everything below is a single-object op: route by the oid's
-        # shard tag, lock on the owning shard's table (keyed by the wire
-        # oid), and run against the shard-local oid.
+        # shard tag and run against the shard-local oid.
         version: int | None = None
         long_stat = False
         if opcode is Opcode.APPEND:
@@ -789,13 +738,10 @@ class EOSServer:
         req.oid = oid
         shard = shards.shard_for(oid)
         req.shard = shard.index
-        db, locks = shard.db, shard.locks
+        db = shard.db
         local = shard.local_oid(oid)
 
         if opcode is Opcode.APPEND:
-            await self._acquire(
-                txn_id, lambda: locks.acquire_root(txn_id, oid, LockMode.X), req
-            )
             size = await self._run_on(
                 shard, opcode, req, lambda: db.op_append(local, data)
             )
@@ -807,40 +753,24 @@ class EOSServer:
                     f"{self.max_payload}-byte response cap"
                 )
             return await self._run_read(
-                shard, opcode, req, txn_id,
-                lambda: locks.acquire_range(
-                    txn_id, oid, offset, offset + length, LockMode.S
-                ),
+                shard, opcode, req,
                 lambda: db.op_read(
                     local, offset=offset, length=length, version=version
                 ),
             )
         if opcode is Opcode.WRITE:
-            await self._acquire(
-                txn_id,
-                lambda: locks.acquire_range(
-                    txn_id, oid, offset, offset + len(data), LockMode.X
-                ),
-                req,
-            )
             size = await self._run_on(
                 shard, opcode, req,
                 lambda: db.op_write(local, data, offset=offset),
             )
             return protocol.pack_u64(size)
         if opcode is Opcode.INSERT:
-            await self._acquire(
-                txn_id, lambda: locks.acquire_root(txn_id, oid, LockMode.X), req
-            )
             size = await self._run_on(
                 shard, opcode, req,
                 lambda: db.op_insert(local, data, offset=offset),
             )
             return protocol.pack_u64(size)
         if opcode is Opcode.DELETE:
-            await self._acquire(
-                txn_id, lambda: locks.acquire_root(txn_id, oid, LockMode.X), req
-            )
             size = await self._run_on(
                 shard, opcode, req,
                 lambda: db.op_delete(local, offset=offset, length=length),
@@ -848,22 +778,16 @@ class EOSServer:
             return protocol.pack_u64(size)
         if opcode is Opcode.SIZE:
             size = await self._run_read(
-                shard, opcode, req, txn_id,
-                lambda: locks.acquire_root(txn_id, oid, LockMode.S),
-                lambda: db.op_size(local),
+                shard, opcode, req, lambda: db.op_size(local)
             )
             return protocol.pack_u64(size)
         if opcode is Opcode.VERSIONS:
             versions = await self._run_read(
-                shard, opcode, req, txn_id,
-                lambda: locks.acquire_root(txn_id, oid, LockMode.S),
-                lambda: db.op_versions(local),
+                shard, opcode, req, lambda: db.op_versions(local)
             )
             return protocol.pack_versions(versions)
         # STAT is the only single-object opcode left.
         stat = await self._run_read(
-            shard, opcode, req, txn_id,
-            lambda: locks.acquire_root(txn_id, oid, LockMode.S),
-            lambda: db.op_stat(local, version=version),
+            shard, opcode, req, lambda: db.op_stat(local, version=version)
         )
         return protocol.pack_stat(stat, with_version=long_stat)

@@ -4,12 +4,12 @@ The paper gives every storage structure its own buddy space, directory
 and buffer pool precisely so that independent volumes never contend; a
 :class:`ShardSet` applies the same ownership rule at process scale.
 Each :class:`Shard` owns one complete :class:`~repro.api.EOSDatabase`
-(disk volume + buffer pool + allocator), one
-:class:`~repro.concurrency.LockManager`, and one dedicated worker
-thread — no page, buffer frame, lock table or allocator state is ever
-touched from outside that shard's worker, so shards scale like
-independent disk arms (which is exactly what the SRV2 benchmark puts
-under them).
+(disk volume + buffer pool + allocator) and one dedicated worker
+thread — no page, buffer frame or allocator state is ever touched from
+outside that shard's worker, so shards scale like independent disk
+arms (which is exactly what the SRV2 benchmark puts under them).  The worker is also the shard's concurrency control: it
+runs one op at a time, so every op is atomic and ops on one object
+apply in submission order, with no lock table.
 
 Oid tagging
 -----------
@@ -73,7 +73,7 @@ def shard_of(oid: int, n_shards: int) -> int:
 
 
 class Shard:
-    """One shard: a database, a lock manager, and a dedicated worker.
+    """One shard: a database and a dedicated worker.
 
     All database work submitted through :meth:`submit` runs on the
     shard's single worker thread, which keeps the database's tracer
@@ -93,13 +93,15 @@ class Shard:
         db: EOSDatabase,
         n_shards: int,
         *,
-        locks: LockManager | None = None,
         confine: bool = True,
     ) -> None:
         self.index = index
         self.db = db
         self.n_shards = n_shards
-        self.locks = locks if locks is not None else LockManager()
+        # Nothing in repro acquires through this table: the worker
+        # orders every op.  It stays only because the e2e benchmark's
+        # traced run reads its ``acquisitions`` counter.
+        self.locks = LockManager()
         self.alive = True
         self.created = 0  # objects placed here (the create-balance signal)
         self.pending = 0  # ops submitted but not finished
@@ -202,10 +204,10 @@ class Shard:
         """Run a read-side op: on the worker, or inline when versioned.
 
         Versioned reads touch no shard-exclusive state (no buffer pool,
-        no op lock, no lock table) — they resolve an immutable version
-        root and read straight from the shard's disk — so serializing
-        them through the single worker would only reintroduce the
-        contention versioning removes.  Dead-shard semantics are kept:
+        no op lock) — they resolve an immutable version root and read
+        straight from the shard's disk — so serializing them through
+        the single worker would only reintroduce the contention
+        versioning removes.  Dead-shard semantics are kept:
         a killed shard refuses reads like any other op.
         """
         if self.db.versions is None:
@@ -305,9 +307,7 @@ class ShardSet:
     # -- construction --------------------------------------------------------
 
     @classmethod
-    def adopt(
-        cls, db: EOSDatabase, *, locks: LockManager | None = None
-    ) -> "ShardSet":
+    def adopt(cls, db: EOSDatabase) -> "ShardSet":
         """Wrap one existing database as a single-shard set.
 
         The oid mapping is the identity and the database's own
@@ -316,7 +316,7 @@ class ShardSet:
         The caller keeps direct access to the database it handed in, so
         the thread-confinement sanitizer is not armed for adopted sets.
         """
-        return cls([Shard(0, db, 1, locks=locks, confine=False)])
+        return cls([Shard(0, db, 1, confine=False)])
 
     @classmethod
     def create(

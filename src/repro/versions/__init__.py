@@ -6,9 +6,8 @@ commit_ts, byte_size)`` records in the page-0 catalog.  Because the
 update algorithms never overwrite existing leaf pages (paper
 Section 4.5) and :class:`VersionPager` never overwrites existing index
 pages either, every published root freezes a complete, immutable tree:
-readers traverse it straight from disk without the buffer pool, the
-``op_lock``, or the :class:`~repro.concurrency.locks.LockManager` —
-byte-range locks shrink to writer-writer conflicts only.
+readers traverse it straight from disk without the buffer pool or the
+``op_lock``, so they never wait behind a writer.
 
 Retention is bounded (:attr:`~repro.core.config.EOSConfig.version_retain`);
 a reclaimer frees exactly the pages reachable from an expired version

@@ -223,16 +223,6 @@ class TestEOS008ShardConfinement:
         assert codes(findings) == ["EOS008"]
         assert "off-worker" in findings[0].message
 
-    def test_shard_locks_outside_scheduler_is_flagged(self):
-        findings = lint_text(
-            """
-            def tamper(shards, oid):
-                shard = shards.shard_for(oid)
-                shard.locks.release_all(oid)
-            """
-        )
-        assert codes(findings) == ["EOS008"]
-
     def test_non_server_repro_module_is_out_of_scope(self, tmp_path):
         target = tmp_path / "repro" / "workloads" / "scratch.py"
         target.parent.mkdir(parents=True)

@@ -4,12 +4,16 @@ admission control, fault behaviour, and the end-to-end acceptance run."""
 import asyncio
 import socket
 import struct
+import sys
 import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import EOSDatabase
+from repro.core.config import EOSConfig
 from repro.errors import (
     ByteRangeError,
     ObjectNotFound,
@@ -21,12 +25,14 @@ from repro.server import EOSClient, ServerThread, protocol
 from repro.server.protocol import Status
 from repro.storage.disk import DiskVolume
 from repro.storage.faults import FaultyDisk
+from repro.tools.fsck import fsck
 
 PAGE = 512
 
 
-def make_db(num_pages=8192):
-    db = EOSDatabase.create(num_pages=num_pages, page_size=PAGE)
+def make_db(num_pages=8192, versioning=False):
+    config = EOSConfig(page_size=PAGE, versioning=versioning, version_retain=4)
+    db = EOSDatabase.create(num_pages=num_pages, page_size=PAGE, config=config)
     db.obs.enable()
     return db
 
@@ -368,3 +374,188 @@ class TestEndToEnd:
             gate["closed"] = False
             assert srv.stop() == []
             db.close()
+
+
+def _race(port, work, n_clients):
+    """Run ``work(cid, client)`` on ``n_clients`` threads at once, each
+    with its own session; returns the per-client results.  A tiny GIL
+    switch interval makes the server's threads interleave mid-op, so an
+    op that is not atomic shows up here instead of passing by luck."""
+    start = threading.Barrier(n_clients)
+    results, errors = [None] * n_clients, []
+
+    def run(cid):
+        try:
+            with EOSClient(port=port, timeout=60.0) as c:
+                start.wait(10)
+                results[cid] = work(cid, c)
+        except Exception as exc:
+            errors.append(f"client {cid}: {exc!r}")
+
+    threads = [
+        threading.Thread(target=run, args=(cid,), daemon=True)
+        for cid in range(n_clients)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads), "a client hung"
+    assert errors == []
+    return results
+
+
+def _tagged(cid, seq, length):
+    tag = CHUNK.pack(cid, seq)
+    fill = bytes([(cid * 31 + seq) % 251]) * length
+    return (tag + fill)[:length]
+
+
+@pytest.fixture(scope="class", params=["plain", "versioned"])
+def one_oid_server(request):
+    """A server shared by every example of a class; plain or versioned."""
+    db = make_db(versioning=request.param == "versioned")
+    srv = ServerThread(db, port=0).start()
+    yield db, srv
+    assert srv.stop() == [], "asyncio tasks leaked across server shutdown"
+    db.close()
+
+
+class TestConcurrentClientsOneOid:
+    """Several clients mutate one oid over the wire at once.  Nothing but
+    the owning shard's single worker orders them, so every op must still
+    land whole, in some serial order, on plain and versioned shards."""
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.lists(
+        st.lists(st.integers(CHUNK.size, 700), min_size=1, max_size=6),
+        min_size=3, max_size=4,
+    ))
+    def test_appends_are_atomic(self, one_oid_server, lengths):
+        _, srv = one_oid_server
+        with EOSClient(port=srv.port) as admin:
+            oid = admin.create()
+
+        def append_all(cid, c):
+            return [
+                (c.append(oid, _tagged(cid, seq, n)), _tagged(cid, seq, n))
+                for seq, n in enumerate(lengths[cid])
+            ]
+
+        placed = [
+            entry for entries in _race(srv.port, append_all, len(lengths))
+            for entry in entries
+        ]
+        sizes = [size for size, _ in placed]
+        assert len(set(sizes)) == len(sizes), "two appends saw one size"
+        total = sum(map(sum, lengths))
+        with EOSClient(port=srv.port) as admin:
+            assert admin.size(oid) == total
+            blob = admin.read(oid, 0, total)
+        for size, chunk in placed:
+            assert blob[size - len(chunk):size] == chunk
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        lo=st.integers(0, 1500), span=st.integers(1, 1500),
+        widen=st.lists(
+            st.tuples(st.integers(0, 600), st.integers(0, 600)),
+            min_size=2, max_size=3,
+        ),
+    )
+    def test_writes_are_never_torn(self, one_oid_server, lo, span, widen):
+        _, srv = one_oid_server
+        size = 3600
+        hi = lo + span
+        with EOSClient(port=srv.port) as admin:
+            oid = admin.create(bytes(size))
+        writers = len(widen)
+
+        def work(cid, c):
+            if cid >= writers:  # a reader of [lo, hi)
+                return [set(c.read(oid, lo, span)) for _ in range(12)]
+            start = max(0, lo - widen[cid][0])
+            stop = min(size, hi + widen[cid][1])
+            for seq in range(6):
+                pattern = bytes([1 + cid * 16 + seq])
+                c.write(oid, start, pattern * (stop - start))
+            return []
+
+        seen = _race(srv.port, work, writers + 2)
+        written = {0} | {1 + cid * 16 + seq for cid in range(writers)
+                         for seq in range(6)}
+        for patterns in seen[writers:]:
+            for pattern in patterns:
+                assert len(pattern) == 1, f"torn read: {sorted(pattern)}"
+                assert pattern <= written
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 2000),
+                      st.integers(1, 400)),
+            min_size=1, max_size=8,
+        ),
+        min_size=3, max_size=4,
+    ))
+    def test_insert_delete_traffic_leaves_fsck_clean(
+        self, one_oid_server, scripts
+    ):
+        db, srv = one_oid_server
+        floor = 2400
+        with EOSClient(port=srv.port) as admin:
+            oid = admin.create(bytes(floor))
+
+        def work(cid, c):
+            # Each client deletes at most what it has inserted, so the
+            # object never shrinks below ``floor`` and every offset
+            # below is in range whatever the others do.
+            net = 0
+            for insert, offset, n in scripts[cid]:
+                if insert:
+                    c.insert(oid, offset, _tagged(cid, offset, n))
+                    net += n
+                elif net:
+                    n = min(n, net)
+                    c.delete(oid, offset=offset, length=n)
+                    net -= n
+            return net
+
+        grown = sum(_race(srv.port, work, len(scripts)))
+        with EOSClient(port=srv.port) as admin:
+            assert admin.size(oid) == floor + grown
+        shard = srv.server.shards.shards[0]
+        report = shard.submit(fsck, db).result()
+        assert report.clean, report.summary()
+
+    def test_timed_out_write_still_lands_whole(self, one_oid_server):
+        _, srv = one_oid_server
+        old, new = b"o" * 3000, b"n" * 2000
+        with EOSClient(port=srv.port) as admin:
+            oid = admin.create(old)
+        shard = srv.server.shards.shards[0]
+        budget = srv.server.request_timeout
+        blocker = shard.submit(time.sleep, 0.6)
+        with EOSClient(port=srv.port, timeout=30.0) as c:
+            srv.server.request_timeout = 0.2
+            try:
+                with pytest.raises(RequestTimeout):
+                    c.write(oid, 500, new)
+            finally:
+                srv.server.request_timeout = budget
+            # TIMEOUT means "outcome unknown": the write is still queued
+            # behind the blocker.  A plain read queues behind it and sees
+            # the new bytes; a snapshot read may still see the old ones.
+            landed = old[:500] + new + old[2500:]
+            assert c.read(oid, 0, 3000) in (old, landed)
+            blocker.result()
+            shard.submit(lambda: None).result()  # the write has run
+            assert c.read(oid, 0, 3000) == landed
+        # The op was not dropped from the queue, so its pending count
+        # was settled too.
+        assert shard.pending == 0
