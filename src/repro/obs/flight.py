@@ -22,9 +22,14 @@ dump opens with a ``kind: "flight_header"`` line, then ``kind:
 lines use the ordinary trace schema, ``python -m repro.tools.tracefmt``
 renders a dump directly.
 
-Entries are redacted on the way in: payload-carrying keys are dropped
-and long strings truncated, so a dump never contains object bytes —
-safe to ship off-box.
+Records are redacted on the way out: recording only appends (every
+storage span of every served request lands here, so the hot path must
+stay cheap), and :meth:`entries`, :meth:`spans`, :meth:`to_jsonl` and
+:meth:`dump` drop payload-carrying keys and truncate long strings as
+each record leaves.  Nothing the recorder hands out contains object
+bytes, so a dump is safe to ship off-box.  A recorded dict must not be
+mutated afterwards; the server and the tracer build a fresh one per
+record.
 """
 
 from __future__ import annotations
@@ -61,8 +66,8 @@ class FlightRecorder:
     """Fixed-size rings of request summaries and span records.
 
     Thread-safe: the server records from the event loop while the
-    tracer's ``on_span`` arrives from executor threads and ``to_jsonl``
-    runs on whatever thread serves the dump.
+    tracer's ``on_span`` arrives from shard worker threads and
+    ``to_jsonl`` runs on whatever thread serves the dump.
     """
 
     def __init__(
@@ -86,26 +91,30 @@ class FlightRecorder:
     # ------------------------------------------------------------------
 
     def record(self, entry: dict) -> None:
-        """Append one request summary (redacted; evicts the oldest)."""
-        clean = _redact(entry)
-        clean["kind"] = "flight"
+        """Append one request summary (evicts the oldest).
+
+        Nothing is copied or redacted here; that happens when the
+        summary leaves the recorder.
+        """
         with self._lock:
-            self._entries.append(clean)
+            self._entries.append(entry)
 
     def on_span(self, record: dict) -> None:
-        """Tracer-sink hook: retain one finished-span record."""
+        """Tracer-sink hook: retain one finished-span record as is."""
         with self._lock:
-            self._spans.append(_redact(record))
+            self._spans.append(record)
 
     def entries(self) -> list[dict]:
-        """The retained request summaries, oldest first."""
+        """The retained request summaries, oldest first, redacted."""
         with self._lock:
-            return list(self._entries)
+            entries = list(self._entries)
+        return [{**_redact(e), "kind": "flight"} for e in entries]
 
     def spans(self) -> list[dict]:
-        """The retained span records, oldest first."""
+        """The retained span records, oldest first, redacted."""
         with self._lock:
-            return list(self._spans)
+            spans = list(self._spans)
+        return [_redact(s) for s in spans]
 
     def clear(self) -> None:
         """Drop everything retained."""
@@ -122,10 +131,9 @@ class FlightRecorder:
     # ------------------------------------------------------------------
 
     def to_jsonl(self, *, reason: str = "snapshot") -> str:
-        """The whole ring as JSON-lines text (header, summaries, spans)."""
-        with self._lock:
-            entries = list(self._entries)
-            spans = list(self._spans)
+        """The whole ring as JSON-lines text (header, summaries, spans),
+        every record redacted."""
+        entries, spans = self.entries(), self.spans()
         header = {
             "kind": "flight_header",
             "reason": reason,

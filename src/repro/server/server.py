@@ -40,15 +40,14 @@ Every request passes two stages:
    ops on one shard never interleave, so every op is atomic and ops on
    one object run in submission order.  On a shard whose database has
    versioning enabled (:mod:`repro.versions`), READ, SIZE, STAT and
-   VERSIONS skip the worker instead: they resolve against an immutable
-   version root, so they never queue behind an appender.  The event
-   loop stays free to accept, reject and answer other sessions.  The
-   whole request runs under a ``request_timeout`` budget; when it
-   expires the client gets :class:`~repro.errors.RequestTimeout`
-   instead of silence.  A timeout means "outcome unknown": the op may
-   already be queued or running on the worker, and it then still
-   completes whole — the client learns only that no answer came in
-   time.
+   VERSIONS skip the worker instead: they read an immutable, pinned
+   version from the in-memory volume to completion on the event loop,
+   so they never queue behind an appender.  Each request has a deadline
+   ``request_timeout`` seconds out, applied wherever it awaits; past
+   it the client gets :class:`~repro.errors.RequestTimeout` instead of
+   silence.  A timeout means "outcome unknown": the op may already be
+   queued or running on the worker, and it then still completes whole
+   — the client learns only that no answer came in time.
 
 Observability
 -------------
@@ -84,6 +83,7 @@ from repro.errors import (
     ReproError,
     RequestTimeout,
     ServerOverloaded,
+    ShardUnavailable,
 )
 from repro.obs.flight import FlightRecorder
 from repro.server import protocol
@@ -106,7 +106,7 @@ class _RequestTrace:
 
     __slots__ = (
         "tracer", "opcode", "trace_id", "root_id", "parent_id", "remote",
-        "oid", "shard", "admission_ms", "exec_ms", "encode_ms",
+        "oid", "shard", "admission_ms", "exec_ms", "encode_ms", "deadline",
     )
 
     def __init__(self, tracer, opcode: Opcode,
@@ -126,6 +126,10 @@ class _RequestTrace:
             self.parent_id = None
             self.remote = False
         self.root_id = tracer.new_span_id()
+
+    def remaining(self) -> float:
+        """Seconds left before ``deadline`` (absolute, loop clock)."""
+        return self.deadline - asyncio.get_running_loop().time()
 
     def _phase(self, name: str, elapsed_ms: float, **attrs) -> None:
         self.tracer.record_span(
@@ -258,8 +262,6 @@ class EOSServer:
         """Stop accepting, drop every session, and wait for their tasks."""
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         for writer in list(self._writers):
             writer.close()
         if self._conn_tasks:
@@ -268,6 +270,11 @@ class EOSServer:
             for task in list(self._conn_tasks):
                 task.cancel()
             await asyncio.wait(list(self._conn_tasks), timeout=5.0)
+        # Last: from Python 3.12 wait_closed() also waits for open
+        # connections, so it would hang on a session parked mid-request.
+        if self._server is not None:
+            await self._server.wait_closed()
+            self._server = None
 
     def _attach_flight_sink(self) -> None:
         """Capture spans into the flight ring while tracing is on.
@@ -466,15 +473,14 @@ class EOSServer:
             self.write_queued += 1
         metrics.gauge("server.inflight").set(self.inflight)
         req = _RequestTrace(self.obs.tracer, opcode, wire_trace, admission_ms)
+        req.deadline = asyncio.get_running_loop().time() + self.request_timeout
         t0 = time.perf_counter()
         status = Status.OK
         error: str | None = None
         result = b""
         failure: BaseException | None = None
         try:
-            result = await asyncio.wait_for(
-                self._execute(opcode, payload, req), self.request_timeout
-            )
+            result = await self._execute(opcode, payload, req)
         except asyncio.TimeoutError:
             failure = RequestTimeout(
                 f"request exceeded the {self.request_timeout:g}s budget"
@@ -578,10 +584,10 @@ class EOSServer:
         worker is a :class:`~repro.server.sharding.Shard`'s single
         thread, so ops on one shard serialize while shards proceed
         independently; a killed shard raises
-        :class:`~repro.errors.ShardUnavailable` here.  The op is shielded
-        from the request's timeout: once submitted it runs whole, so a
-        timed-out request never leaves a queued op silently dropped (and
-        the shard's ``pending`` count never leaks).
+        :class:`~repro.errors.ShardUnavailable` here.  The wait ends at
+        the request's deadline (no task: it awaits a future), but the op
+        is shielded: once submitted it runs whole, so a timed-out request
+        never drops a queued op (nor leaks the shard's ``pending``).
         """
         db = shard.db
 
@@ -596,7 +602,7 @@ class EOSServer:
         t0 = time.perf_counter()
         try:
             future = asyncio.wrap_future(shard.submit(locked))
-            return await asyncio.shield(future)
+            return await asyncio.wait_for(asyncio.shield(future), req.remaining())
         finally:
             req.exec_ms += (time.perf_counter() - t0) * 1000.0
 
@@ -604,25 +610,25 @@ class EOSServer:
         self, shard: Shard, opcode: Opcode, req: _RequestTrace,
         op: Callable[[], object],
     ) -> object:
-        """Run a snapshot read off the shard's worker thread.
+        """Run a snapshot read to completion on the event loop.
 
-        Versioned reads resolve an immutable root and never touch the
-        buffer pool or the op lock, so they go to the default executor
-        instead of the shard's single worker — concurrent snapshot reads
-        on one shard proceed in parallel with each other *and* with a
-        writer occupying the worker.  The execute span is hand-emitted
-        (no stack nesting off the worker thread) with ``snapshot`` set
-        so traces distinguish the two paths.
+        Versioned reads resolve an immutable, pinned version and read it
+        from the node cache and the in-memory volume — never the buffer
+        pool, allocator or op lock — so they skip the shard's worker (no
+        queueing behind a writer) and any thread hop (under the GIL an
+        executor adds only context switches and a wake-up).  Nothing is
+        awaited, so the deadline cannot interrupt one.  A killed shard
+        refuses them.  The execute span is hand-emitted, ``snapshot`` set.
         """
-        db = shard.db
-        loop = asyncio.get_running_loop()
+        if not shard.alive:
+            raise ShardUnavailable(f"shard {shard.index} is not serving")
         t0 = time.perf_counter()
         try:
-            return await loop.run_in_executor(None, op)
+            return op()
         finally:
             elapsed = (time.perf_counter() - t0) * 1000.0
             req.exec_ms += elapsed
-            tracer = db.obs.tracer
+            tracer = shard.db.obs.tracer
             if tracer.enabled:
                 tracer.record_span(
                     "server.execute",
@@ -630,18 +636,14 @@ class EOSServer:
                     span_id=tracer.new_span_id(),
                     parent_id=req.root_id,
                     elapsed_ms=elapsed,
-                    attrs={
-                        "opcode": opcode.name.lower(),
-                        "shard": shard.index,
-                        "snapshot": True,
-                    },
+                    attrs={"opcode": opcode.name.lower(), "shard": shard.index, "snapshot": True},
                 )
 
     async def _run_read(
         self, shard: Shard, opcode: Opcode, req: _RequestTrace,
         op: Callable[[], object],
     ) -> object:
-        """Run a read-side op: a snapshot read off the worker when the
+        """Run a read-side op: a snapshot read on the loop when the
         shard is versioned, else on its worker like any other op."""
         if shard.db.versions is not None:
             return await self._run_snapshot(shard, opcode, req, op)
@@ -651,7 +653,7 @@ class EOSServer:
         self, opcode: Opcode, payload: bytes, req: _RequestTrace
     ) -> bytes:
         if self.op_hook is not None:
-            await self.op_hook(opcode)
+            await asyncio.wait_for(self.op_hook(opcode), req.remaining())
         shards = self.shards
         n = shards.n_shards
 
@@ -671,28 +673,27 @@ class EOSServer:
             return protocol.pack_u64(oid)
         if opcode is Opcode.LIST:
             # Coordinator fan-out: every shard lists concurrently (each
-            # under its own op lock and execute span), then the tagged
-            # oids merge into one ascending listing.  gather() without
-            # return_exceptions: one dead shard fails the whole listing
-            # with ShardUnavailable rather than dropping its objects.
-            async def list_shard(shard: Shard) -> list[tuple[int, int]]:
-                local = await self._run_on(shard, opcode, req, shard.db.op_list)
-                return [
-                    (make_oid(shard.index, loid, n), size)
-                    for loid, size in local
-                ]
-
-            parts = await asyncio.gather(*map(list_shard, shards.shards))
-            merged = [entry for part in parts for entry in part]
-            merged.sort()
-            return protocol.pack_listing(merged)
+            # under its own op lock, execute span and the deadline), then
+            # the tagged oids merge into one ascending listing.  gather()
+            # without return_exceptions: one dead shard fails the whole
+            # listing with ShardUnavailable rather than dropping its objects.
+            parts = await asyncio.gather(*(
+                self._run_on(shard, opcode, req, shard.db.op_list)
+                for shard in shards.shards
+            ))
+            return protocol.pack_listing(sorted(
+                (make_oid(shard.index, loid, n), size)
+                for shard, part in zip(shards.shards, parts)
+                for loid, size in part
+            ))
         if opcode is Opcode.COMPACT:
             # Coordinator fan-out like LIST, but driven by the compactor:
             # run_once() itself submits every substrate-touching step to
             # the owning shard's worker (EOS008), so here it only needs
             # to get off the event loop.  An attached background
             # compactor is reused — its tick lock serializes the
-            # operator's one-shot pass against background ticks.
+            # operator's one-shot pass against background ticks.  Like
+            # a worker op, a pass outliving the deadline runs whole.
             target_frag, max_pages = protocol.unpack_compact_req(payload)
             compactor = self.compactor
             if compactor is None:
@@ -708,13 +709,12 @@ class EOSServer:
                     target_frag=None,
                 )
                 self.compactor = compactor
-            loop = asyncio.get_running_loop()
-            docs = await loop.run_in_executor(
-                None,
-                lambda: compactor.run_once(
-                    target_frag=target_frag, max_pages=max_pages
-                ),
-            )
+
+            def one_pass() -> list[dict]:
+                return compactor.run_once(target_frag=target_frag, max_pages=max_pages)
+
+            future = asyncio.get_running_loop().run_in_executor(None, one_pass)
+            docs = await asyncio.wait_for(asyncio.shield(future), req.remaining())
             return json.dumps(docs, separators=(",", ":")).encode("utf-8")
 
         # Everything below is a single-object op: route by the oid's

@@ -703,6 +703,24 @@ class TestFlightRecorder:
         assert "secret" not in text
         assert "2 bytes redacted" in text
 
+    def test_span_payloads_are_redacted_on_the_way_out(self, tmp_path):
+        from repro.obs.flight import load_flight
+
+        ring = self._recorder()
+        ring.on_span({
+            "kind": "span", "name": "op.append", "span": 1, "trace": 7,
+            "attrs": {"blob": b"secret-bytes",
+                      "nested": {"payload": "secret-payload", "n": 3}},
+        })
+        expected = {"blob": "<12 bytes redacted>", "nested": {"n": 3}}
+        assert ring.spans()[0]["attrs"] == expected
+        assert "secret" not in ring.to_jsonl()
+        path = ring.dump(tmp_path)
+        with open(path) as f:
+            assert "secret" not in f.read()
+        _, _, spans = load_flight(path)
+        assert spans[0]["attrs"] == expected
+
     def test_dump_and_load_roundtrip(self, tmp_path):
         from repro.obs.flight import load_flight
 

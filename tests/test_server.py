@@ -16,6 +16,7 @@ from repro.api import EOSDatabase
 from repro.core.config import EOSConfig
 from repro.errors import (
     ByteRangeError,
+    ConnectionClosed,
     ObjectNotFound,
     RequestTimeout,
     ServerOverloaded,
@@ -237,6 +238,75 @@ class TestAdmissionControl:
         finally:
             gate["closed"] = False
             assert srv.stop() == []
+            db.close()
+
+
+class TestRequestPath:
+    """Snapshot reads finish on the event loop; the deadline ends a
+    request's wait but never outlives its session."""
+
+    def test_versioned_read_skips_a_blocked_worker_and_the_executor(self):
+        db = make_db(versioning=True)
+        srv = ServerThread(db, port=0).start()
+        loop = srv._loop
+
+        def refuse(*args):
+            raise AssertionError("a snapshot read hopped to an executor")
+
+        try:
+            with EOSClient(port=srv.port) as c:
+                oid = c.create(b"snapshot")
+                loop.run_in_executor = refuse
+                blocker = srv.server.shards.shards[0].submit(time.sleep, 0.5)
+                assert c.read(oid, 0, 8) == b"snapshot"
+                assert c.size(oid) == 8
+                assert c.stat(oid, version=0).size_bytes == 8
+                assert c.versions(oid)
+                assert not blocker.done(), "the reads queued behind the worker"
+                blocker.result()
+        finally:
+            loop.__dict__.pop("run_in_executor", None)
+            assert srv.stop() == []
+            db.close()
+
+    def test_stop_while_parked_in_op_hook_is_no_timeout(self):
+        db = make_db()
+        gate = {"closed": False}
+        srv = ServerThread(db, port=0, op_hook=_gated_hook(gate)).start()
+        stopped = False
+        try:
+            with EOSClient(port=srv.port) as admin:
+                oid = admin.create(b"parked")
+            gate["closed"] = True
+            outcome = []
+
+            def parked_read():
+                try:
+                    with EOSClient(port=srv.port, timeout=30.0) as c:
+                        c.read(oid, 0, 6)
+                except Exception as exc:
+                    outcome.append(exc)
+
+            client = threading.Thread(target=parked_read, daemon=True)
+            client.start()
+            deadline = time.monotonic() + 10
+            while srv.server.inflight < 1:
+                assert time.monotonic() < deadline, "the read never parked"
+                time.sleep(0.005)
+            stopped = True
+            assert srv.stop() == [], "a parked request leaked a task"
+            client.join(10)
+            # The session was cancelled: the client saw the connection
+            # close, and nothing was accounted as a (timed-out) request.
+            assert len(outcome) == 1
+            assert isinstance(outcome[0], ConnectionClosed)
+            assert db.stats.metrics()["server.requests"] == 1
+            assert [e["status"] for e in srv.server.flight.entries()] == ["ok"]
+            assert srv.server.inflight == 0
+        finally:
+            gate["closed"] = False
+            if not stopped:
+                srv.stop()
             db.close()
 
 

@@ -4,6 +4,7 @@ ObjectOps conformance contract across all three implementations."""
 import pytest
 
 from repro.api import EOSDatabase
+from repro.core.config import EOSConfig
 from repro.errors import ObjectNotFound, ShardUnavailable, VersionNotFound
 from repro.ops import ObjectOps, ObjectStat
 from repro.server import EOSClient, ServerThread, ShardSet, Status
@@ -133,8 +134,12 @@ class TestShardDeathOverWire:
         back = exception_from(Status.SHARD_UNAVAILABLE, "gone")
         assert isinstance(back, ShardUnavailable)
 
-    def test_client_sees_shard_unavailable(self):
-        ss = make_shardset(2)
+    @pytest.mark.parametrize("versioning", [False, True], ids=["plain", "versioned"])
+    def test_client_sees_shard_unavailable(self, versioning):
+        # A versioned shard answers reads on the event loop, not on its
+        # worker; a dead one must refuse them all the same.
+        config = EOSConfig(page_size=PAGE, versioning=versioning)
+        ss = ShardSet.create(2, PAGES, PAGE, config=config)
         with ServerThread(shards=ss, port=0) as srv:
             with EOSClient(port=srv.port) as c:
                 oids = [c.create(bytes([i]) * 64) for i in range(4)]
@@ -144,6 +149,9 @@ class TestShardDeathOverWire:
                 live = next(o for o in oids if o % 2 != victim.index)
                 with pytest.raises(ShardUnavailable):
                     c.read(dead, 0, 8)
+                for probe in (c.size, c.stat, c.versions):
+                    with pytest.raises(ShardUnavailable):
+                        probe(dead)
                 with pytest.raises(ShardUnavailable):
                     c.list_objects()
                 # Requests routed to the survivor are unaffected.
