@@ -24,34 +24,35 @@ def fresh_object(db):
     return obj
 
 
+class _ReadTap:
+    """``IOStats.observer`` collecting every page read."""
+
+    def __init__(self):
+        self.pages = set()
+
+    def on_transfer(self, first_page, n_pages, *, is_write, seeked):
+        if not is_write:
+            self.pages.update(range(first_page, first_page + n_pages))
+
+
 def leaf_reads_during(db, obj, action):
     """Count reads that touch the object's current leaf pages.
 
-    Both read entry points are spied: ``read_pages`` (copying) and
-    ``view_pages`` (zero-copy), through which segment I/O reads leaves.
+    Reads are recorded through ``db.disk.stats.observer``, the hook every
+    accounted transfer passes, so no read entry point can slip past it.
     """
     leaf_pages = {
         e.child + i for _, e in obj.segments() for i in range(e.pages)
     }
     db.pool.clear()
-    touched = []
-    disk = db.disk
-    originals = {name: getattr(disk, name) for name in ("read_pages", "view_pages")}
-
-    def spy(original):
-        def read(first, n=1):
-            touched.extend(range(first, first + n))
-            return original(first, n)
-        return read
-
-    for name, original in originals.items():
-        setattr(disk, name, spy(original))
+    stats = db.disk.stats
+    assert stats.observer is None
+    stats.observer = tap = _ReadTap()
     try:
         action()
     finally:
-        for name in originals:
-            delattr(disk, name)
-    return len(set(touched) & leaf_pages)
+        stats.observer = None
+    return len(tap.pages & leaf_pages)
 
 
 def test_e10_update_cost_statements(benchmark):

@@ -24,7 +24,6 @@ from common import ExperimentReport
 
 from repro.server import EOSClient, ServerThread
 from repro.server.sharding import ShardSet
-from repro.storage.disk import DiskVolume
 from repro.storage.timing import TimedDisk
 
 PAGE = 512
@@ -42,7 +41,8 @@ SCALING_FLOOR = 3.0
 
 def _disk_factory(_index):
     return TimedDisk(
-        DiskVolume(num_pages=PAGES_PER_SHARD, page_size=PAGE),
+        PAGES_PER_SHARD,
+        PAGE,
         seek_ms=SEEK_MS,
         transfer_ms_per_page=TRANSFER_MS_PER_PAGE,
     )

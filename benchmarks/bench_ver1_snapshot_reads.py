@@ -59,7 +59,6 @@ from common import ExperimentReport
 from repro.core.config import EOSConfig
 from repro.server import EOSClient, ServerThread
 from repro.server.sharding import ShardSet
-from repro.storage.disk import DiskVolume
 from repro.storage.timing import TimedDisk
 
 PAGE = 512
@@ -92,7 +91,8 @@ SWITCH_INTERVAL_S = 0.0002
 
 def _disk_factory(_index):
     return TimedDisk(
-        DiskVolume(num_pages=PAGES, page_size=PAGE),
+        PAGES,
+        PAGE,
         seek_ms=SEEK_MS,
         transfer_ms_per_page=TRANSFER_MS_PER_PAGE,
     )

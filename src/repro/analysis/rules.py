@@ -206,8 +206,6 @@ _SUBSTRATE_FILES = {
 _DISK_PRIMITIVES = {
     "read_page",
     "write_page",
-    "read_pages",
-    "write_pages",
     "view_pages",
     "write_pages_v",
 }

@@ -63,8 +63,6 @@ _BLOCKING_ATTRS = frozenset(
         # Disk page I/O (DiskVolume / SegmentIO primitives).
         "read_page",
         "write_page",
-        "read_pages",
-        "write_pages",
         "write_pages_v",
         "read_span",
         # LockManager acquisition (can wait on a contended range).

@@ -153,11 +153,14 @@ class EOSDatabase:
         The volume is carved into as many buddy spaces as fit; each
         space's capacity defaults to the largest a one-page directory
         supports (or the usable disk size, if smaller).  ``disk``
-        substitutes a pre-built volume device (e.g. a
-        :class:`~repro.storage.timing.TimedDisk` service-time proxy or a
-        :class:`~repro.storage.faults.FaultyDisk`) for the default
-        in-memory :class:`~repro.storage.disk.DiskVolume`; its geometry
-        must match ``num_pages``/``page_size``.
+        substitutes a pre-built device for the default in-memory
+        :class:`~repro.storage.disk.DiskVolume`: any ``DiskVolume``
+        subclass, e.g. a :class:`~repro.storage.timing.TimedDisk`
+        (modelled service time) or a
+        :class:`~repro.storage.faults.FaultyDisk` (injected faults).
+        Every layer of the database — pool, allocator, segment I/O —
+        then transfers through it.  Its geometry must match
+        ``num_pages``/``page_size``.
         """
         config = config or EOSConfig(page_size=page_size)
         if config.page_size != page_size:

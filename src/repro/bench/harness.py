@@ -4,7 +4,7 @@
 :class:`~repro.baselines.base.LargeObjectStore`;
 ``run_trace_measured`` does the same inside the database's
 :meth:`~repro.obs.facade.DatabaseStats.delta` and returns the
-:class:`~repro.obs.facade.StatsDelta` — seeks and transfers (the paper's
+:class:`~repro.obs.facade.StatsSnapshot` — seeks and transfers (the paper's
 cost currency) at the top level, buffer/allocator counters alongside.
 """
 
@@ -15,7 +15,7 @@ from typing import Iterable
 from repro.api import EOSDatabase
 from repro.baselines.base import LargeObjectStore
 from repro.core.config import EOSConfig
-from repro.obs.facade import StatsDelta
+from repro.obs.facade import StatsSnapshot
 from repro.obs.tracer import Observability
 from repro.workloads.generator import Operation
 
@@ -69,7 +69,7 @@ def run_trace_measured(
     trace: Iterable[Operation],
     *,
     cold_cache: bool = False,
-) -> StatsDelta:
+) -> StatsSnapshot:
     """Replay a trace under ``db.stats.delta``; returns the counts."""
     with db.stats.delta(cold=cold_cache) as delta:
         apply_trace(store, handle, trace)

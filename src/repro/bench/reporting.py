@@ -26,7 +26,7 @@ from typing import Iterable, Mapping, Sequence
 
 from repro.bench.jsonout import write_bench_json
 from repro.storage.geometry import DISK_1992, DiskGeometry
-from repro.storage.iostats import IODelta
+from repro.storage.iostats import IOSnapshot
 from repro.util.fmt import TextTable
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "..", "..", "benchmarks", "results")
@@ -97,7 +97,7 @@ class ExperimentReport:
         """Attach a free-form footnote to the report."""
         self.notes.append(text)
 
-    def cost_ms(self, delta: IODelta) -> float:
+    def cost_ms(self, delta: IOSnapshot) -> float:
         """Model time for an I/O delta under the configured geometry."""
         return self.geometry.cost_ms(
             delta.seeks, delta.page_transfers, self.page_size

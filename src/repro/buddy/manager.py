@@ -66,6 +66,11 @@ class AllocatorStats:
     scans: int = 0                 # jump scans run (Section 3.1)
     scan_probes: int = 0           # map bytes those scans examined
 
+    @property
+    def probes_per_scan(self) -> float:
+        """Map bytes examined per jump scan (0.0 when none ran)."""
+        return self.scan_probes / self.scans if self.scans else 0.0
+
 
 class BuddyManager:
     """Allocate and free physically contiguous page runs across buddy spaces."""

@@ -33,7 +33,7 @@ paths pay one attribute lookup and an empty method call::
     print(SummarySink.render_records(ring.records))
 """
 
-from repro.obs.facade import DatabaseStats, StatsDelta, StatsSnapshot
+from repro.obs.facade import DatabaseStats, StatsSnapshot
 from repro.obs.flight import FlightRecorder, load_flight
 from repro.obs.health import (
     HealthMonitor,
@@ -81,7 +81,6 @@ __all__ = [
     "RingSink",
     "Span",
     "SpaceHealth",
-    "StatsDelta",
     "StatsSnapshot",
     "SummarySink",
     "Tracer",

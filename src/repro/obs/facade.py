@@ -9,130 +9,48 @@ those attributes intact but gives benchmarks and examples one call:
         obj.read(0, 1 << 20)
     print(d.seeks, d.page_transfers, d.hit_ratio)
 
-:class:`StatsSnapshot` composes immutable copies of the disk, buffer
-pool and allocator counters and subtracts componentwise; the forwarding
-properties make the common disk numbers (``seeks``, ``page_reads`` …)
-reachable without spelling the layer, so code written against
-:class:`~repro.storage.iostats.IODelta` keeps working.
+:class:`StatsSnapshot` holds the disk's
+:class:`~repro.storage.iostats.IOSnapshot` plus copies of the buffer
+pool's :class:`~repro.storage.buffer.BufferPoolStats` and the allocator's
+:class:`~repro.buddy.manager.AllocatorStats`.  Each counter is declared
+once, on its layer's dataclass; the facade copies, subtracts, zeroes and
+serialises them field by field, so a new counter needs no edit here.
+The disk counters (``seeks``, ``page_reads`` …) also read at the top
+level.
 """
 
 from __future__ import annotations
 
-import contextlib
-from dataclasses import dataclass
-from typing import Iterator
+from contextlib import AbstractContextManager
+from dataclasses import asdict, dataclass, replace
+from typing import TYPE_CHECKING
 
-from repro.storage.iostats import IOSnapshot
+from repro.storage.iostats import IOSnapshot, difference, measure, zero
 
-
-@dataclass(frozen=True)
-class BufferSnapshot:
-    """Immutable copy of the buffer pool's counters."""
-
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    writebacks: int = 0
-    decodes: int = 0
-
-    @property
-    def accesses(self) -> int:
-        """Hits plus misses."""
-        return self.hits + self.misses
-
-    @property
-    def hit_ratio(self) -> float:
-        """Hits over accesses (0.0 when idle)."""
-        return self.hits / self.accesses if self.accesses else 0.0
-
-    def __sub__(self, other: "BufferSnapshot") -> "BufferSnapshot":
-        """Componentwise difference."""
-        return BufferSnapshot(
-            hits=self.hits - other.hits,
-            misses=self.misses - other.misses,
-            evictions=self.evictions - other.evictions,
-            writebacks=self.writebacks - other.writebacks,
-            decodes=self.decodes - other.decodes,
-        )
+if TYPE_CHECKING:
+    from repro.buddy.manager import AllocatorStats
+    from repro.storage.buffer import BufferPoolStats
 
 
-@dataclass(frozen=True)
-class AllocSnapshot:
-    """Immutable copy of the buddy manager's counters."""
+@dataclass
+class StatsSnapshot:
+    """All layers' counters at one instant, or their change over a block.
 
-    allocations: int = 0
-    frees: int = 0
-    directory_loads: int = 0
-    superdirectory_skips: int = 0
-    superdirectory_corrections: int = 0
-    scans: int = 0
-    scan_probes: int = 0
-
-    @property
-    def probes_per_scan(self) -> float:
-        """Map bytes examined per jump scan (0.0 when none ran)."""
-        return self.scan_probes / self.scans if self.scans else 0.0
-
-    def __sub__(self, other: "AllocSnapshot") -> "AllocSnapshot":
-        """Componentwise difference."""
-        return AllocSnapshot(
-            allocations=self.allocations - other.allocations,
-            frees=self.frees - other.frees,
-            directory_loads=self.directory_loads - other.directory_loads,
-            superdirectory_skips=(
-                self.superdirectory_skips - other.superdirectory_skips
-            ),
-            superdirectory_corrections=(
-                self.superdirectory_corrections - other.superdirectory_corrections
-            ),
-            scans=self.scans - other.scans,
-            scan_probes=self.scan_probes - other.scan_probes,
-        )
-
-
-class _IOForwarding:
-    """Convenience properties lifting the common disk counters to the top."""
+    Subtract two snapshots for a delta; :meth:`DatabaseStats.delta` fills
+    one in when its block exits.
+    """
 
     io: IOSnapshot
+    buffer: BufferPoolStats
+    alloc: AllocatorStats
 
-    @property
-    def seeks(self) -> int:
-        """Disk seeks (``io.seeks``)."""
-        return self.io.seeks
-
-    @property
-    def page_reads(self) -> int:
-        """Pages read (``io.page_reads``)."""
-        return self.io.page_reads
-
-    @property
-    def page_writes(self) -> int:
-        """Pages written (``io.page_writes``)."""
-        return self.io.page_writes
-
-    @property
-    def page_transfers(self) -> int:
-        """Pages read plus pages written."""
-        return self.io.page_transfers
-
-    @property
-    def read_calls(self) -> int:
-        """Read operations issued."""
-        return self.io.read_calls
-
-    @property
-    def write_calls(self) -> int:
-        """Write operations issued."""
-        return self.io.write_calls
-
-
-@dataclass(frozen=True)
-class StatsSnapshot(_IOForwarding):
-    """All layers' counters at one instant; subtract to get a delta."""
-
-    io: IOSnapshot
-    buffer: BufferSnapshot
-    alloc: AllocSnapshot
+    def __getattr__(self, name: str):
+        # Only reached for names the snapshot lacks: the disk counters
+        # (``seeks``, ``page_transfers`` …) read through to ``io``.
+        io = vars(self).get("io")
+        if io is None:
+            raise AttributeError(name)
+        return getattr(io, name)
 
     @property
     def hit_ratio(self) -> float:
@@ -140,68 +58,13 @@ class StatsSnapshot(_IOForwarding):
         return self.buffer.hit_ratio
 
     def __sub__(self, other: "StatsSnapshot") -> "StatsSnapshot":
-        """Componentwise difference across every layer."""
-        return StatsSnapshot(
-            io=self.io - other.io,
-            buffer=self.buffer - other.buffer,
-            alloc=self.alloc - other.alloc,
-        )
+        return difference(self, other)
 
     def as_dict(self) -> dict:
         """Plain-values form, for JSON sidecars and sinks."""
-        return {
-            "io": {
-                "seeks": self.io.seeks,
-                "page_reads": self.io.page_reads,
-                "page_writes": self.io.page_writes,
-                "read_calls": self.io.read_calls,
-                "write_calls": self.io.write_calls,
-            },
-            "buffer": {
-                "hits": self.buffer.hits,
-                "misses": self.buffer.misses,
-                "evictions": self.buffer.evictions,
-                "writebacks": self.buffer.writebacks,
-                "decodes": self.buffer.decodes,
-                "hit_ratio": round(self.buffer.hit_ratio, 4),
-            },
-            "alloc": {
-                "allocations": self.alloc.allocations,
-                "frees": self.alloc.frees,
-                "directory_loads": self.alloc.directory_loads,
-                "superdirectory_skips": self.alloc.superdirectory_skips,
-                "superdirectory_corrections": (
-                    self.alloc.superdirectory_corrections
-                ),
-                "scans": self.alloc.scans,
-                "scan_probes": self.alloc.scan_probes,
-            },
-        }
-
-
-class StatsDelta(_IOForwarding):
-    """Mutable view populated when a :meth:`DatabaseStats.delta` block exits."""
-
-    def __init__(self) -> None:
-        self.io = IOSnapshot()
-        self.buffer = BufferSnapshot()
-        self.alloc = AllocSnapshot()
-
-    @property
-    def hit_ratio(self) -> float:
-        """The buffer pool's hit ratio over the measured block."""
-        return self.buffer.hit_ratio
-
-    def _fill(self, snapshot: StatsSnapshot) -> None:
-        self.io = snapshot.io
-        self.buffer = snapshot.buffer
-        self.alloc = snapshot.alloc
-
-    def as_dict(self) -> dict:
-        """Plain-values form, for JSON sidecars and sinks."""
-        return StatsSnapshot(
-            io=self.io, buffer=self.buffer, alloc=self.alloc
-        ).as_dict()
+        doc = asdict(self)
+        doc["buffer"]["hit_ratio"] = round(self.buffer.hit_ratio, 4)
+        return doc
 
 
 class DatabaseStats:
@@ -211,28 +74,12 @@ class DatabaseStats:
         self._db = db
 
     def snapshot(self) -> StatsSnapshot:
-        """Immutable copy of every layer's counters, as one object."""
+        """A copy of every layer's counters, as one object."""
         db = self._db
-        pool = db.pool.stats
-        alloc = db.buddy.stats
         snapshot = StatsSnapshot(
             io=db.disk.stats.snapshot(),
-            buffer=BufferSnapshot(
-                hits=pool.hits,
-                misses=pool.misses,
-                evictions=pool.evictions,
-                writebacks=pool.writebacks,
-                decodes=pool.decodes,
-            ),
-            alloc=AllocSnapshot(
-                allocations=alloc.allocations,
-                frees=alloc.frees,
-                directory_loads=alloc.directory_loads,
-                superdirectory_skips=alloc.superdirectory_skips,
-                superdirectory_corrections=alloc.superdirectory_corrections,
-                scans=alloc.scans,
-                scan_probes=alloc.scan_probes,
-            ),
+            buffer=replace(db.pool.stats),
+            alloc=replace(db.buddy.stats),
         )
         # Keep the registry's gauges current whenever somebody looks.
         metrics = db.obs.metrics
@@ -249,26 +96,15 @@ class DatabaseStats:
         """Zero every layer's counters and the metrics registry."""
         db = self._db
         db.disk.stats.reset()
-        pool = db.pool.stats
-        pool.hits = pool.misses = pool.evictions = pool.writebacks = 0
-        pool.decodes = 0
-        alloc = db.buddy.stats
-        alloc.allocations = alloc.frees = alloc.directory_loads = 0
-        alloc.superdirectory_skips = alloc.superdirectory_corrections = 0
-        alloc.scans = alloc.scan_probes = 0
+        zero(db.pool.stats)
+        zero(db.buddy.stats)
         db.obs.metrics.reset()
 
-    @contextlib.contextmanager
-    def delta(self, *, cold: bool = False) -> Iterator[StatsDelta]:
+    def delta(self, *, cold: bool = False) -> AbstractContextManager[StatsSnapshot]:
         """Measure a block; ``cold=True`` clears the pool and forgets the
         disk-head position first (a cold-cache run)."""
         db = self._db
         if cold:
             db.pool.clear()
             db.disk.stats.head = None
-        before = self.snapshot()
-        delta = StatsDelta()
-        try:
-            yield delta
-        finally:
-            delta._fill(self.snapshot() - before)
+        return measure(self.snapshot)

@@ -333,8 +333,9 @@ class ShardSet:
         """Format ``n_shards`` fresh databases of ``num_pages`` pages each.
 
         Every shard gets its own volume (``disk_factory(index)`` may
-        supply the device — e.g. a
-        :class:`~repro.storage.timing.TimedDisk` per simulated arm),
+        supply the device, a ``DiskVolume`` subclass of the shard's
+        geometry — e.g. a :class:`~repro.storage.timing.TimedDisk` per
+        simulated arm),
         its own metrics registry, and a tracer whose span ids live in a
         disjoint block so per-shard spans merge cleanly under
         coordinator-allocated request roots.  ``sinks`` (span sinks,

@@ -2,14 +2,18 @@
 
 :class:`DiskVolume` is an array of ``num_pages`` fixed-size pages backed
 by a single in-memory ``bytearray``, with optional save/load to a file
-for persistence across processes.  It supports exactly the operations a
-raw device does:
+for persistence across processes.  Its device surface is two transfer
+primitives, both zero-copy:
 
-* read/write one page;
-* read/write a *contiguous* run of pages in one call;
-* borrow a read-only :class:`memoryview` of a run (:meth:`view_pages`)
-  and scatter-write an iovec list in one run (:meth:`write_pages_v`) —
-  the zero-copy primitives the data path is built on.
+* borrow a read-only :class:`memoryview` of a contiguous run of pages
+  (:meth:`view_pages`);
+* gather an iovec list into one contiguous run (:meth:`write_pages_v`).
+
+:meth:`read_page` and :meth:`write_page` are one-page conveniences over
+them.  A device variant subclasses the volume and overrides just the two
+primitives: :class:`~repro.storage.faults.FaultyDisk` fails them on
+demand, :class:`~repro.storage.timing.TimedDisk` charges service time for
+them.
 
 All accesses flow through an :class:`~repro.storage.iostats.IOStats`
 instance, which models the disk head: a run that does not start where
@@ -61,19 +65,14 @@ class DiskVolume:
             raise PageOutOfRange(first_page, self.num_pages)
 
     # -- transfers ----------------------------------------------------------
+    #
+    # view_pages and write_pages_v are the device surface: every accounted
+    # transfer reaches exactly one of them, so a subclass that overrides
+    # the two (FaultyDisk, TimedDisk) sees each call once.
 
     def read_page(self, page: PageId) -> bytes:
-        """Read one page; costs a seek unless the head is already there."""
-        return self.read_pages(page, 1)
-
-    def read_pages(self, first_page: PageId, n_pages: int) -> bytes:
-        """Read ``n_pages`` physically contiguous pages in one run.
-
-        Copying contract: the caller owns the returned ``bytes``.  The
-        zero-copy path uses :meth:`view_pages` instead.
-        """
-        view = self.view_pages(first_page, n_pages)
-        return copytrace.materialize(view, "disk.read_pages")
+        """Read one page into bytes the caller owns (one run)."""
+        return copytrace.materialize(self.view_pages(page, 1), "disk.read_page")
 
     def view_pages(self, first_page: PageId, n_pages: int) -> memoryview:
         """Borrow a read-only view of a contiguous run — no copy.
@@ -91,25 +90,15 @@ class DiskVolume:
         return memoryview(self._data)[lo:hi].toreadonly()
 
     def write_page(self, page: PageId, image: bytes | bytearray) -> None:
-        """Write one page image."""
-        self.write_pages(page, image)
-
-    def write_pages(self, first_page: PageId, data) -> None:
-        """Write a contiguous run of whole pages in one run.
-
-        ``data`` is any buffer (bytes, bytearray, memoryview) holding a
-        whole number of pages; a partial final page must be padded by
-        the caller (segments always own whole pages — the unused tail of
-        a segment's last page is physically present but logically dead,
-        per Section 4).
-        """
-        self.write_pages_v(first_page, (data,))
+        """Write one page image (one run)."""
+        self.write_pages_v(page, (image,))
 
     def write_pages_v(self, first_page: PageId, iovecs) -> None:
         """Vectored write: gather ``iovecs`` into one contiguous run.
 
         The chunks land back to back starting at ``first_page``; their
-        total length must be a whole number of pages.  One call is one
+        total length must be a whole number of pages (segments own whole
+        pages; the caller pads a partial final page).  One call is one
         transfer run (one seek at most), which is how the run-coalescer
         turns writes of physically adjacent segments into a single
         multi-page transfer without first concatenating the payload.
@@ -169,6 +158,6 @@ class DiskVolume:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"DiskVolume(num_pages={self.num_pages}, page_size={self.page_size}, "
+            f"{type(self).__name__}(num_pages={self.num_pages}, page_size={self.page_size}, "
             f"stats={self.stats!r})"
         )

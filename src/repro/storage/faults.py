@@ -1,14 +1,16 @@
 """Fault injection for crash testing at the disk layer.
 
-:class:`FaultyDisk` wraps a :class:`~repro.storage.disk.DiskVolume` and
-fails (raising :class:`DiskFault`) after a configured number of page
-writes — the classic "power loss mid-flush" model — or, separately,
-after a configured number of page reads (a media error on the return
-path: the data is intact, but the device stops answering).  Writes up to
-the fault point are durable, the failing transfer is *not* applied or
-returned (whole-page atomicity, the assumption Section 4.5's single-
-root-write commit relies on), and everything after the fault raises
-until :meth:`heal` is called.
+:class:`FaultyDisk` is a :class:`~repro.storage.disk.DiskVolume` whose
+two transfer primitives fail (raising :class:`DiskFault`) after a
+configured number of write calls — the classic "power loss mid-flush"
+model — or, separately, after a configured number of read calls (a media
+error on the return path: the data is intact, but the device stops
+answering).  Every public transfer reaches exactly one primitive, so each
+call spends one unit of its budget.  Writes up to the fault point are
+durable, the failing transfer is *not* applied or returned (whole-page
+atomicity, the assumption Section 4.5's single-root-write commit relies
+on), and everything after the fault raises until :meth:`FaultyDisk.heal`
+is called.
 
 Tests use it to show that wherever the crash lands inside an update,
 the committed state remains exactly the old version or exactly the new
@@ -26,18 +28,16 @@ class DiskFault(StorageError):
     """The simulated device failed (power loss / controller fault)."""
 
 
-class FaultyDisk:
-    """A DiskVolume proxy that dies after N writes and/or N reads.
+class FaultyDisk(DiskVolume):
+    """A volume that dies after N write calls and/or N read calls.
 
     By default reads always succeed (the platters survive a write-path
     crash); arming ``fail_after_reads`` models the read path failing
-    too.  The proxy exposes the same transfer interface as
-    :class:`DiskVolume`, so it can be swapped in wherever a disk is
-    expected.
+    too.  ``peek``/``poke`` stay unaccounted and never fail.
     """
 
-    def __init__(self, inner: DiskVolume) -> None:
-        self.inner = inner
+    def __init__(self, num_pages: int, page_size: int = 4096) -> None:
+        super().__init__(num_pages, page_size)
         self.fail_after_writes: int | None = None
         self.fail_after_reads: int | None = None
         self.writes_seen = 0
@@ -103,62 +103,14 @@ class FaultyDisk:
                 )
             self.reads_seen += 1
 
-    # -- DiskVolume interface --------------------------------------------------
-
-    @property
-    def num_pages(self) -> int:
-        return self.inner.num_pages
-
-    @property
-    def page_size(self) -> int:
-        return self.inner.page_size
-
-    @property
-    def size_bytes(self) -> int:
-        return self.inner.size_bytes
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    def read_page(self, page: PageId) -> bytes:
-        """Read one page, or die at an armed read-fault point."""
-        self._check_read()
-        return self.inner.read_page(page)
-
-    def read_pages(self, first_page: PageId, n_pages: int) -> bytes:
-        """Read a run, or die at an armed read-fault point."""
-        self._check_read()
-        return self.inner.read_pages(first_page, n_pages)
+    # -- the two transfer primitives ------------------------------------------
 
     def view_pages(self, first_page: PageId, n_pages: int) -> memoryview:
         """Borrow a read-only view, or die at an armed read-fault point."""
         self._check_read()
-        return self.inner.view_pages(first_page, n_pages)
-
-    def write_page(self, page: PageId, image) -> None:
-        """Write one page, or die at the armed fault point."""
-        self._check_write()
-        self.inner.write_page(page, image)
-
-    def write_pages(self, first_page: PageId, data) -> None:
-        """Write a run, or die at the armed fault point."""
-        self._check_write()
-        self.inner.write_pages(first_page, data)
+        return super().view_pages(first_page, n_pages)
 
     def write_pages_v(self, first_page: PageId, iovecs) -> None:
         """Vectored write, or die at the armed fault point."""
         self._check_write()
-        self.inner.write_pages_v(first_page, iovecs)
-
-    def peek(self, first_page: PageId, n_pages: int = 1) -> bytes:
-        """Unaccounted read-through (test helper)."""
-        return self.inner.peek(first_page, n_pages)
-
-    def poke(self, first_page: PageId, data) -> None:
-        """Unaccounted write-through (test helper)."""
-        self.inner.poke(first_page, data)
-
-    def save(self, path) -> None:
-        """Persist the underlying volume image."""
-        self.inner.save(path)
+        super().write_pages_v(first_page, iovecs)

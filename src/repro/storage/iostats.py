@@ -14,20 +14,28 @@ A contiguous multi-page read issued as a single call is one run: one seek
 calls is still seek-free *if* they are physically consecutive — the head
 model, not the call structure, decides — which matches how a real drive
 behaves and keeps comparisons between EOS and the page-at-a-time
-baselines honest.
+baselines honest.  The head (``IOStats.head``) is the only one there is:
+:class:`~repro.storage.timing.TimedDisk` charges its seeks from it too.
 
 Use :meth:`IOStats.delta` to measure a region of code::
 
     with stats.delta() as d:
         obj.read(0, 1 << 20)
     print(d.seeks, d.page_reads)
+
+The counter helpers (:func:`difference`, :func:`zero`, :func:`measure`)
+work field by field on any counter dataclass, so the ``db.stats`` facade
+composes the buffer pool's and allocator's counters without re-declaring
+them.
 """
 
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass, field
-from typing import Iterator
+from dataclasses import dataclass, field, fields, is_dataclass, replace
+from typing import Callable, Iterator, TypeVar
+
+C = TypeVar("C")
 
 
 def seeks_per_mb(seeks: int, page_transfers: int, page_size: int) -> float:
@@ -39,9 +47,42 @@ def seeks_per_mb(seeks: int, page_transfers: int, page_size: int) -> float:
     return seeks / (transferred / (1 << 20))
 
 
+def difference(after: C, before: C) -> C:
+    """``after - before`` field by field, as a new instance of ``after``'s
+    counter dataclass; a field that is itself a dataclass recurses."""
+    changes = {}
+    for f in fields(after):
+        a, b = getattr(after, f.name), getattr(before, f.name)
+        changes[f.name] = difference(a, b) if is_dataclass(a) else a - b
+    return replace(after, **changes)
+
+
+def zero(counters, kind=None) -> None:
+    """Zero, in place, every field ``kind`` declares (default: every field
+    of ``counters``)."""
+    for f in fields(kind or counters):
+        setattr(counters, f.name, 0)
+
+
+@contextlib.contextmanager
+def measure(snapshot: Callable[[], C]) -> Iterator[C]:
+    """Yield a zeroed snapshot; when the block exits it holds what
+    ``snapshot()`` gained over the block."""
+    before = snapshot()
+    change = difference(before, before)
+    try:
+        yield change
+    finally:
+        vars(change).update(vars(difference(snapshot(), before)))
+
+
 @dataclass
 class IOSnapshot:
-    """Immutable copy of the counters at one instant."""
+    """The disk counters at one instant, or their change over a block.
+
+    A plain mutable copy: subtracting two gives the I/O between them, and
+    :meth:`IOStats.delta` fills one in when its block exits.
+    """
 
     seeks: int = 0
     page_reads: int = 0
@@ -55,64 +96,23 @@ class IOSnapshot:
         return self.page_reads + self.page_writes
 
     def seeks_per_mb(self, page_size: int) -> float:
-        """Seeks per MiB transferred since the counters were zeroed."""
+        """Seeks per MiB transferred."""
         return seeks_per_mb(self.seeks, self.page_transfers, page_size)
 
     def __sub__(self, other: "IOSnapshot") -> "IOSnapshot":
-        return IOSnapshot(
-            seeks=self.seeks - other.seeks,
-            page_reads=self.page_reads - other.page_reads,
-            page_writes=self.page_writes - other.page_writes,
-            read_calls=self.read_calls - other.read_calls,
-            write_calls=self.write_calls - other.write_calls,
-        )
+        return difference(self, other)
 
 
 @dataclass
-class IODelta:
-    """Mutable view populated when a :meth:`IOStats.delta` block exits."""
+class IOStats(IOSnapshot):
+    """The live counters of one disk volume, plus its head position."""
 
-    seeks: int = 0
-    page_reads: int = 0
-    page_writes: int = 0
-    read_calls: int = 0
-    write_calls: int = 0
-
-    @property
-    def page_transfers(self) -> int:
-        return self.page_reads + self.page_writes
-
-    def seeks_per_mb(self, page_size: int) -> float:
-        """Seeks per MiB transferred inside the measured block."""
-        return seeks_per_mb(self.seeks, self.page_transfers, page_size)
-
-    def _fill(self, snap: IOSnapshot) -> None:
-        self.seeks = snap.seeks
-        self.page_reads = snap.page_reads
-        self.page_writes = snap.page_writes
-        self.read_calls = snap.read_calls
-        self.write_calls = snap.write_calls
-
-
-@dataclass
-class IOStats:
-    """Running seek/transfer counters shared by one disk volume."""
-
-    seeks: int = 0
-    page_reads: int = 0
-    page_writes: int = 0
-    read_calls: int = 0
-    write_calls: int = 0
     # Physical page the head would be positioned after the last transfer,
     # or None before any I/O (the first access always seeks).
     head: int | None = field(default=None, repr=False)
     # Optional per-transfer hook (an object with ``on_transfer``),
     # installed by repro.obs when observability is enabled.
     observer: object | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def page_transfers(self) -> int:
-        return self.page_reads + self.page_writes
 
     def record_read(self, first_page: int, n_pages: int) -> None:
         """Account for a contiguous read of ``n_pages`` starting at ``first_page``."""
@@ -141,30 +141,14 @@ class IOStats:
             )
 
     def snapshot(self) -> IOSnapshot:
-        """An immutable copy of the current counters."""
-        return IOSnapshot(
-            seeks=self.seeks,
-            page_reads=self.page_reads,
-            page_writes=self.page_writes,
-            read_calls=self.read_calls,
-            write_calls=self.write_calls,
-        )
+        """A copy of the current counters."""
+        return IOSnapshot(**{f.name: getattr(self, f.name) for f in fields(IOSnapshot)})
 
     def reset(self) -> None:
         """Zero all counters and forget the head position."""
-        self.seeks = 0
-        self.page_reads = 0
-        self.page_writes = 0
-        self.read_calls = 0
-        self.write_calls = 0
+        zero(self, IOSnapshot)
         self.head = None
 
-    @contextlib.contextmanager
-    def delta(self) -> Iterator[IODelta]:
+    def delta(self) -> contextlib.AbstractContextManager[IOSnapshot]:
         """Context manager yielding the I/O performed inside the block."""
-        before = self.snapshot()
-        d = IODelta()
-        try:
-            yield d
-        finally:
-            d._fill(self.snapshot() - before)
+        return measure(self.snapshot)

@@ -1,23 +1,21 @@
-"""A disk proxy that charges real wall-clock service time per transfer.
+"""A disk volume that charges real wall-clock service time per transfer.
 
 The in-memory :class:`~repro.storage.disk.DiskVolume` completes
 transfers instantly, which makes "one database per disk arm" sharding
 (the deployment the paper's independent buddy spaces and per-volume
 ownership anticipate) unmeasurable: with zero service time, a single
-worker thread is never the bottleneck.  :class:`TimedDisk` wraps a
-volume and sleeps for a modelled seek + per-page transfer time on every
-accounted run, using the same head-position rule as
-:class:`~repro.storage.iostats.IOStats`: a run that does not start
-where the head was left pays the seek.
+worker thread is never the bottleneck.  :class:`TimedDisk` is a volume
+whose two transfer primitives sleep for a modelled seek + per-page
+transfer time on every accounted run.  Whether a run seeks is read off
+the volume's own :class:`~repro.storage.iostats.IOStats` head — the one
+head model — so the charged time always equals the counted cost:
+``busy_ms == seeks * seek_ms + page_transfers * transfer_ms_per_page``.
 
 ``time.sleep`` releases the GIL, so N shards over N TimedDisks overlap
 their service time exactly as N real disk arms would — that is what the
-SRV2 scaling benchmark measures.  The proxy exposes the full DiskVolume
-transfer interface (like :class:`~repro.storage.faults.FaultyDisk`)
-and can be swapped in anywhere a disk is expected;
-``EOSDatabase.create(..., disk=TimedDisk(...))`` is the usual seam.
-``peek``/``poke`` stay free — they are unaccounted test helpers on the
-real volume too.
+SRV2 scaling benchmark measures.  ``EOSDatabase.create(...,
+disk=TimedDisk(...))`` is the usual seam.  ``peek``/``poke`` stay free —
+they are unaccounted test helpers.
 """
 
 from __future__ import annotations
@@ -29,99 +27,48 @@ from repro.storage.disk import DiskVolume
 from repro.storage.page import PageId
 
 
-class TimedDisk:
-    """A DiskVolume proxy with modelled seek/transfer service time.
+class TimedDisk(DiskVolume):
+    """A volume with modelled seek/transfer service time.
 
-    ``seek_ms`` is charged when a run does not start at the current
-    head position; ``transfer_ms_per_page`` is charged per page moved.
-    The head lands one past the last page of each run.  Timing state is
-    protected by a lock so concurrent callers serialize on the device —
-    one arm, one transfer at a time — exactly like a real spindle.
+    ``seek_ms`` is charged when a run does not start at the head
+    position; ``transfer_ms_per_page`` is charged per page moved.  A lock
+    is held across the charge and the transfer, so concurrent callers
+    serialize on the device — one arm, one transfer at a time — exactly
+    like a real spindle.
     """
 
     def __init__(
         self,
-        inner: DiskVolume,
+        num_pages: int,
+        page_size: int = 4096,
         *,
         seek_ms: float = 0.0,
         transfer_ms_per_page: float = 0.0,
     ) -> None:
         if seek_ms < 0 or transfer_ms_per_page < 0:
             raise ValueError("service times must be >= 0")
-        self.inner = inner
+        super().__init__(num_pages, page_size)
         self.seek_ms = seek_ms
         self.transfer_ms_per_page = transfer_ms_per_page
         self.busy_ms = 0.0  # cumulative modelled service time
-        self._head: int | None = None
         self._lock = threading.Lock()
 
-    def _charge(self, first_page: int, n_pages: int) -> None:
+    def _serve(self, first_page: PageId, n_pages: int, transfer, *args):
+        """Run one transfer on the arm, then sleep its service time."""
         with self._lock:
-            delay_ms = self.transfer_ms_per_page * n_pages
-            if self._head != first_page:
-                delay_ms += self.seek_ms
-            self._head = first_page + n_pages
+            seeked = self.stats.head != first_page
+            result = transfer(first_page, *args)
+            delay_ms = self.transfer_ms_per_page * n_pages + self.seek_ms * seeked
             self.busy_ms += delay_ms
             if delay_ms:
                 time.sleep(delay_ms / 1000.0)
+            return result
 
-    # -- DiskVolume interface ------------------------------------------------
-
-    @property
-    def num_pages(self) -> int:
-        return self.inner.num_pages
-
-    @property
-    def page_size(self) -> int:
-        return self.inner.page_size
-
-    @property
-    def size_bytes(self) -> int:
-        return self.inner.size_bytes
-
-    @property
-    def stats(self):
-        return self.inner.stats
-
-    def read_page(self, page: PageId) -> bytes:
-        """Read one page after its modelled service time."""
-        self._charge(page, 1)
-        return self.inner.read_page(page)
-
-    def read_pages(self, first_page: PageId, n_pages: int) -> bytes:
-        """Read a run after its modelled service time."""
-        self._charge(first_page, n_pages)
-        return self.inner.read_pages(first_page, n_pages)
-
-    def view_pages(self, first_page: PageId, n_pages: int):
+    def view_pages(self, first_page: PageId, n_pages: int) -> memoryview:
         """Borrow a read-only view after the run's modelled service time."""
-        self._charge(first_page, n_pages)
-        return self.inner.view_pages(first_page, n_pages)
-
-    def write_page(self, page: PageId, image) -> None:
-        """Write one page after its modelled service time."""
-        self._charge(page, 1)
-        self.inner.write_page(page, image)
-
-    def write_pages(self, first_page: PageId, data) -> None:
-        """Write a run after its modelled service time."""
-        self._charge(first_page, memoryview(data).nbytes // self.page_size)
-        self.inner.write_pages(first_page, data)
+        return self._serve(first_page, n_pages, super().view_pages, n_pages)
 
     def write_pages_v(self, first_page: PageId, iovecs) -> None:
         """Vectored write after the gathered run's modelled service time."""
-        total = sum(memoryview(iov).nbytes for iov in iovecs)
-        self._charge(first_page, total // self.page_size)
-        self.inner.write_pages_v(first_page, iovecs)
-
-    def peek(self, first_page: PageId, n_pages: int = 1) -> bytes:
-        """Unaccounted (and untimed) read-through."""
-        return self.inner.peek(first_page, n_pages)
-
-    def poke(self, first_page: PageId, data) -> None:
-        """Unaccounted (and untimed) write-through."""
-        self.inner.poke(first_page, data)
-
-    def save(self, path) -> None:
-        """Persist the underlying volume image."""
-        self.inner.save(path)
+        n_pages = sum(memoryview(iov).nbytes for iov in iovecs) // self.page_size
+        self._serve(first_page, n_pages, super().write_pages_v, iovecs)

@@ -116,7 +116,7 @@ class TestEOS002SubstrateConfinement:
         findings = lint_text(
             """
             def raw(segio, page, data):
-                segio.disk.write_pages(page, data)
+                segio.disk.write_pages_v(page, [data])
             """
         )
         assert codes(findings) == ["EOS002"]

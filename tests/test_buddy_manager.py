@@ -357,7 +357,7 @@ class TestDecodedDirectoryCache:
 
     @pytest.mark.parametrize("operation", ["allocate", "free"])
     def test_directory_flush_fault_rolls_the_frame_back(self, operation):
-        disk = FaultyDisk(DiskVolume(num_pages=1 + 2 * 65, page_size=256))
+        disk = FaultyDisk(num_pages=1 + 2 * 65, page_size=256)
         db = EOSDatabase.create(
             1 + 2 * 65, page_size=256, space_capacity=64, disk=disk
         )
@@ -384,7 +384,7 @@ class TestDecodedDirectoryCache:
         db.close()
 
     def test_without_write_through_a_dead_disk_is_not_noticed(self):
-        disk = FaultyDisk(DiskVolume(num_pages=1 + 2 * 65, page_size=256))
+        disk = FaultyDisk(num_pages=1 + 2 * 65, page_size=256)
         db = EOSDatabase.create(
             1 + 2 * 65, page_size=256, space_capacity=64, disk=disk
         )

@@ -251,7 +251,7 @@ class TestDelete:
         assert obj.read_all() == pattern(1000)[:400]
         obj.verify()
 
-    def test_truncation_touches_no_leaf_pages(self):
+    def test_truncation_touches_no_leaf_pages(self, pages_transferred):
         """E10: truncation "does not need to access any segment"."""
         db = make_db()
         obj = db.create_object(pattern(1000), size_hint=1000)
@@ -261,17 +261,11 @@ class TestDelete:
             for _, entry in obj.segments()
             for i in range(entry.pages)
         }
-        reads = []
-        original = db.disk.read_pages
-
-        def spy(first, n=1):
-            reads.extend(range(first, first + n))
-            return original(first, n)
-
-        db.disk.read_pages = spy
-        obj.truncate(300)
-        db.disk.read_pages = original
-        assert not set(reads) & leaf_pages
+        read = pages_transferred(db, lambda: obj.truncate(300), writes=False)
+        assert not read & leaf_pages
+        # Control: a read of the surviving bytes does read leaves, and is seen.
+        read = pages_transferred(db, lambda: obj.read(0, 300), writes=False)
+        assert read & leaf_pages
 
     def test_delete_ending_on_page_boundary_reads_no_leaf(self):
         db = make_db()

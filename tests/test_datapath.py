@@ -67,7 +67,7 @@ class TestViewPages:
         disk = DiskVolume(num_pages=4, page_size=64)
         view = disk.view_pages(1, 1)
         assert bytes(view) == bytes(64)
-        disk.write_pages(1, b"\xab" * 64)
+        disk.write_pages_v(1, [b"\xab" * 64])
         assert bytes(view) == b"\xab" * 64  # no BufferError, new content
 
     def test_view_accounts_one_run(self):

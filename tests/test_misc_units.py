@@ -14,7 +14,7 @@ from repro.core.node import Entry
 from repro.core.threshold import ThresholdPolicy, find_unsafe_runs
 from repro.recovery.log import LogRecord, OpKind
 from repro.storage.geometry import DISK_1992, MODERN_HDD, MODERN_SSD
-from repro.storage.iostats import IODelta, IOSnapshot
+from repro.storage.iostats import IOSnapshot
 
 
 class TestSpaceUsage:
@@ -74,7 +74,7 @@ class TestGeometryPresets:
         assert d.page_transfers == 8
 
     def test_delta_transfers(self):
-        d = IODelta(page_reads=4, page_writes=2)
+        d = IOSnapshot(page_reads=4, page_writes=2)
         assert d.page_transfers == 6
 
 
@@ -102,7 +102,7 @@ class TestExperimentReport:
 
     def test_cost_ms_uses_geometry(self):
         report = ExperimentReport("T2", "t", ["x"], page_size=4096)
-        delta = IODelta(seeks=2, page_reads=3)
+        delta = IOSnapshot(seeks=2, page_reads=3)
         assert report.cost_ms(delta) == pytest.approx(2 * 16.0 + 3 * 1.33)
 
     def test_emit_writes_bench_json_artifact(self, tmp_path):

@@ -9,10 +9,12 @@ double-counted.
 """
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from repro import EOSConfig, EOSDatabase
+from repro.buddy.manager import AllocatorStats
 from repro.errors import DatabaseClosed
 from repro.obs import (
     NULL_METRICS,
@@ -26,6 +28,8 @@ from repro.obs import (
     aggregate_spans,
     format_tree,
 )
+from repro.storage.buffer import BufferPoolStats
+from repro.storage.iostats import IOSnapshot
 from repro.tools.tracefmt import load_trace, render_trace
 
 PAGE = 512
@@ -330,6 +334,52 @@ class TestStatsFacade:
         assert decodes > 0
         assert f"node decodes {decodes}" in render_top(doc, None)
         assert gauges_from_status(doc)["buffer.decodes"] == decodes
+
+    def test_every_counter_is_reported_subtracted_and_reset(self):
+        """A counter declared on its layer's dataclass reaches ``db.stats``
+        with no edit to the facade."""
+        db = make_db()
+        layers = {
+            "io": (db.disk.stats, IOSnapshot),
+            "buffer": (db.pool.stats, BufferPoolStats),
+            "alloc": (db.buddy.stats, AllocatorStats),
+        }
+        bump = {
+            (section, f.name): 100 * i + j + 1
+            for i, (section, (_, kind)) in enumerate(layers.items())
+            for j, f in enumerate(fields(kind))
+        }
+        with db.stats.delta() as d:
+            for (section, name), by in bump.items():
+                live = layers[section][0]
+                setattr(live, name, getattr(live, name) + by)
+        doc = d.as_dict()
+        for (section, name), by in bump.items():
+            assert getattr(getattr(d, section), name) == by
+            assert doc[section][name] == by
+        db.stats.reset()
+        snap = db.stats.snapshot()
+        for section, name in bump:
+            assert getattr(layers[section][0], name) == 0
+            assert getattr(getattr(snap, section), name) == 0
+
+    def test_status_document_stats_keys_are_pinned(self):
+        """``servectl top`` and the Prometheus ``buffer.*`` gauges read
+        this structure; a renamed or reordered counter is a breaking
+        change."""
+        from repro.server.expo import status_snapshot
+
+        db = make_db()
+        db.create_object(bytes(4 * PAGE))
+        stats = status_snapshot(db)["stats"]
+        assert {section: list(keys) for section, keys in stats.items()} == {
+            "io": ["seeks", "page_reads", "page_writes", "read_calls", "write_calls"],
+            "buffer": ["hits", "misses", "evictions", "writebacks", "decodes", "hit_ratio"],
+            "alloc": [
+                "allocations", "frees", "directory_loads", "superdirectory_skips",
+                "superdirectory_corrections", "scans", "scan_probes",
+            ],
+        }
 
     def test_old_attribute_paths_still_work(self):
         db = make_db()

@@ -187,7 +187,7 @@ class TestInsertExample:
         assert last.child > seg_before.child  # R is a suffix of S
         obj.verify()
 
-    def test_never_overwrites_existing_leaf_pages(self):
+    def test_never_overwrites_existing_leaf_pages(self, pages_transferred):
         """Section 4.5: insert writes only freshly allocated leaf pages."""
         db = make_db(threshold=1)
         data = bytes(i % 251 for i in range(1000))
@@ -196,19 +196,14 @@ class TestInsertExample:
         old_pages = {
             e.child + i for _, e in obj.segments() for i in range(e.pages)
         }
-        writes = []
-        original = db.disk.write_pages
-
-        def spy(first, payload):
-            n = len(payload) // db.disk.page_size
-            writes.extend(range(first, first + n))
-            return original(first, payload)
-
-        db.disk.write_pages = spy
-        obj.insert(550, b"I" * 30)
-        db.disk.write_pages = original
-        touched_old_leaves = set(writes) & old_pages
-        assert not touched_old_leaves
+        inserted = pages_transferred(db, lambda: obj.insert(550, b"I" * 30), writes=True)
+        assert not inserted & old_pages
+        # Control: an in-place replace does overwrite a leaf, and is seen.
+        old_pages = {
+            e.child + i for _, e in obj.segments() for i in range(e.pages)
+        }
+        replaced = pages_transferred(db, lambda: obj.replace(0, b"R" * 300), writes=True)
+        assert replaced & old_pages
 
 
 class TestDeleteExample:

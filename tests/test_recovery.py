@@ -4,7 +4,6 @@ import pytest
 
 from repro import EOSConfig, EOSDatabase
 from repro.errors import LockConflict, RecoveryError, TransactionError
-from repro.storage.disk import DiskVolume
 from repro.storage.faults import DiskFault, FaultyDisk
 from repro.tools.fsck import fsck
 from repro.recovery import (
@@ -226,7 +225,7 @@ class TestFailedUnitClosesTheShadowPager:
         faults = 0
         for k in range(64):
             config = EOSConfig(page_size=PAGE, threshold=2)
-            disk = FaultyDisk(DiskVolume(num_pages=6000, page_size=PAGE))
+            disk = FaultyDisk(num_pages=6000, page_size=PAGE)
             db = EOSDatabase.create(
                 6000, PAGE, config=config, pool_capacity=2, disk=disk
             )

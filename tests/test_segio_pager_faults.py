@@ -110,7 +110,7 @@ class TestInPlacePager:
 
 class TestFaultyDisk:
     def test_reads_survive_faults(self):
-        disk = FaultyDisk(DiskVolume(num_pages=8, page_size=PAGE))
+        disk = FaultyDisk(num_pages=8, page_size=PAGE)
         disk.write_page(1, b"a" * PAGE)
         disk.arm(0)
         with pytest.raises(DiskFault):
@@ -118,7 +118,7 @@ class TestFaultyDisk:
         assert disk.read_page(1) == b"a" * PAGE  # platters intact
 
     def test_failing_write_not_applied(self):
-        disk = FaultyDisk(DiskVolume(num_pages=8, page_size=PAGE))
+        disk = FaultyDisk(num_pages=8, page_size=PAGE)
         disk.write_page(3, b"old" + bytes(PAGE - 3))
         disk.arm(0)
         with pytest.raises(DiskFault):
@@ -126,7 +126,7 @@ class TestFaultyDisk:
         assert disk.peek(3)[:3] == b"old"
 
     def test_heal_restores_service(self):
-        disk = FaultyDisk(DiskVolume(num_pages=8, page_size=PAGE))
+        disk = FaultyDisk(num_pages=8, page_size=PAGE)
         disk.arm(0)
         with pytest.raises(DiskFault):
             disk.write_page(0, bytes(PAGE))
@@ -135,7 +135,7 @@ class TestFaultyDisk:
         assert disk.peek(0)[0:1] == b"k"
 
     def test_countdown(self):
-        disk = FaultyDisk(DiskVolume(num_pages=8, page_size=PAGE))
+        disk = FaultyDisk(num_pages=8, page_size=PAGE)
         disk.arm(2)
         disk.write_page(0, bytes(PAGE))
         disk.write_page(1, bytes(PAGE))
@@ -143,18 +143,18 @@ class TestFaultyDisk:
             disk.write_page(2, bytes(PAGE))
 
     def test_read_fault_countdown(self):
-        disk = FaultyDisk(DiskVolume(num_pages=8, page_size=PAGE))
+        disk = FaultyDisk(num_pages=8, page_size=PAGE)
         disk.write_page(1, b"a" * PAGE)
         disk.arm(fail_after_reads=2)
         disk.read_page(1)
-        disk.read_pages(1, 1)  # a run counts as one transfer call
+        disk.view_pages(1, 1)  # a run counts as one transfer call
         with pytest.raises(DiskFault):
             disk.read_page(1)
         with pytest.raises(DiskFault):  # the read path stays down
-            disk.read_pages(1, 1)
+            disk.view_pages(1, 1)
 
     def test_read_fault_leaves_writes_working(self):
-        disk = FaultyDisk(DiskVolume(num_pages=8, page_size=PAGE))
+        disk = FaultyDisk(num_pages=8, page_size=PAGE)
         disk.arm(fail_after_reads=0)
         with pytest.raises(DiskFault):
             disk.read_page(0)
@@ -162,7 +162,7 @@ class TestFaultyDisk:
         assert disk.peek(0)[0:1] == b"w"
 
     def test_heal_restores_reads(self):
-        disk = FaultyDisk(DiskVolume(num_pages=8, page_size=PAGE))
+        disk = FaultyDisk(num_pages=8, page_size=PAGE)
         disk.write_page(1, b"a" * PAGE)
         disk.arm(fail_after_reads=0)
         with pytest.raises(DiskFault):
@@ -171,9 +171,41 @@ class TestFaultyDisk:
         assert disk.read_page(1) == b"a" * PAGE
 
     def test_arm_requires_a_budget(self):
-        disk = FaultyDisk(DiskVolume(num_pages=8, page_size=PAGE))
+        disk = FaultyDisk(num_pages=8, page_size=PAGE)
         with pytest.raises(ValueError):
             disk.arm()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda d: d.read_page(1),
+            lambda d: d.view_pages(1, 2),
+            lambda d: d.write_page(1, bytes(PAGE)),
+            lambda d: d.write_pages_v(1, [bytes(PAGE), bytes(PAGE)]),
+        ],
+        ids=["read_page", "view_pages", "write_page", "write_pages_v"],
+    )
+    def test_each_public_call_spends_one_budget_unit(self, call):
+        disk = FaultyDisk(num_pages=8, page_size=PAGE)
+        disk.arm(2, fail_after_reads=2)
+        call(disk)
+        call(disk)
+        with pytest.raises(DiskFault):
+            call(disk)
+        # The other path's budget is untouched.
+        assert disk.writes_seen + disk.reads_seen == 2
+
+    def test_load_restores_a_saved_image_as_a_faulty_disk(self, tmp_path):
+        plain = DiskVolume(num_pages=8, page_size=PAGE)
+        plain.write_page(3, b"s" * PAGE)
+        plain.save(tmp_path / "vol.img")
+        disk = FaultyDisk.load(tmp_path / "vol.img")
+        assert isinstance(disk, FaultyDisk)
+        assert (disk.num_pages, disk.page_size) == (8, PAGE)
+        assert disk.read_page(3) == b"s" * PAGE
+        disk.arm(fail_after_reads=0)
+        with pytest.raises(DiskFault):
+            disk.read_page(3)
 
 
 class TestCrashAtomicityUnderDiskFaults:
@@ -183,11 +215,8 @@ class TestCrashAtomicityUnderDiskFaults:
     @pytest.mark.parametrize("fail_after", [0, 1, 2, 3, 5, 8, 13, 21, 100])
     def test_every_crash_point_is_atomic(self, fail_after):
         config = EOSConfig(page_size=PAGE, threshold=2)
-        db = EOSDatabase.create(num_pages=2000, page_size=PAGE, config=config)
-        faulty = FaultyDisk(db.disk)
-        db.disk = faulty
-        db.pool.disk = faulty
-        db.segio.disk = faulty
+        faulty = FaultyDisk(num_pages=2000, page_size=PAGE)
+        db = EOSDatabase.create(num_pages=2000, page_size=PAGE, config=config, disk=faulty)
 
         payload = bytes(i % 251 for i in range(3000))
         obj = db.create_object(payload, size_hint=3000)
@@ -225,7 +254,7 @@ class _Rig:
     def __init__(self, kind, *, inserts, pool_capacity=128):
         self.kind = kind
         config = EOSConfig(page_size=PAGE, threshold=1, versioning=kind == "version")
-        self.disk = FaultyDisk(DiskVolume(num_pages=2000, page_size=PAGE))
+        self.disk = FaultyDisk(num_pages=2000, page_size=PAGE)
         self.db = EOSDatabase.create(
             2000, PAGE, config=config, pool_capacity=pool_capacity, disk=self.disk
         )

@@ -24,7 +24,6 @@ from repro.errors import (
 )
 from repro.server import EOSClient, ServerThread, protocol
 from repro.server.protocol import Status
-from repro.storage.disk import DiskVolume
 from repro.storage.faults import FaultyDisk
 from repro.tools.fsck import fsck
 
@@ -317,7 +316,7 @@ class TestDiskFaults:
         path = str(tmp_path / "faulty.db")
         base.save(path)
         base.close()
-        faulty = FaultyDisk(DiskVolume.load(path))
+        faulty = FaultyDisk.load(path)
         db = EOSDatabase.attach(faulty)
         db.obs.enable()
         return db, faulty, oid

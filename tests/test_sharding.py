@@ -2,6 +2,8 @@
 ObjectOps conformance contract across all three implementations."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import EOSDatabase
 from repro.core.config import EOSConfig
@@ -10,7 +12,6 @@ from repro.ops import ObjectOps, ObjectStat
 from repro.server import EOSClient, ServerThread, ShardSet, Status
 from repro.server.protocol import exception_from, status_for_exception
 from repro.server.sharding import Shard, make_oid, shard_of, split_oid
-from repro.storage.disk import DiskVolume
 from repro.storage.timing import TimedDisk
 
 PAGE = 512
@@ -255,29 +256,59 @@ class TestKeywordOnlySignatures:
 
 class TestTimedDisk:
     def test_charges_seek_and_transfer(self):
-        disk = TimedDisk(
-            DiskVolume(num_pages=64, page_size=PAGE),
-            seek_ms=1.0, transfer_ms_per_page=0.5,
-        )
-        disk.read_pages(0, 4)        # seek + 4 pages
-        disk.read_pages(4, 2)        # contiguous: transfer only
+        disk = TimedDisk(64, PAGE, seek_ms=1.0, transfer_ms_per_page=0.5)
+        disk.view_pages(0, 4)        # seek + 4 pages
+        disk.view_pages(4, 2)        # contiguous: transfer only
         disk.read_page(40)           # head moved: seek again
         assert disk.busy_ms == pytest.approx(1.0 + 2.0 + 1.0 + 0.5 + 1.0)
 
     def test_untimed_passthrough_and_geometry(self):
-        inner = DiskVolume(num_pages=64, page_size=PAGE)
-        disk = TimedDisk(inner, seek_ms=5.0, transfer_ms_per_page=1.0)
+        disk = TimedDisk(64, PAGE, seek_ms=5.0, transfer_ms_per_page=1.0)
         disk.poke(0, b"\x07" * PAGE)
         assert disk.peek(0)[:1] == b"\x07"
         assert disk.busy_ms == 0.0
         assert (disk.num_pages, disk.page_size) == (64, PAGE)
-        assert disk.stats is inner.stats
+        assert disk.stats.page_transfers == 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.sampled_from(["view_pages", "write_pages_v"]),
+                    st.integers(0, 15),
+                    st.integers(1, 4),
+                ),
+                st.tuples(st.sampled_from(["read_page", "write_page"]), st.integers(0, 15)),
+                st.just(("forget_head",)),
+            ),
+            max_size=25,
+        )
+    )
+    def test_charged_time_equals_counted_cost(self, script):
+        """One head model: whatever the call mix, and however often the
+        head is forgotten (``db.stats.delta(cold=True)``), the service
+        time charged is exactly the seeks and transfers IOStats counted."""
+        seek_ms, page_ms = 0.003, 0.001
+        disk = TimedDisk(16 + 4, PAGE, seek_ms=seek_ms, transfer_ms_per_page=page_ms)
+        for step in script:
+            if step[0] == "forget_head":
+                disk.stats.head = None
+            elif step[0] == "view_pages":
+                disk.view_pages(step[1], step[2])
+            elif step[0] == "write_pages_v":
+                disk.write_pages_v(step[1], [bytes(PAGE)] * step[2])
+            elif step[0] == "read_page":
+                disk.read_page(step[1])
+            else:
+                disk.write_page(step[1], bytes(PAGE))
+        stats = disk.stats
+        assert disk.busy_ms == pytest.approx(
+            stats.seeks * seek_ms + stats.page_transfers * page_ms
+        )
 
     def test_database_over_timed_disk(self):
-        disk = TimedDisk(
-            DiskVolume(num_pages=PAGES, page_size=PAGE),
-            seek_ms=0.1, transfer_ms_per_page=0.01,
-        )
+        disk = TimedDisk(PAGES, PAGE, seek_ms=0.1, transfer_ms_per_page=0.01)
         db = EOSDatabase.create(num_pages=PAGES, page_size=PAGE, disk=disk)
         try:
             oid = db.op_create(b"t" * 4096)
@@ -287,9 +318,8 @@ class TestTimedDisk:
             db.close()
 
     def test_rejects_negative_times(self):
-        inner = DiskVolume(num_pages=8, page_size=PAGE)
         with pytest.raises(ValueError):
-            TimedDisk(inner, seek_ms=-1.0)
+            TimedDisk(8, PAGE, seek_ms=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -28,8 +28,8 @@ class TestDiskVolume:
     def test_round_trip_multi_page(self):
         disk = DiskVolume(num_pages=10, page_size=128)
         data = bytes(i % 251 for i in range(3 * 128))
-        disk.write_pages(4, data)
-        assert disk.read_pages(4, 3) == data
+        disk.write_pages_v(4, [data])
+        assert bytes(disk.view_pages(4, 3)) == data
 
     def test_rejects_partial_page_write(self):
         disk = DiskVolume(num_pages=10, page_size=128)
@@ -41,9 +41,9 @@ class TestDiskVolume:
         with pytest.raises(PageOutOfRange):
             disk.read_page(10)
         with pytest.raises(PageOutOfRange):
-            disk.read_pages(8, 3)
+            disk.view_pages(8, 3)
         with pytest.raises(PageOutOfRange):
-            disk.read_pages(-1, 1)
+            disk.view_pages(-1, 1)
 
     def test_fresh_disk_is_zeroed(self):
         disk = DiskVolume(num_pages=2, page_size=64)
@@ -75,7 +75,7 @@ class TestSeekAccounting:
     def test_contiguous_multi_page_read_is_one_seek(self):
         """Section 4.2: reading 5 pages within one segment costs 1 seek."""
         disk = DiskVolume(num_pages=100, page_size=64)
-        disk.read_pages(10, 5)
+        disk.view_pages(10, 5)
         assert disk.stats.seeks == 1
         assert disk.stats.page_reads == 5
 
@@ -96,9 +96,9 @@ class TestSeekAccounting:
     def test_three_segment_read_costs_three_seeks(self):
         """The paper's example: 3 segments, 6 pages -> 3 seeks + 6 transfers."""
         disk = DiskVolume(num_pages=100, page_size=64)
-        disk.read_pages(10, 4)
-        disk.read_pages(40, 1)
-        disk.read_pages(70, 1)
+        disk.view_pages(10, 4)
+        disk.view_pages(40, 1)
+        disk.view_pages(70, 1)
         assert disk.stats.seeks == 3
         assert disk.stats.page_transfers == 6
 
@@ -106,7 +106,7 @@ class TestSeekAccounting:
         disk = DiskVolume(num_pages=100, page_size=64)
         disk.read_page(0)
         with disk.stats.delta() as d:
-            disk.read_pages(10, 3)
+            disk.view_pages(10, 3)
             disk.write_page(50, bytes(64))
         assert d.page_reads == 3
         assert d.page_writes == 1
@@ -122,7 +122,7 @@ class TestSeekAccounting:
 
     def test_write_after_read_same_spot_no_seek(self):
         disk = DiskVolume(num_pages=10, page_size=64)
-        disk.read_pages(2, 2)  # head left at page 4
+        disk.view_pages(2, 2)  # head left at page 4
         disk.write_page(4, bytes(64))
         assert disk.stats.seeks == 1
 
@@ -143,7 +143,7 @@ class TestGeometry:
 
     def test_cost_of_snapshot(self):
         disk = DiskVolume(num_pages=10, page_size=4096)
-        disk.read_pages(0, 2)
+        disk.view_pages(0, 2)
         cost = DISK_1992.cost_of(disk.stats.snapshot())
         assert cost == pytest.approx(16.0 + 2 * 1.33)
 

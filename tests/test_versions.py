@@ -18,7 +18,6 @@ from repro.core.node import Node
 from repro.errors import (
     InvariantViolation, LargeObjectError, ObjectNotFound, VersionNotFound,
 )
-from repro.storage.disk import DiskVolume
 from repro.storage.faults import DiskFault, FaultyDisk
 from repro.ops import ObjectOps, VersionInfo
 from repro.server import EOSClient, ServerThread, ShardSet
@@ -289,7 +288,7 @@ class TestFaultedUnitRebinds:
     }
 
     def make(self):
-        disk = FaultyDisk(DiskVolume(num_pages=PAGES, page_size=PAGE))
+        disk = FaultyDisk(num_pages=PAGES, page_size=PAGE)
         cfg = EOSConfig(page_size=PAGE, versioning=True, version_retain=3)
         db = EOSDatabase.create(PAGES, PAGE, config=cfg, disk=disk)
         oid = db.op_create(self.CONTENT)
@@ -673,7 +672,7 @@ class TestSnapshotNodeCache:
         run_op = TestFaultedUnitRebinds.OPS[op]
         failed_units = 0
         for k in range(256):
-            disk = FaultyDisk(DiskVolume(num_pages=PAGES, page_size=SMALL_PAGE))
+            disk = FaultyDisk(num_pages=PAGES, page_size=SMALL_PAGE)
             db = make_small_page_db(retain=1, disk=disk)
             oid = db.op_create(b"")
             fragment(db, oid, bytearray(), 12)
