@@ -31,7 +31,7 @@ CAPACITY = N_SPACES * SPACE_CAPACITY
 def fresh_buddy():
     disk = DiskVolume(num_pages=1 + N_SPACES * (1 + SPACE_CAPACITY), page_size=PAGE)
     volume = Volume.format(disk, n_spaces=N_SPACES, space_capacity=SPACE_CAPACITY)
-    manager = BuddyManager.format(volume, write_through=False)
+    manager = BuddyManager.format(volume)
     # Fill the first half of the volume.
     for _ in range(N_SPACES):
         if manager.free_pages() <= CAPACITY // 2:
@@ -61,8 +61,7 @@ def test_e1_allocation_touches_one_page(benchmark):
         manager.pool.clear()
         disk.stats.reset()
         with disk.stats.delta() as d:
-            manager.allocate(size)
-            manager.pool.flush_all()
+            manager.allocate(size)  # written through: the one write
         bdisk, bitmap = fresh_bitmap()
         bitmap.map_page_touches = 0
         bitmap.allocate(size)

@@ -213,6 +213,7 @@ class EOSDatabase:
             # clear() dies on the bare pin count with no clue attached.
             self.pool.pin_sanitizer.assert_no_leaks()
         self.pool.clear()
+        self.buddy.write_dirty()
         self.obs.close()
         self._closed = True
 
@@ -687,9 +688,15 @@ class EOSDatabase:
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Flush every dirty buffered page to the disk image."""
+        """Flush every dirty buffered page to the disk image.
+
+        Index pages go first, then the directory pages whose frees are
+        still only in the allocator's frames: a page is marked free on
+        disk only after no page on disk references it.
+        """
         self._ensure_open("checkpoint")
         self.pool.flush_all()
+        self.buddy.write_dirty()
 
     def free_pages(self) -> int:
         """Free pages across all buddy spaces."""

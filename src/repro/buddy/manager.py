@@ -20,13 +20,31 @@ In the same main-memory spirit the manager keeps each space's directory
 *decoded* across calls (and with it the space's scan-start hints), so an
 allocation costs in proportion to the map bytes it looks at rather than
 to the size of the page.  The buffer-pool frame stays the truth: every
-call still pins it, every mutation is serialised into it and written
-through, and whenever a mutation fails the decoded copy is thrown away
-and rebuilt from the frame.
+call still pins it, every mutation is serialised into it, and whenever
+a mutation fails the decoded copy is thrown away and rebuilt from the
+frame.
+
+When the frame reaches the disk follows one invariant: **the on-disk
+directory marks allocated every page that anything on disk can
+reference.**  Section 4.5 logs allocation changes and forces them at
+commit rather than on every call, and so does this manager:
+
+* an allocation outside a copy-on-write unit is written through at
+  once — an in-place index write may reference the page right after;
+* an allocation inside a unit (:meth:`deferring`) only dirties the
+  frame, and the unit forces each dirtied directory page once
+  (:meth:`write_dirty`) before its switch point, since nothing can
+  reference a unit's pages before then;
+* a free never forces a write: the dirty frame rides the next directory
+  write or the database's checkpoint.  A crash in between leaks the
+  freed pages — which fsck reports — and never leaves a page claimed
+  twice.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -81,13 +99,11 @@ class BuddyManager:
         pool: BufferPool | None = None,
         *,
         use_superdirectory: bool = True,
-        write_through: bool = True,
         obs: Observability | None = None,
     ) -> None:
         self.volume = volume
         self.pool = pool or BufferPool(volume.disk, capacity=volume.n_spaces + 8)
         self.use_superdirectory = use_superdirectory
-        self.write_through = write_through
         self.obs = obs if obs is not None else NULL_OBS
         self.stats = AllocatorStats()
         self.page_size = volume.disk.page_size
@@ -102,6 +118,8 @@ class BuddyManager:
         # until first use and again after any failed mutation).  Trusted
         # only as a mirror of the directory page's buffer-pool frame.
         self._decoded: list[BuddySpace | None] = [None] * volume.n_spaces
+        # Inside a copy-on-write unit allocations only dirty the frame.
+        self._deferring = False
         # The superdirectory is latched, not transaction-locked, "otherwise
         # it would quickly become a hot spot".
         self.superdirectory_latch = Latch("superdirectory")
@@ -167,7 +185,7 @@ class BuddyManager:
         decoded: its copy is dropped and rebuilt from the page on next use.
         """
         self._decoded[index] = None
-        self._write_directory(index, space)
+        self._write_directory(index, space, force=True)
 
     def decoded_space(self, index: int) -> BuddySpace | None:
         """The decoded directory currently held for a space, if any.
@@ -199,24 +217,51 @@ class BuddyManager:
                 )
         return space
 
-    def _write_directory(self, index: int, space: BuddySpace) -> None:
-        """Serialise ``space`` into its pinned frame and write it through.
+    def _write_directory(
+        self, index: int, space: BuddySpace, *, force: bool
+    ) -> None:
+        """Serialise ``space`` into its pinned frame; write it through if
+        ``force``, else leave the frame dirty for the next write.
 
-        If the flush fails the frame gets its previous image back, so the
-        pool never shows a directory the disk write did not follow.
+        If a forced flush fails the frame gets its previous image back, so
+        the pool never shows an allocation the disk write did not follow.
         (Packing validates before it writes, so it cannot tear the frame.)
         """
         page = self.volume.spaces[index].directory_page
         with self.pool.page(page, dirty=True) as image:
-            before = bytes(image)
+            before = bytes(image) if force else b""
             space.to_page(into=image)
-        if self.write_through:
+        if force:
             try:
                 self.pool.flush_page(page)
             except BaseException:
                 with self.pool.page(page) as image:
                     image[:] = before
                 raise
+
+    @contextmanager
+    def deferring(self) -> Iterator[None]:
+        """Inside the block an allocation only dirties its frame.
+
+        For a copy-on-write unit, whose pages nothing can reference
+        before its switch point: the unit calls :meth:`write_dirty`
+        there.
+        """
+        self._deferring = True
+        try:
+            yield
+        finally:
+            self._deferring = False
+
+    def write_dirty(self) -> None:
+        """Write every directory page whose frame is ahead of the disk,
+        once each (a unit's switch point, and the database checkpoint).
+
+        A failed write leaves the frame as it is: the unit that forced it
+        aborts, and its frees bring the frame back to the pre-unit state.
+        """
+        for extent in self.volume.spaces:
+            self.pool.flush_page(extent.directory_page)
 
     def _account_scans(self, ran: ScanStats) -> None:
         """Fold the jump scans one space operation ran into the stats."""
@@ -324,7 +369,7 @@ class BuddyManager:
                     continue
                 if self.check_invariants:
                     self._check_after("allocate", index, space)
-                self._write_directory(index, space)
+                self._write_directory(index, space, force=not self._deferring)
             except BaseException:
                 # The frame still holds the last good directory; the
                 # half-applied decoded copy (and its hints) must go.
@@ -360,7 +405,7 @@ class BuddyManager:
                 space.free(local, n_pages)
                 if self.check_invariants:
                     self._check_after("free", extent.index, space)
-                self._write_directory(extent.index, space)
+                self._write_directory(extent.index, space, force=False)
             except BaseException:
                 self._decoded[extent.index] = None
                 raise

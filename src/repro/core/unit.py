@@ -18,6 +18,12 @@ means is the only thing the two users disagree on:
 :class:`UnitPager` (index pages) and :class:`UnitAllocator` (leaf
 pages) hold everything else once, and :func:`run_unit` is the only
 begin / commit-or-abort / rebind sequence in the program.
+
+The allocator's directory follows the unit too.  Nothing can reference
+a unit's pages before its switch point, so its allocations only dirty
+their directory frames (:meth:`~repro.buddy.manager.BuddyManager.deferring`)
+and each policy forces every dirty directory page once, just before it
+switches.  A failed forced write aborts the unit like any other failure.
 """
 
 from __future__ import annotations
@@ -48,7 +54,9 @@ class UnitPager(NodePager):
 
     Subclasses supply ``kind`` (the metric/span prefix) and
     ``commit_unit(lsn)`` — what becomes of the pending root and of the
-    superseded pages.
+    superseded pages — which writes the unit's allocations to the
+    directory (``base.buddy.write_dirty()``) right before its switch
+    point; a failure there aborts the unit.
     """
 
     kind = "unit"
@@ -240,19 +248,23 @@ def run_unit(
     ``obj`` is bound to the unit's pager and allocator for the duration
     and bound back whatever happens.  The commit is inside the guarded
     region: any failure up to the pager's switch point — in ``fn`` or in
-    ``commit_unit`` itself — aborts both halves and leaves the old tree
-    untouched.  Once the pager has left the unit (it switched and then
-    died freeing what the new tree superseded, or ``fn`` crashed it on
-    purpose) the unit's pages are not ours to free: they leak, as after
-    a crash.  Returns ``(fn's result, the pager's commit result)``.
+    ``commit_unit`` itself, its forced directory write included — aborts
+    both halves and leaves the old tree untouched.  Both run inside the
+    allocator's ``deferring()`` block, so no allocation of the unit is
+    written before that forced write.  Once the pager has left the unit
+    (it switched and then died freeing what the new tree superseded, or
+    ``fn`` crashed it on purpose) the unit's pages are not ours to free:
+    they leak, as after a crash.  Returns ``(fn's result, the pager's
+    commit result)``.
     """
     pager.begin_unit()
     tree = obj.tree
     saved = tree.pager, obj.buddy
     tree.pager, obj.buddy = pager, allocator
     try:
-        result = fn(obj)
-        committed = pager.commit_unit(lsn)
+        with pager.base.buddy.deferring():
+            result = fn(obj)
+            committed = pager.commit_unit(lsn)
         allocator.commit_unit()
         return result, committed
     except BaseException:

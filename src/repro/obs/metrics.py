@@ -188,14 +188,18 @@ class MetricsRegistry:
         self._lock = threading.Lock()
 
     def _get_or_create(self, name: str, cls, *args):
-        with self._lock:
-            instrument = self._instruments.get(name)
-            if instrument is None:
-                instrument = cls(name, *args)
-                self._instruments[name] = instrument
-            elif not isinstance(instrument, cls):
-                raise ValueError(f"metric {name!r} already exists with another type")
-            return instrument
+        # A hit takes no lock: instruments are never removed, and a dict
+        # lookup is atomic under the GIL.
+        instrument = self._instruments.get(name)
+        if instrument is None:
+            with self._lock:
+                instrument = self._instruments.get(name)
+                if instrument is None:
+                    instrument = cls(name, *args)
+                    self._instruments[name] = instrument
+        if not isinstance(instrument, cls):
+            raise ValueError(f"metric {name!r} already exists with another type")
+        return instrument
 
     def counter(self, name: str) -> Counter:
         """The counter called ``name``, created on first use."""

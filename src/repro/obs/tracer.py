@@ -159,6 +159,8 @@ class Tracer:
         self.geometry = geometry
         self.page_size = page_size
         self._stack: list[Span] = []
+        # Span name -> its (counter, cost_ms, seeks) instruments.
+        self._instruments: dict[str, tuple] = {}
         self._next_span = first_span_id
         self._next_trace = first_trace_id
         # Span/trace ids are handed out to the serving layer from both the
@@ -234,11 +236,25 @@ class Tracer:
         while self._stack:
             self._pop(self._stack[-1])
 
+    def _span_instruments(self, name: str) -> tuple:
+        """The counter and the cost/seek histograms of one span name,
+        looked up in the registry on the name's first span only."""
+        bound = self._instruments.get(name)
+        if bound is None:
+            metrics = self.metrics
+            bound = (
+                metrics.counter(f"span.{name}"),
+                metrics.histogram(f"span.{name}.cost_ms"),
+                metrics.histogram(f"span.{name}.seeks"),
+            )
+            self._instruments[name] = bound
+        return bound
+
     def _emit(self, span: Span) -> None:
-        metrics = self.metrics
-        metrics.counter(f"span.{span.name}").inc()
-        metrics.histogram(f"span.{span.name}.cost_ms").observe(span.cost_ms)
-        metrics.histogram(f"span.{span.name}.seeks").observe(span.io[0])
+        count, cost_ms, seeks = self._span_instruments(span.name)
+        count.inc()
+        cost_ms.observe(span.cost_ms)
+        seeks.observe(span.io[0])
         if not self.sinks:
             return
         record = {

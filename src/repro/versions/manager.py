@@ -326,7 +326,9 @@ class VersionManager:
         The snapshot cache's exit rule: every page leaves the cache
         before the first run goes back to the allocator, which could
         hand it to another tree.  A free that dies part-way leaks the
-        rest, as after a crash, but leaves no entry behind.
+        rest, as after a crash, but leaves no entry behind.  The frees
+        write no directory page: the next unit's forced write, or a
+        checkpoint, carries them to the disk.
         """
         for pages in page_sets:
             self.snap_pager.forget(pages)

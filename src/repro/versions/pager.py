@@ -3,13 +3,15 @@
 * :class:`VersionPager` — the copy-on-write unit of
   :mod:`repro.core.unit` with the versioning commit policy: the commit
   does **not** overwrite the old root in place.  It allocates a
-  brand-new page for the edited root, flushes every index page the
-  unit wrote, and returns the new root's page id; the old tree — root
-  included — stays byte-identical on disk.  Superseded pages are
-  *left allocated*, because older versions still reach them (the
-  reclaimer frees them when their last version expires).  The
-  data-page half is a plain :class:`~repro.core.unit.UnitAllocator`,
-  whose deferred frees are dropped for the same reason.
+  brand-new page for the edited root, forces the unit's allocations to
+  the on-disk directory (one write per dirty directory page), flushes
+  every index page the unit wrote, and returns the new root's page id;
+  the old tree — root included — stays byte-identical on disk.
+  Superseded pages are *left allocated*, because older versions still
+  reach them (the reclaimer frees them when their last version
+  expires).  The data-page half is a plain
+  :class:`~repro.core.unit.UnitAllocator`, whose deferred frees are
+  dropped for the same reason.
 * :class:`DiskNodePager` — the read-only pager of snapshot readers and
   the reclaimer: an exact cache of decoded index nodes keyed by page,
   filled from the disk volume on a miss.  Readers use it from arbitrary
@@ -44,8 +46,9 @@ class VersionPager(UnitPager):
 
         Returns the new root's page id, or None when the operation was
         a no-op (nothing was written — e.g. an empty append), in which
-        case no new version exists.  Every index page the unit wrote,
-        the new root included, is flushed through the buffer pool so
+        case no new version exists.  The unit's allocations, the new
+        root's included, reach the on-disk directory first.  Then every
+        index page the unit wrote is flushed through the buffer pool so
         lock-free snapshot readers, which never use the pool, see the
         full tree; the set is left in :attr:`published`.
         """
@@ -69,6 +72,7 @@ class VersionPager(UnitPager):
             # Unit-local before it is written, so an abort frees it.
             self.local.add(new_root)
             self.base.write_new(new_root, node)
+            self.base.buddy.write_dirty()  # the unit's allocations
             # Disk-direct snapshot readers bypass the pool: make every
             # page of the new version durable before it is published.
             for page in self.local:

@@ -149,7 +149,7 @@ class TestSuperdirectory:
 class TestDirectoryIO:
     def test_hot_directory_costs_no_physical_io(self):
         """Paper 3.3: repeated allocations touch only the cached directory."""
-        manager = make_manager(n_spaces=1, capacity=16, write_through=False)
+        manager = make_manager(n_spaces=1, capacity=16)
         manager.allocate(1)
         reads_before = manager.volume.disk.stats.page_reads
         manager.allocate(1)
@@ -158,7 +158,7 @@ class TestDirectoryIO:
 
     def test_cold_allocation_is_one_page_read(self):
         """E1's headline: 1 disk access per allocation, any segment size."""
-        manager = make_manager(n_spaces=1, capacity=16, write_through=False)
+        manager = make_manager(n_spaces=1, capacity=16)
         manager.pool.clear()
         with manager.volume.disk.stats.delta() as d:
             manager.allocate(16)
@@ -262,7 +262,9 @@ class TestGoldenLayout:
         assert len(granted) == 906 and granted.count("oos") == 197
         assert hashlib.sha256(repr(granted).encode()).hexdigest() == self.GRANTED_SHA
         assert delta == (906, 1094, 1803, 775, 0, 3606, 0)
-        assert (io.seeks, io.page_reads, io.page_writes) == (1803, 0, 1803)
+        # One write per granted allocation; frees ride the next one (1 803
+        # when every free was written through as well).
+        assert (io.seeks, io.page_reads, io.page_writes) == (709, 0, 709)
         assert [
             hashlib.sha256(image).hexdigest() for image in directory_images(db.buddy)
         ] == self.DIRECTORY_SHA
@@ -316,10 +318,8 @@ class TestDecodedDirectoryCache:
         assert manager.decoded_space(0) is None
         assert manager.allocate(4).first_page == 2 + 20  # sees the stored state
 
-    @pytest.mark.parametrize("write_through", [True, False])
-    def test_double_free_leaves_the_pre_operation_directory(self, write_through):
+    def test_double_free_leaves_the_pre_operation_directory(self):
         db = EOSDatabase.create(1 + 2 * 65, page_size=256, space_capacity=64)
-        db.buddy.write_through = write_through
         ref = db.buddy.allocate(11)
         db.buddy.allocate(5)
         db.buddy.free(ref.first_page + 4, 3)
@@ -337,11 +337,14 @@ class TestDecodedDirectoryCache:
         assert db.buddy.decoded_space(0).scan_hints[2] == ref.first_page - 2
         db.close()
 
-    @pytest.mark.parametrize("write_through", [True, False])
-    def test_out_of_range_free_touches_nothing(self, write_through):
+    @pytest.mark.parametrize("pending_free", [True, False])
+    def test_out_of_range_free_touches_nothing(self, pending_free):
+        """Rejected frees leave the frame as it was, including a free that
+        is still waiting in it for the next allocation's write."""
         db = EOSDatabase.create(1 + 2 * 65, page_size=256, space_capacity=64)
-        db.buddy.write_through = write_through
         ref = db.buddy.allocate(8)
+        if pending_free:
+            db.buddy.free_segment(db.buddy.allocate(4))   # frame ahead of disk
         decoded = db.buddy.decoded_space(0)
         before = directory_images(db.buddy)
         last = db.volume.spaces[0].first_data_page + 63
@@ -351,26 +354,28 @@ class TestDecodedDirectoryCache:
             db.buddy.free(ref.first_page + 8, 56)
         assert directory_images(db.buddy) == before
         assert db.buddy.decoded_space(0) is not decoded
+        assert db.free_pages() == 128 - 8
         db.buddy.verify()
         assert fsck(db, expect_no_leaks=False).clean
         db.close()
 
     @pytest.mark.parametrize("operation", ["allocate", "free"])
     def test_directory_flush_fault_rolls_the_frame_back(self, operation):
+        """A failed write-through takes its allocation back out of the
+        frame; a free made before it stays there, still waiting."""
         disk = FaultyDisk(num_pages=1 + 2 * 65, page_size=256)
         db = EOSDatabase.create(
             1 + 2 * 65, page_size=256, space_capacity=64, disk=disk
         )
         ref = db.buddy.allocate(11)
-        before = directory_images(db.buddy)
         directory_page = db.volume.spaces[0].directory_page
         on_disk = disk.peek(directory_page)
         disk.arm(fail_after_writes=0)
+        if operation == "free":
+            db.buddy.free_segment(ref)                # no write, no fault
+        before = directory_images(db.buddy)
         with pytest.raises(DiskFault):
-            if operation == "allocate":
-                db.buddy.allocate(5)
-            else:
-                db.buddy.free_segment(ref)
+            db.buddy.allocate(5)
         disk.heal()
         assert db.buddy.decoded_space(0) is None
         assert directory_images(db.buddy) == before
@@ -378,26 +383,35 @@ class TestDecodedDirectoryCache:
         db.buddy.verify()
         assert check_manager(db.buddy) == []          # no guess ran ahead
         assert fsck(db, expect_no_leaks=False).clean
-        # Either way the run of 11 is still allocated and the 5 is not:
-        # the retry gets the 8-page half the failed attempt had picked.
-        assert db.buddy.allocate(5).first_page == ref.first_page + 16
+        # The retry gets what the failed attempt had picked: the 8-page
+        # half beside the run of 11, or the start of the freed run ...
+        retry = db.buddy.allocate(5)
+        offset = 16 if operation == "allocate" else 0
+        assert retry.first_page == ref.first_page + offset
+        # ... and its write carries everything the frame holds.
+        assert disk.peek(directory_page) == directory_images(db.buddy)[0]
         db.close()
 
-    def test_without_write_through_a_dead_disk_is_not_noticed(self):
+    def test_a_free_touches_no_disk_until_the_next_write(self):
         disk = FaultyDisk(num_pages=1 + 2 * 65, page_size=256)
         db = EOSDatabase.create(
             1 + 2 * 65, page_size=256, space_capacity=64, disk=disk
         )
-        db.buddy.write_through = False
-        db.buddy.allocate(11)
+        ref = db.buddy.allocate(11)
+        directory_page = db.volume.spaces[0].directory_page
+        on_disk = disk.peek(directory_page)
         disk.arm(fail_after_writes=0)
-        db.buddy.allocate(5)                          # no flush, no fault
-        with pytest.raises(DiskFault):
-            db.buddy.pool.flush_all()
+        db.buddy.free(ref.first_page + 8, 3)          # no write, no fault
+        db.buddy.free(ref.first_page, 8)
         disk.heal()
+        assert disk.peek(directory_page) == on_disk
         # The frame is ahead of the disk, and the decoded copy mirrors it.
         assert check_manager(db.buddy) == []
-        db.buddy.pool.flush_all()
+        assert db.free_pages() == 128
+        with disk.stats.delta() as d:
+            db.buddy.allocate(2)
+        assert d.page_writes == 1                     # both frees ride along
+        assert disk.peek(directory_page) == directory_images(db.buddy)[0]
         assert fsck(db, expect_no_leaks=False).clean
         db.close()
 

@@ -1,0 +1,353 @@
+"""When the allocator's directory reaches the disk.
+
+One write policy, one invariant: the on-disk directory marks allocated
+every page that anything on disk can reference.  An allocation outside a
+copy-on-write unit is written through; a unit's allocations only dirty
+their frames and are forced once, just before its switch point; a free
+never forces a write and rides the next directory write or checkpoint.
+A crash can then leak pages, never leave one claimed twice.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.api import EOSDatabase
+from repro.buddy.space import BuddySpace
+from repro.core.config import EOSConfig
+from repro.core.node import Node
+from repro.recovery import RecoveryManager
+from repro.storage.faults import DiskFault, FaultyDisk
+from repro.tools.fsck import fsck
+
+#: Eight entries per index node, so a few edits give index pages below
+#: the root; three buddy spaces of 416 pages.
+PAGE = 128
+PAGES = 1 + 3 * (1 + 416)
+
+
+def make_db(kind, *, disk=None):
+    versioned = kind == "versioned"
+    config = EOSConfig(
+        page_size=PAGE, threshold=2, versioning=versioned, version_retain=2
+    )
+    return EOSDatabase.create(
+        PAGES, PAGE, config=config, pool_capacity=8, disk=disk
+    )
+
+
+def disk_directories(db) -> list[bytes]:
+    """Every directory page as the disk holds it (unaccounted)."""
+    return [db.disk.peek(extent.directory_page) for extent in db.volume.spaces]
+
+
+def frame_directories(db) -> list[bytes]:
+    """Every directory page as the allocator's frames hold it."""
+    return [
+        bytes(db.buddy.load_space(i).to_page()) for i in range(db.volume.n_spaces)
+    ]
+
+
+def free_on_disk(db) -> set[int]:
+    """The pages the on-disk directories mark free."""
+    free = set()
+    for extent, image in zip(db.volume.spaces, disk_directories(db)):
+        for seg in BuddySpace.from_page(PAGE, image).amap.decode():
+            if not seg.allocated:
+                start = extent.to_physical(seg.start)
+                free.update(range(start, start + seg.size))
+    return free
+
+
+def node_at(db, page) -> Node:
+    """The index node on ``page`` as the database sees it — its pool
+    frame when resident, else the disk — with no access accounted."""
+    node = db.pool.resident_decoded(page, Node.from_page)
+    return node if node is not None else Node.from_page(db.disk.peek(page))
+
+
+def referenced_pages(db) -> set[int]:
+    """Every index and leaf page reachable from a live root: each
+    catalogued object's, and each retained version's."""
+    if db.versions is not None:
+        chains = db.versions.snapshot_chains().values()
+        roots = [record.root_page for chain in chains for record in chain]
+    else:
+        roots = [obj.root_page for obj in db.objects()]
+    pages, index, stack = set(), set(), roots
+    while stack:
+        page = stack.pop()
+        if page in index:
+            continue
+        index.add(page)
+        node = node_at(db, page)
+        for child, n_pages in zip(node.child, node.pages):
+            if node.level == 0:
+                pages.update(range(child, child + n_pages))
+            else:
+                stack.append(child)
+    return pages | index
+
+
+def assert_directory_covers(db) -> None:
+    claimed_free = referenced_pages(db) & free_on_disk(db)
+    assert not claimed_free, (
+        f"pages {sorted(claimed_free)[:8]} are referenced but free on disk"
+    )
+
+
+class WriteBoundaryCheck:
+    """A ``disk.stats.observer``: at every write, the disk as the writes
+    before it left it must cover every referenced page."""
+
+    def __init__(self, db) -> None:
+        self.db = db
+
+    def on_transfer(self, first_page, n_pages, *, is_write, seeked):
+        if is_write:
+            assert_directory_covers(self.db)
+
+
+class Mutator:
+    """The five mutations on one kind of database, plus a byte mirror."""
+
+    def __init__(self, kind: str) -> None:
+        self.db = make_db(kind)
+        self.manager = RecoveryManager(self.db) if kind == "shadow" else None
+        self.objects: list[tuple[int, bytearray]] = []
+        for i in range(2):
+            self.create(bytes([i + 1]) * (300 + 700 * i))
+
+    def create(self, data: bytes) -> None:
+        oid = self.db.op_create(data)
+        self.objects.append((oid, bytearray(data)))
+
+    def run(self, op: str, which: int, position: int, n: int, abort: bool) -> None:
+        oid, mirror = self.objects[which % len(self.objects)]
+        size = len(mirror)
+        at = position % (size + 1)
+        data = bytes([(position + n) % 251 + 1]) * n
+        if op == "destroy":
+            self.db.delete_object(oid)
+            self.objects.remove((oid, mirror))
+            self.create(data)
+            return
+        if op in ("delete", "write") and at == size:
+            op = "append"
+        if self.manager is None:
+            self._plain_or_versioned(op, oid, at, data)
+        else:
+            txn = self.manager.begin()
+            self._shadowed(txn.open(self.db.get_object(oid)), op, at, data)
+            if abort:
+                txn.abort()
+                return
+            txn.commit()
+        if op == "append":
+            mirror += data
+        elif op == "insert":
+            mirror[at:at] = data
+        elif op == "delete":
+            del mirror[at:at + n]
+        else:
+            mirror[at:at + n] = data[: size - at]
+
+    def _plain_or_versioned(self, op, oid, at, data):
+        db = self.db
+        if op == "append":
+            db.op_append(oid, data)
+        elif op == "insert":
+            db.op_insert(oid, data, offset=at)
+        elif op == "delete":
+            db.op_delete(oid, offset=at, length=min(len(data), db.op_size(oid) - at))
+        else:
+            db.op_write(oid, data[: db.op_size(oid) - at], offset=at)
+
+    @staticmethod
+    def _shadowed(tobj, op, at, data):
+        if op == "append":
+            tobj.append(data)
+        elif op == "insert":
+            tobj.insert(at, data)
+        elif op == "delete":
+            tobj.delete(at, min(len(data), tobj.size() - at))
+        else:
+            tobj.replace(at, data[: tobj.size() - at])
+
+    def check_contents(self) -> None:
+        for oid, mirror in self.objects:
+            assert self.db.op_read(oid, offset=0, length=len(mirror)) == mirror
+
+
+OP = st.tuples(
+    st.sampled_from(["append", "insert", "delete", "write", "destroy"]),
+    st.integers(0, 1),
+    st.integers(0, 1 << 20),
+    st.integers(1, 900),
+    st.booleans(),
+)
+
+
+class TestWriteBoundaryInvariant:
+    @pytest.mark.parametrize("kind", ["plain", "versioned", "shadow"])
+    @settings(
+        max_examples=25, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(ops=st.lists(OP, min_size=1, max_size=25))
+    def test_every_referenced_page_is_allocated_on_disk(self, kind, ops):
+        with mock.patch.dict("os.environ", {"EOS_SANITIZE": "all"}):
+            mutator = Mutator(kind)
+            db = mutator.db
+            if kind != "plain":
+                # An in-place op rewrites its index pages one at a time and
+                # is not crash-atomic (a delete frees its boundary pages
+                # before the leaf nodes stop naming them), so the plain
+                # path is judged between ops only.
+                db.disk.stats.observer = WriteBoundaryCheck(db)
+            for op in ops:
+                mutator.run(*op)
+                assert_directory_covers(db)
+            db.disk.stats.observer = None
+            mutator.check_contents()
+            report = fsck(db)
+            assert report.clean, report.summary()
+            db.checkpoint()
+            assert disk_directories(db) == frame_directories(db)
+            db.close()
+
+
+def run_unit_op(kind, db, manager, oid, op):
+    """One unit-running mutation of ``oid`` on a versioned or shadow db."""
+    data = b"q" * 500
+    if kind == "versioned":
+        {
+            "append": lambda: db.op_append(oid, data),
+            "insert": lambda: db.op_insert(oid, data, offset=100),
+            "delete": lambda: db.op_delete(oid, offset=100, length=700),
+            "write": lambda: db.op_write(oid, data, offset=100),
+        }[op]()
+        return
+    txn = manager.begin()
+    tobj = txn.open(db.get_object(oid))
+    try:
+        {
+            "append": lambda: tobj.append(data),
+            "insert": lambda: tobj.insert(100, data),
+            "delete": lambda: tobj.delete(100, 700),
+        }[op]()
+    except BaseException:
+        txn.abort()
+        raise
+    txn.commit()
+
+
+class TestFailedForcedWrite:
+    """The unit's one forced directory write dies: the unit aborts as a
+    failed allocation would abort it, and the next unit heals the disk."""
+
+    CASES = [
+        ("versioned", "append"), ("versioned", "insert"),
+        ("versioned", "delete"), ("versioned", "write"),
+        ("shadow", "append"), ("shadow", "insert"), ("shadow", "delete"),
+    ]
+
+    @pytest.mark.parametrize("kind,op", CASES)
+    def test_the_unit_aborts_and_the_next_unit_heals_the_disk(
+        self, kind, op, monkeypatch
+    ):
+        disk = FaultyDisk(num_pages=PAGES, page_size=PAGE)
+        db = make_db(kind, disk=disk)
+        manager = RecoveryManager(db) if kind == "shadow" else None
+        oid = db.op_create(bytes(range(1, 201)) * 12)
+        for step in ("insert", "append", "delete", "insert"):
+            run_unit_op(kind, db, manager, oid, step)
+        # Frees of the last commit are still only in the frames.
+        assert disk_directories(db) != frame_directories(db)
+        frames, on_disk = frame_directories(db), disk_directories(db)
+        versions, content = db.op_versions(oid), db.get_object(oid).read_all()
+        root_lsn = db.get_object(oid).tree.read_root().lsn
+
+        real = db.buddy.write_dirty
+        forced_images = []
+
+        def dying() -> None:
+            disk.arm(fail_after_writes=0)
+            real()
+
+        def spying() -> None:
+            real()
+            forced_images.append((disk_directories(db), frame_directories(db)))
+
+        monkeypatch.setattr(db.buddy, "write_dirty", dying)
+        with pytest.raises(DiskFault):
+            run_unit_op(kind, db, manager, oid, op)
+        disk.heal()
+        assert db.op_versions(oid) == versions          # nothing published
+        assert db.get_object(oid).read_all() == content
+        assert db.get_object(oid).tree.read_root().lsn == root_lsn
+        assert frame_directories(db) == frames          # the pre-unit directory
+        assert disk_directories(db) == on_disk          # the write never landed
+        if manager is not None:
+            assert not manager.shadow.in_unit
+        report = fsck(db)
+        assert report.clean, report.summary()
+
+        monkeypatch.setattr(db.buddy, "write_dirty", spying)
+        run_unit_op(kind, db, manager, oid, "append")
+        (after_disk, after_frames), = forced_images
+        assert after_disk == after_frames               # healed by one write
+        report = fsck(db)
+        assert report.clean, report.summary()
+
+
+class TestDeferredFreesAreDurable:
+    """Frees wait in the allocator's own pool: ``save`` and ``close``
+    must write them, or the reopened volume leaks what they freed."""
+
+    def churned_db(self):
+        # Pages big enough for the page-0 catalog of two version chains.
+        config = EOSConfig(page_size=512, versioning=True, version_retain=2)
+        db = EOSDatabase.create(4096, 512, config=config)
+        oids = [db.op_create(bytes([i + 1]) * 2000) for i in range(2)]
+        for i in range(6):
+            for oid in oids:
+                db.op_insert(oid, bytes([i + 7]) * 300, offset=150 * i)
+                db.op_delete(oid, offset=40 * i, length=200)
+        assert len(db.op_versions(oids[0])) == db.versions.retain
+        return db, oids
+
+    def assert_reopened_like(self, reopened, free_pages, contents):
+        report = fsck(reopened, expect_no_leaks=True)
+        assert report.clean, report.summary()
+        assert reopened.free_pages() == free_pages
+        for oid, content in contents.items():
+            assert reopened.op_read(oid, offset=0, length=len(content)) == content
+
+    def test_save_then_open_file(self, tmp_path):
+        db, oids = self.churned_db()
+        contents = {oid: db.get_object(oid).read_all() for oid in oids}
+        assert disk_directories(db) != frame_directories(db)
+        free_pages = db.free_pages()
+        path = tmp_path / "volume.db"
+        db.save(path)
+        db.close()
+        self.assert_reopened_like(EOSDatabase.open_file(path), free_pages, contents)
+
+    def test_close_then_attach(self, tmp_path):
+        db, oids = self.churned_db()
+        contents = {oid: db.get_object(oid).read_all() for oid in oids}
+        db.save(tmp_path / "volume.db")  # the catalog names these objects
+        # An object the catalog never saw: created, churned and dropped,
+        # so the last thing its pages saw was a free.
+        extra = db.op_create(b"e" * 3000)
+        for i in range(4):
+            db.op_insert(extra, b"f" * 200, offset=100 * i)
+        db.delete_object(extra)
+        assert disk_directories(db) != frame_directories(db)
+        free_pages = db.free_pages()
+        disk = db.disk
+        db.close()
+        self.assert_reopened_like(EOSDatabase.attach(disk), free_pages, contents)

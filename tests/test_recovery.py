@@ -249,7 +249,9 @@ class TestFailedUnitClosesTheShadowPager:
             assert report.errors == [], report.summary()
         else:
             pytest.fail("the op never completed")
-        assert faults >= 3
+        # The leaf write and the unit's one forced directory write (the
+        # root switch itself stays in the pool).
+        assert faults >= 2
 
 
 class TestTransactionLocks:
