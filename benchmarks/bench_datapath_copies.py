@@ -10,7 +10,7 @@ code to be as zero-copy as it claims:
   :meth:`LargeObject.read`; the one copy is the final
   ``b"".join`` of borrowed page views (``search.assemble``).
 * ``server_e2e`` — the same scan through a live TCP server with
-  :meth:`EOSClient.read_into`; the one copy is the server-side
+  :meth:`EOSClient.op_read_into`; the one copy is the server-side
   assembly, the response rides the wire as borrowed iovec frames and
   lands in the client's buffer via ``recv_into``.
 
@@ -63,14 +63,14 @@ def _scan_server(port, oid):
     dest = bytearray(CHUNK)
     best = 0.0
     with EOSClient(port=port, timeout=120.0) as c:
-        c.read_into(oid, 0, CHUNK, dest)  # warm the connection
+        c.op_read_into(oid, dest, offset=0, length=CHUNK)  # warm the connection
         for _ in range(PASSES):
             with copytrace.tracking() as ledger:
                 t0 = time.perf_counter()
                 got = 0
                 for off in range(0, OBJECT_BYTES, CHUNK):
-                    got += c.read_into(
-                        oid, off, min(CHUNK, OBJECT_BYTES - off), dest
+                    got += c.op_read_into(
+                        oid, dest, offset=off, length=min(CHUNK, OBJECT_BYTES - off)
                     )
                 elapsed = time.perf_counter() - t0
             assert got == OBJECT_BYTES

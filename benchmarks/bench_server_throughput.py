@@ -48,7 +48,7 @@ def _client_worker(port, oid, client_id, latencies_out, errors):
                 else:  # random leg
                     off = rng.randrange(0, OBJECT_BYTES - CHUNK)
                 t0 = time.perf_counter()
-                data = c.read(oid, off, CHUNK)
+                data = c.op_read(oid, offset=off, length=CHUNK)
                 lat.append((time.perf_counter() - t0) * 1000.0)
                 if len(data) != CHUNK:
                     raise AssertionError(f"short read at offset {off}")
@@ -92,7 +92,7 @@ def run_all():
     rows = []
     with ServerThread(db, port=0, max_inflight=64) as srv:
         with EOSClient(port=srv.port) as admin:
-            oid = admin.create(payload, size_hint=OBJECT_BYTES)
+            oid = admin.op_create(payload, size_hint=OBJECT_BYTES)
         for n in CLIENT_COUNTS:
             rows.append((n, *run_level(srv.port, oid, n)))
     snap = db.stats.snapshot()

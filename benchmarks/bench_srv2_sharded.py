@@ -65,7 +65,7 @@ def _client_worker(port, oids, client_id, latencies_out, errors):
                 oid = oids[rng.randrange(len(oids))]
                 off = rng.randrange(0, OBJECT_BYTES - CHUNK)
                 t0 = time.perf_counter()
-                data = c.read(oid, off, CHUNK)
+                data = c.op_read(oid, offset=off, length=CHUNK)
                 lat.append((time.perf_counter() - t0) * 1000.0)
                 if len(data) != CHUNK:
                     raise AssertionError(f"short read of oid {oid} at {off}")
@@ -118,7 +118,7 @@ def run_config(n_shards):
         with ServerThread(shards=shardset, port=0, max_inflight=64) as srv:
             with EOSClient(port=srv.port, timeout=120.0) as admin:
                 oids = [
-                    admin.create(payload, size_hint=OBJECT_BYTES)
+                    admin.op_create(payload, size_hint=OBJECT_BYTES)
                     for _ in range(N_OBJECTS)
                 ]
             oids_by_shard = {

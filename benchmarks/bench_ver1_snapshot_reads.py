@@ -114,7 +114,7 @@ def _reader_worker(port, oid, version, reader_id, latencies_out, errors):
             for _ in range(READS_PER_READER):
                 off = rng.randrange(0, FROZEN_BYTES - CHUNK)
                 t0 = time.perf_counter()
-                data = c.read(oid, off, CHUNK, version=version)
+                data = c.op_read(oid, offset=off, length=CHUNK, version=version)
                 lat.append((time.perf_counter() - t0) * 1000.0)
                 if len(data) != CHUNK:
                     raise AssertionError(f"short read at {off}")
@@ -134,7 +134,7 @@ def _appender_worker(port, oid, stop, counts, errors):
     try:
         with EOSClient(port=port, timeout=120.0) as c:
             while not stop.is_set():
-                c.append(oid, payload)
+                c.op_append(oid, payload)
                 counts[0] += 1
                 stop.wait(APPEND_PACE_S)
     except Exception as exc:  # pragma: no cover - failure path
@@ -186,14 +186,14 @@ def _run_server(versioned):
         with ServerThread(shards=shardset, port=0, max_inflight=64) as srv:
             with EOSClient(port=srv.port, timeout=120.0) as admin:
                 payload = bytes(i % 251 for i in range(FROZEN_BYTES))
-                oid = admin.create(payload, size_hint=SIZE_HINT_BYTES)
+                oid = admin.op_create(payload, size_hint=SIZE_HINT_BYTES)
                 frozen = None
                 if versioned:
-                    frozen = max(v.version for v in admin.versions(oid))
+                    frozen = max(v.version for v in admin.op_versions(oid))
                 rng = random.Random(1234)
                 for _ in range(WARMUP_READS):
                     off = rng.randrange(0, FROZEN_BYTES - CHUNK)
-                    admin.read(oid, off, CHUNK, version=frozen)
+                    admin.op_read(oid, offset=off, length=CHUNK, version=frozen)
 
             idle = _run_phase(srv.port, oid, frozen)
 

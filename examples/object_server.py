@@ -23,13 +23,13 @@ from repro.server import EOSClient, ServerThread, ShardSet
 def crud_roundtrip(port):
     with EOSClient(port=port) as c:
         print(f"  ping: {c.ping(b'hello')!r} echoed")
-        oid = c.create(b"The quick brown fox", size_hint=4096)
-        c.append(oid, b" jumps over the lazy dog")
-        c.insert(oid, 19, b" really")
-        size = c.size(oid)
-        text = c.read(oid, 0, size)
+        oid = c.op_create(b"The quick brown fox", size_hint=4096)
+        c.op_append(oid, b" jumps over the lazy dog")
+        c.op_insert(oid, b" really", offset=19)
+        size = c.op_size(oid)
+        text = c.op_read(oid, offset=0, length=size)
         print(f"  oid {oid}: {size} bytes -> {text.decode()!r}")
-        stat = c.stat(oid)
+        stat = c.op_stat(oid)
         print(
             f"  stat: {stat.segments} segment(s), height {stat.height}, "
             f"root page {stat.root_page}"
@@ -41,13 +41,13 @@ def crud_roundtrip(port):
 def concurrent_appenders(port, n_writers=3, rounds=8):
     """Each writer appends tagged 32-byte chunks to one shared object."""
     with EOSClient(port=port) as c:
-        shared = c.create(size_hint=n_writers * rounds * 32)
+        shared = c.op_create(size_hint=n_writers * rounds * 32)
 
     def writer(wid):
         with EOSClient(port=port) as c:
             for seq in range(rounds):
                 chunk = struct.pack("<II", wid, seq) + bytes(24)
-                c.append(shared, chunk)
+                c.op_append(shared, chunk)
 
     threads = [
         threading.Thread(target=writer, args=(w,)) for w in range(n_writers)
@@ -58,7 +58,7 @@ def concurrent_appenders(port, n_writers=3, rounds=8):
         t.join()
 
     with EOSClient(port=port) as c:
-        blob = c.read(shared, 0, c.size(shared))
+        blob = c.op_read(shared, offset=0, length=c.op_size(shared))
     # Appends serialized on the object's root lock: every chunk landed
     # whole, none torn, none lost.
     tags = sorted(

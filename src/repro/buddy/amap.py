@@ -120,17 +120,6 @@ class AllocationMap:
                 f"page {page} outside buddy space of {self.capacity} pages"
             )
 
-    def quad_bits(self, quad: int) -> int | None:
-        """Low four bits of a quad byte, or None if the byte is not a quad."""
-        byte = self.raw[quad]
-        if byte == 0 or byte & LARGE_FLAG:
-            return None
-        return byte & 0x0F
-
-    def page_allocated(self, page: int) -> bool:
-        """Status of a single page."""
-        return self.segment_containing(page).allocated
-
     def segment_containing(self, page: int) -> SegmentView:
         """The canonical segment that includes ``page``, decoded.
 

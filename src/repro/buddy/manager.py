@@ -429,21 +429,6 @@ class BuddyManager:
         """The index of the buddy space a physical page belongs to."""
         return self.volume.space_of_physical(page).index
 
-    def free_summary(self) -> list[tuple[int, int]]:
-        """Per-space ``(free_pages, max_free_segment_pages)``.
-
-        The compaction planner uses this to order victim spaces: a space
-        whose free pages dwarf its largest allocatable segment is the
-        one whose free space most needs coalescing.  Reads every
-        directory (through the buffer pool), like :meth:`free_pages`.
-        """
-        out: list[tuple[int, int]] = []
-        for index in range(self.volume.n_spaces):
-            space = self.load_space(index)
-            free = space.free_pages()
-            out.append((free, (1 << space.max_free_type()) if free else 0))
-        return out
-
     def verify(self) -> None:
         """Verify every space's directory (used by tests)."""
         for i in range(self.volume.n_spaces):

@@ -30,7 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.buddy.amap import (
-    ALLOCATED_FLAG,
     LARGE_FLAG,
     TYPE_MASK,
     AllocationMap,
@@ -59,10 +58,6 @@ class ScanStats:
 
     scans: int = 0
     probes: int = 0
-
-    @property
-    def probes_per_scan(self) -> float:
-        return self.probes / self.scans if self.scans else 0.0
 
 
 class BuddySpace:

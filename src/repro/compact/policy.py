@@ -47,18 +47,6 @@ class Victim:
     leaf_pages: int
     runs: int
 
-    def to_doc(self) -> dict:
-        """A JSON-ready row (the inspect tool's candidates view)."""
-        return {
-            "oid": self.oid,
-            "score": round(self.score, 3),
-            "seeks_saved_per_mb": round(self.seeks_saved_per_mb, 3),
-            "read_heat": round(self.read_heat, 3),
-            "home_space": self.home_space,
-            "leaf_pages": self.leaf_pages,
-            "runs": self.runs,
-        }
-
 
 def ideal_runs(leaf_pages: int, max_segment_pages: int) -> int:
     """Disk runs a freshly compacted object of this size needs, at best."""

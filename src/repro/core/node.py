@@ -190,10 +190,6 @@ class Node:
     # -- derived ------------------------------------------------------------
 
     @property
-    def is_leaf_parent(self) -> bool:
-        return self.level == 0
-
-    @property
     def total_bytes(self) -> int:
         """Total bytes stored below this node (the paper's rightmost c[i])."""
         cum = self.cum

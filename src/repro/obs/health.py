@@ -39,7 +39,7 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.buddy.stats import extent_size_histogram, free_extents
 
@@ -406,22 +406,11 @@ class HeatTracker:
         rows.sort(key=lambda r: (-r["heat"], r["oid"]))
         return rows[:k]
 
-    def read_heat(self, oid: int) -> float:
-        """The object's current (decayed) read temperature; 0.0 if untracked."""
-        now = self._clock()
-        with self._lock:
-            entry = self._table.get(oid)
-            if entry is None:
-                return 0.0
-            self._decay(entry, now)
-            return entry[0]
-
     def snapshot(self) -> dict[int, tuple[float, float]]:
         """All tracked temperatures as ``oid -> (read, write)``, decayed.
 
         The compaction planner scores a whole victim list against one
-        consistent heat picture, so it takes a snapshot instead of
-        calling :meth:`read_heat` per object.
+        consistent heat picture, so it takes one snapshot per plan.
         """
         now = self._clock()
         with self._lock:

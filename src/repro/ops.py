@@ -1,17 +1,15 @@
-"""The typed object-operation surface: one interface, three backends.
+"""The typed object-operation surface: one interface, two backends.
 
 :class:`ObjectOps` is the canonical oid-addressed operation set — the
 contract the serving layer dispatches against and the conformance suite
-tests once.  Three implementations conform:
+tests once.  Two implementations conform:
 
 * :class:`~repro.api.EOSDatabase` — the in-process database (ops run
-  under its ``op_lock``);
-* :class:`~repro.server.sharding.Shard` — one shard of a shared-nothing
-  server, executing every op on the shard's dedicated worker thread and
-  translating between shard-tagged wire oids and the shard database's
-  local oids;
+  under its ``op_lock``).  A shard of the server is one of these, run
+  on the shard's worker against shard-local oids;
 * :class:`~repro.server.client.EOSClient` — the remote client, where
-  each op is one wire exchange.
+  each op is one wire exchange.  The server's side of each exchange is
+  declared once, in :data:`repro.server.protocol.OBJECT_OPCODES`.
 
 Canonical signatures put the payload (``data``/``dest``) positionally
 and all geometry — ``offset``, ``length``, ``size_hint`` — keyword-only,

@@ -68,20 +68,6 @@ class TransactionalAllocator(UnitAllocator):
                 )
         super()._defer(first_page, n_pages)
 
-    def blocked_pages(self, txn_id: int) -> set[int]:
-        """Space-namespaced addresses release-locked by other transactions
-        (test/introspection helper)."""
-        out: set[int] = set()
-        if self.locks is None:
-            return out
-        for other, locks in self.locks.segment_locks.items():
-            if other == txn_id:
-                continue
-            for held in locks:
-                if held.mode.name == "RELEASE":
-                    out.update(range(held.start, held.start + held.size))
-        return out
-
     def commit_unit(self) -> None:
         """Perform the deferred frees; the unit's root switch happened."""
         _, deferred = self._close()

@@ -7,9 +7,13 @@ from the :mod:`repro.errors` hierarchy, so remote and in-process code
 handle failures identically::
 
     with EOSClient("127.0.0.1", 7433) as c:
-        oid = c.create(b"hello", size_hint=1 << 20)
-        c.append(oid, b" world")
-        assert c.read(oid, 0, 11) == b"hello world"
+        oid = c.op_create(b"hello", size_hint=1 << 20)
+        c.op_append(oid, b" world")
+        assert c.op_read(oid, offset=0, length=11) == b"hello world"
+
+The object operations are the :class:`~repro.ops.ObjectOps` surface
+(``op_*``), each one wire exchange, so code written against the
+interface runs unchanged over a local database or this client.
 
 Tracing: :meth:`EOSClient.enable_tracing` writes client-side spans to a
 JSON-lines file and propagates the trace context on the wire (the
@@ -39,7 +43,7 @@ import socket
 from repro.errors import ConnectionClosed, ProtocolError
 from repro.obs.sinks import JsonLinesSink
 from repro.obs.tracer import NULL_TRACER, Observability
-from repro.ops import ObjectStat
+from repro.ops import ObjectStat, VersionInfo
 from repro.server import protocol
 from repro.server.protocol import Opcode, Status
 from repro.util import copytrace
@@ -241,7 +245,7 @@ class EOSClient:
         ``oid`` is trace metadata only (it tags the ``client.request``
         span so ``tracefmt --oid`` can filter); the object id itself
         always travels inside ``payload``.  The returned ``bytes`` is
-        the one client-side payload copy; :meth:`read_into` avoids it.
+        the one client-side payload copy; :meth:`op_read_into` avoids it.
         """
         return copytrace.materialize(
             self._exchange(opcode, payload, oid=oid), "client.recv"
@@ -255,21 +259,21 @@ class EOSClient:
         """Round-trip ``data`` through the server."""
         return self.call(Opcode.PING, data)
 
-    def create(self, data: bytes = b"", *, size_hint: int | None = None) -> int:
+    def op_create(self, data: bytes = b"", *, size_hint: int | None = None) -> int:
         """Create an object (optionally with initial content); returns its oid."""
         return protocol.unpack_u64(
             self.call(Opcode.CREATE, protocol.pack_create(data, size_hint))
         )
 
-    def append(self, oid: int, data: bytes) -> int:
+    def op_append(self, oid: int, data: bytes) -> int:
         """Append bytes; returns the object's new size."""
         return protocol.unpack_u64(
             self.call(Opcode.APPEND, protocol.pack_oid_data(oid, data), oid=oid)
         )
 
-    def read(
-        self, oid: int, offset: int, length: int,
-        *, version: int | None = None,
+    def op_read(
+        self, oid: int, *, offset: int, length: int,
+        version: int | None = None,
     ) -> bytes:
         """Read ``length`` bytes at ``offset`` (of ``version``, if given).
 
@@ -280,9 +284,9 @@ class EOSClient:
             Opcode.READ, protocol.pack_read(oid, offset, length, version), oid=oid
         )
 
-    def read_into(
-        self, oid: int, offset: int, length: int, dest,
-        *, version: int | None = None,
+    def op_read_into(
+        self, oid: int, dest, *, offset: int, length: int,
+        version: int | None = None,
     ) -> int:
         """Read ``length`` bytes at ``offset`` directly into ``dest``.
 
@@ -303,7 +307,7 @@ class EOSClient:
             dest=out[:length],
         )
 
-    def write(self, oid: int, offset: int, data: bytes) -> int:
+    def op_write(self, oid: int, data: bytes, *, offset: int) -> int:
         """Overwrite bytes in place; returns the (unchanged) size."""
         return protocol.unpack_u64(
             self.call(
@@ -311,7 +315,7 @@ class EOSClient:
             )
         )
 
-    def insert(self, oid: int, offset: int, data: bytes) -> int:
+    def op_insert(self, oid: int, data: bytes, *, offset: int) -> int:
         """Insert bytes at ``offset``; returns the new size."""
         return protocol.unpack_u64(
             self.call(
@@ -319,7 +323,7 @@ class EOSClient:
             )
         )
 
-    def delete(self, oid: int, offset: int, length: int) -> int:
+    def op_delete(self, oid: int, *, offset: int, length: int) -> int:
         """Delete a byte range; returns the new size."""
         return protocol.unpack_u64(
             self.call(
@@ -329,35 +333,32 @@ class EOSClient:
             )
         )
 
-    def size(self, oid: int) -> int:
+    def op_size(self, oid: int) -> int:
         """The object's size in bytes."""
         return protocol.unpack_u64(
             self.call(Opcode.SIZE, protocol.pack_oid(oid), oid=oid)
         )
 
-    def stat(self, oid: int, *, version: int | None = None) -> ObjectStat:
+    def op_stat(self, oid: int, *, version: int | None = None) -> ObjectStat:
         """Space accounting plus the root page (of ``version``, if given).
 
-        A plain ``stat(oid)`` sends the short (legacy) request form and
-        gets the short response, so it round-trips with version-unaware
-        servers; passing ``version`` (including ``0`` for "latest, with
-        its version number") opts into the long forms.
+        A plain ``op_stat(oid)`` sends the short (legacy) request form
+        and gets the short response, so it round-trips with
+        version-unaware servers; passing ``version`` (including ``0``
+        for "latest, with its version number") opts into the long forms.
         """
         return protocol.unpack_stat(
             self.call(Opcode.STAT, protocol.pack_stat_req(oid, version), oid=oid)
         )
 
-    def versions(self, oid: int) -> list:
-        """The object's committed versions, ascending.
-
-        Returns :class:`~repro.ops.VersionInfo` records; an empty list
-        when the server's database has versioning disabled.
-        """
+    def op_versions(self, oid: int) -> list[VersionInfo]:
+        """The object's committed versions, ascending (empty when the
+        server's database has versioning disabled)."""
         return protocol.unpack_versions(
             self.call(Opcode.VERSIONS, protocol.pack_oid(oid), oid=oid)
         )
 
-    def list_objects(self) -> list[tuple[int, int]]:
+    def op_list(self) -> list[tuple[int, int]]:
         """Every object on the server as ``(oid, size)``."""
         return protocol.unpack_listing(self.call(Opcode.LIST))
 
@@ -382,64 +383,6 @@ class EOSClient:
                 protocol.pack_compact_req(target_frag, max_pages),
             ).decode("utf-8")
         )
-
-    # ------------------------------------------------------------------
-    # ObjectOps conformance
-    # ------------------------------------------------------------------
-    # The canonical typed surface (:class:`repro.ops.ObjectOps`), so code
-    # written against the interface runs unchanged over a local
-    # EOSDatabase, a Shard, or this remote client.  Each simply delegates
-    # to the friendly wire method above.
-
-    def op_create(self, data: bytes = b"", *, size_hint: int | None = None) -> int:
-        """Create an object; its oid (``ObjectOps`` spelling)."""
-        return self.create(data, size_hint=size_hint)
-
-    def op_append(self, oid: int, data: bytes) -> int:
-        """Append bytes; the new size (``ObjectOps`` spelling)."""
-        return self.append(oid, data)
-
-    def op_read(
-        self, oid: int, *, offset: int, length: int,
-        version: int | None = None,
-    ) -> bytes:
-        """Read a byte range (``ObjectOps`` spelling)."""
-        return self.read(oid, offset, length, version=version)
-
-    def op_read_into(
-        self, oid: int, dest, *, offset: int, length: int,
-        version: int | None = None,
-    ) -> int:
-        """Read into a buffer; the byte count (``ObjectOps`` spelling)."""
-        return self.read_into(oid, offset, length, dest, version=version)
-
-    def op_write(self, oid: int, data: bytes, *, offset: int) -> int:
-        """Overwrite in place (``ObjectOps`` spelling)."""
-        return self.write(oid, offset, data)
-
-    def op_insert(self, oid: int, data: bytes, *, offset: int) -> int:
-        """Insert at ``offset``; the new size (``ObjectOps`` spelling)."""
-        return self.insert(oid, offset, data)
-
-    def op_delete(self, oid: int, *, offset: int, length: int) -> int:
-        """Delete a byte range; the new size (``ObjectOps`` spelling)."""
-        return self.delete(oid, offset, length)
-
-    def op_size(self, oid: int) -> int:
-        """The object's size in bytes (``ObjectOps`` spelling)."""
-        return self.size(oid)
-
-    def op_stat(self, oid: int, *, version: int | None = None) -> ObjectStat:
-        """Space accounting plus the root page (``ObjectOps`` spelling)."""
-        return self.stat(oid, version=version)
-
-    def op_versions(self, oid: int) -> list:
-        """The object's committed versions (``ObjectOps`` spelling)."""
-        return self.versions(oid)
-
-    def op_list(self) -> list[tuple[int, int]]:
-        """Every object as ``(oid, size)`` (``ObjectOps`` spelling)."""
-        return self.list_objects()
 
     # ------------------------------------------------------------------
     # Exposition

@@ -521,7 +521,7 @@ def unpack_u64(payload: bytes) -> int:
     return _U64.unpack(payload)[0]
 
 
-def pack_stat(stat: ObjectStat, *, with_version: bool = False) -> bytes:
+def pack_stat(stat: ObjectStat, with_version: bool = False) -> bytes:
     """The STAT response payload for an :class:`~repro.ops.ObjectStat`.
 
     The server packs the version-carrying long form only for requesters
@@ -639,6 +639,58 @@ def unpack_listing(payload: bytes) -> list[tuple[int, int]]:
     return out
 
 
+# ---------------------------------------------------------------------------
+# Single-object opcodes: one declaration each
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ObjectOpcode:
+    """How the server runs one single-object opcode.
+
+    ``decode`` and ``encode`` name codec functions of this module; the
+    server looks them up here when it calls them, so a codec rebound on
+    the module is the one that runs.  ``decode`` yields the oid, alone
+    or first in a tuple; the next ``len(args)`` fields are keyword
+    arguments of the :class:`~repro.ops.ObjectOps` ``method``, and any
+    left over follow the result into ``encode`` (STAT's long form).
+    ``encode`` None sends the result itself (READ).  A ``read_side`` op
+    reads an immutable snapshot on a versioned shard.
+    """
+
+    method: str
+    decode: str
+    args: tuple[str, ...] = ()
+    encode: str | None = "pack_u64"
+    read_side: bool = False
+
+
+#: Every single-object opcode.  CREATE (placement), LIST (fan-out),
+#: COMPACT and PING are the server's special cases.
+OBJECT_OPCODES: dict[Opcode, ObjectOpcode] = {
+    Opcode.APPEND: ObjectOpcode("op_append", "unpack_oid_data", ("data",)),
+    Opcode.READ: ObjectOpcode(
+        "op_read", "unpack_read", ("offset", "length", "version"),
+        encode=None, read_side=True,
+    ),
+    Opcode.WRITE: ObjectOpcode(
+        "op_write", "unpack_oid_offset_data", ("offset", "data")
+    ),
+    Opcode.INSERT: ObjectOpcode(
+        "op_insert", "unpack_oid_offset_data", ("offset", "data")
+    ),
+    Opcode.DELETE: ObjectOpcode(
+        "op_delete", "unpack_oid_offset_length", ("offset", "length")
+    ),
+    Opcode.SIZE: ObjectOpcode("op_size", "unpack_oid", read_side=True),
+    Opcode.STAT: ObjectOpcode(
+        "op_stat", "unpack_stat_req", ("version",), "pack_stat", read_side=True
+    ),
+    Opcode.VERSIONS: ObjectOpcode(
+        "op_versions", "unpack_oid", encode="pack_versions", read_side=True
+    ),
+}
+
 __all__ = [
     "MAGIC",
     "HEADER",
@@ -652,6 +704,8 @@ __all__ = [
     "Status",
     "WRITE_OPCODES",
     "EXPOSITION_OPCODES",
+    "ObjectOpcode",
+    "OBJECT_OPCODES",
     "Header",
     "ConnectionClosed",
     "encode_frame",

@@ -717,77 +717,27 @@ class EOSServer:
             docs = await asyncio.wait_for(asyncio.shield(future), req.remaining())
             return json.dumps(docs, separators=(",", ":")).encode("utf-8")
 
-        # Everything below is a single-object op: route by the oid's
-        # shard tag and run against the shard-local oid.
-        version: int | None = None
-        long_stat = False
-        if opcode is Opcode.APPEND:
-            oid, data = protocol.unpack_oid_data(payload)
-        elif opcode is Opcode.READ:
-            oid, offset, length, version = protocol.unpack_read(payload)
-        elif opcode is Opcode.DELETE:
-            oid, offset, length = protocol.unpack_oid_offset_length(payload)
-        elif opcode in (Opcode.WRITE, Opcode.INSERT):
-            oid, offset, data = protocol.unpack_oid_offset_data(payload)
-        elif opcode is Opcode.STAT:
-            oid, version, long_stat = protocol.unpack_stat_req(payload)
-        elif opcode in (Opcode.SIZE, Opcode.VERSIONS):
-            oid = protocol.unpack_oid(payload)
-        else:
+        # Everything below is a single-object op, declared once in
+        # protocol.OBJECT_OPCODES: route by the oid's shard tag and run
+        # the declared ObjectOps method against the shard-local oid.
+        spec = protocol.OBJECT_OPCODES.get(opcode)
+        if spec is None:
             raise ProtocolError(f"opcode {opcode} not implemented")
+        decoded = getattr(protocol, spec.decode)(payload)
+        oid, *fields = decoded if isinstance(decoded, tuple) else (decoded,)
+        args = dict(zip(spec.args, fields))
         req.oid = oid
         shard = shards.shard_for(oid)
         req.shard = shard.index
-        db = shard.db
+        method = getattr(shard.db, spec.method)
         local = shard.local_oid(oid)
-
-        if opcode is Opcode.APPEND:
-            size = await self._run_on(
-                shard, opcode, req, lambda: db.op_append(local, data)
+        if opcode is Opcode.READ and args["length"] > self.max_payload:
+            raise ProtocolError(
+                f"read of {args['length']} bytes exceeds the "
+                f"{self.max_payload}-byte response cap"
             )
-            return protocol.pack_u64(size)
-        if opcode is Opcode.READ:
-            if length > self.max_payload:
-                raise ProtocolError(
-                    f"read of {length} bytes exceeds the "
-                    f"{self.max_payload}-byte response cap"
-                )
-            return await self._run_read(
-                shard, opcode, req,
-                lambda: db.op_read(
-                    local, offset=offset, length=length, version=version
-                ),
-            )
-        if opcode is Opcode.WRITE:
-            size = await self._run_on(
-                shard, opcode, req,
-                lambda: db.op_write(local, data, offset=offset),
-            )
-            return protocol.pack_u64(size)
-        if opcode is Opcode.INSERT:
-            size = await self._run_on(
-                shard, opcode, req,
-                lambda: db.op_insert(local, data, offset=offset),
-            )
-            return protocol.pack_u64(size)
-        if opcode is Opcode.DELETE:
-            size = await self._run_on(
-                shard, opcode, req,
-                lambda: db.op_delete(local, offset=offset, length=length),
-            )
-            return protocol.pack_u64(size)
-        if opcode is Opcode.SIZE:
-            size = await self._run_read(
-                shard, opcode, req, lambda: db.op_size(local)
-            )
-            return protocol.pack_u64(size)
-        if opcode is Opcode.VERSIONS:
-            versions = await self._run_read(
-                shard, opcode, req, lambda: db.op_versions(local)
-            )
-            return protocol.pack_versions(versions)
-        # STAT is the only single-object opcode left.
-        stat = await self._run_read(
-            shard, opcode, req, lambda: db.op_stat(local, version=version)
-        )
-        return protocol.pack_stat(stat, with_version=long_stat)
+        run = self._run_read if spec.read_side else self._run_on
+        result = await run(shard, opcode, req, lambda: method(local, **args))
+        if spec.encode is None:
+            return result
+        return getattr(protocol, spec.encode)(result, *fields[len(spec.args):])

@@ -29,8 +29,8 @@ tagged oid home.
 
 Coordinator fan-out
 -------------------
-Single-object ops touch exactly one shard.  Multi-object ops (LIST,
-stats/space rollups, checkpoint) fan out to every shard and merge; a
+Single-object ops touch exactly one shard.  Multi-object ops (the
+server's LIST, stats/space rollups) fan out to every shard and merge; a
 dead shard fails the fan-out with
 :class:`~repro.errors.ShardUnavailable` rather than silently returning
 partial state.
@@ -49,7 +49,6 @@ from repro.concurrency import LockManager
 from repro.core.config import EOSConfig
 from repro.errors import ObjectNotFound, ShardUnavailable
 from repro.obs.tracer import Observability
-from repro.ops import ObjectStat, VersionInfo
 
 __all__ = ["Shard", "ShardSet", "make_oid", "split_oid", "shard_of"]
 
@@ -79,12 +78,9 @@ class Shard:
     shard's single worker thread, which keeps the database's tracer
     span stack sound and makes the shared-nothing claim structural:
     there is exactly one thread that ever executes this shard's ops.
-
-    The shard also implements the :class:`~repro.ops.ObjectOps`
-    interface directly (blocking on its own worker), translating wire
-    oids to local ones — this is the in-process face of a shard, used
-    by the conformance suite and by embedders that want sharding
-    without the TCP server.
+    A shard is not itself an :class:`~repro.ops.ObjectOps` backend: the
+    server runs ``shard.db.op_*`` through :meth:`submit` against
+    :meth:`local_oid`, and in-process code does the same.
     """
 
     def __init__(
@@ -195,100 +191,6 @@ class Shard:
         if not self.db.is_closed:
             self.db.close()
 
-    # -- ObjectOps (blocking, oid-translating) -------------------------------
-
-    def _run(self, fn: Callable, *args, **kwargs):
-        return self.submit(fn, *args, **kwargs).result()
-
-    def _run_read(self, fn: Callable, *args, **kwargs):
-        """Run a read-side op: on the worker, or inline when versioned.
-
-        Versioned reads touch no shard-exclusive state (no buffer pool,
-        no op lock) — they resolve an immutable version root and read
-        straight from the shard's disk — so serializing them through
-        the single worker would only reintroduce the contention
-        versioning removes.  Dead-shard semantics are kept:
-        a killed shard refuses reads like any other op.
-        """
-        if self.db.versions is None:
-            return self._run(fn, *args, **kwargs)
-        if not self.alive:
-            raise ShardUnavailable(f"shard {self.index} is not serving")
-        return fn(*args, **kwargs)
-
-    def op_create(
-        self, data: bytes = b"", *, size_hint: int | None = None
-    ) -> int:
-        """Create an object on this shard; returns its wire oid."""
-        local = self._run(self.db.op_create, data, size_hint=size_hint)
-        self.note_created()
-        return make_oid(self.index, local, self.n_shards)
-
-    def op_append(self, oid: int, data: bytes) -> int:
-        """Append bytes; the object's new size."""
-        return self._run(self.db.op_append, self.local_oid(oid), data)
-
-    def op_read(
-        self, oid: int, *, offset: int, length: int,
-        version: int | None = None,
-    ) -> bytes:
-        """Read ``length`` bytes at ``offset`` (lock-free when versioned)."""
-        return self._run_read(
-            self.db.op_read, self.local_oid(oid),
-            offset=offset, length=length, version=version,
-        )
-
-    def op_read_into(
-        self, oid: int, dest, *, offset: int, length: int,
-        version: int | None = None,
-    ) -> int:
-        """Read into a writable buffer; the byte count."""
-        return self._run_read(
-            self.db.op_read_into, self.local_oid(oid), dest,
-            offset=offset, length=length, version=version,
-        )
-
-    def op_write(self, oid: int, data: bytes, *, offset: int) -> int:
-        """Overwrite in place; the (unchanged) size."""
-        return self._run(
-            self.db.op_write, self.local_oid(oid), data, offset=offset
-        )
-
-    def op_insert(self, oid: int, data: bytes, *, offset: int) -> int:
-        """Insert bytes at ``offset``; the new size."""
-        return self._run(
-            self.db.op_insert, self.local_oid(oid), data, offset=offset
-        )
-
-    def op_delete(self, oid: int, *, offset: int, length: int) -> int:
-        """Delete a byte range; the new size."""
-        return self._run(
-            self.db.op_delete, self.local_oid(oid),
-            offset=offset, length=length,
-        )
-
-    def op_size(self, oid: int) -> int:
-        """The object's size in bytes."""
-        return self._run_read(self.db.op_size, self.local_oid(oid))
-
-    def op_stat(self, oid: int, *, version: int | None = None) -> ObjectStat:
-        """Space accounting plus the root page."""
-        return self._run_read(
-            self.db.op_stat, self.local_oid(oid), version=version
-        )
-
-    def op_versions(self, oid: int) -> list[VersionInfo]:
-        """The object's committed versions, ascending."""
-        return self._run_read(self.db.op_versions, self.local_oid(oid))
-
-    def op_list(self) -> list[tuple[int, int]]:
-        """This shard's objects as ``(wire_oid, size)``, ascending."""
-        local = self._run(self.db.op_list)
-        return [
-            (make_oid(self.index, loid, self.n_shards), size)
-            for loid, size in local
-        ]
-
 
 class ShardSet:
     """The coordinator: routes by oid, balances creates, fans out the rest."""
@@ -385,33 +287,6 @@ class ShardSet:
     def live_shards(self) -> list[Shard]:
         """Shards currently serving."""
         return [s for s in self.shards if s.alive]
-
-    # -- coordinator fan-out (blocking; the server has an async twin) --------
-
-    def op_list(self) -> list[tuple[int, int]]:
-        """Every object on every shard as ``(wire_oid, size)``, ascending.
-
-        Fans out to all shards concurrently and merges; raises
-        :class:`~repro.errors.ShardUnavailable` if any shard is down —
-        a partial listing would silently hide objects.
-        """
-        futures = [
-            (shard, shard.submit(shard.db.op_list)) for shard in self.shards
-        ]
-        merged: list[tuple[int, int]] = []
-        for shard, future in futures:
-            merged.extend(
-                (make_oid(shard.index, loid, self.n_shards), size)
-                for loid, size in future.result()
-            )
-        merged.sort()
-        return merged
-
-    def checkpoint(self) -> None:
-        """Flush every shard's dirty pages (fan-out, all must be live)."""
-        futures = [shard.submit(shard.db.checkpoint) for shard in self.shards]
-        for future in futures:
-            future.result()
 
     def close(self) -> None:
         """Close every shard (drains workers) and the coordinator bundle."""

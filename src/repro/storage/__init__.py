@@ -27,7 +27,7 @@ from repro.storage.geometry import (
     DiskGeometry,
 )
 from repro.storage.iostats import IOStats
-from repro.storage.page import PageId, zero_page
+from repro.storage.page import PageId
 from repro.storage.volume import SpaceExtent, Volume
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "MODERN_SSD",
     "IOStats",
     "PageId",
-    "zero_page",
     "SpaceExtent",
     "Volume",
 ]

@@ -95,10 +95,6 @@ class IOSnapshot:
         """Total pages moved in either direction."""
         return self.page_reads + self.page_writes
 
-    def seeks_per_mb(self, page_size: int) -> float:
-        """Seeks per MiB transferred."""
-        return seeks_per_mb(self.seeks, self.page_transfers, page_size)
-
     def __sub__(self, other: "IOSnapshot") -> "IOSnapshot":
         return difference(self, other)
 

@@ -20,11 +20,6 @@ PageId = int
 MIN_PAGE_SIZE = 32
 
 
-def zero_page(page_size: int) -> bytearray:
-    """Return a fresh all-zero page image of ``page_size`` bytes."""
-    return bytearray(page_size)
-
-
 def validate_page_size(page_size: int) -> None:
     """Reject page sizes the directory layout cannot work with."""
     if page_size < MIN_PAGE_SIZE:

@@ -234,7 +234,7 @@ def cmd_put(args: argparse.Namespace) -> int:
         with open(args.file, "rb") as f:
             data = f.read()
     with EOSClient(args.host, args.port, timeout=args.timeout) as client:
-        oid = client.create(data, size_hint=len(data) or None)
+        oid = client.op_create(data, size_hint=len(data) or None)
     print(oid)
     return 0
 
@@ -245,12 +245,13 @@ def cmd_get(args: argparse.Namespace) -> int:
         length = args.length
         if length is None:
             if args.version is not None:
-                length = client.stat(args.oid, version=args.version).size_bytes
+                length = client.op_stat(args.oid, version=args.version).size_bytes
             else:
-                length = client.size(args.oid)
+                length = client.op_size(args.oid)
             length -= args.offset
-        data = client.read(
-            args.oid, args.offset, max(length, 0), version=args.version
+        data = client.op_read(
+            args.oid, offset=args.offset, length=max(length, 0),
+            version=args.version,
         )
     if args.output:
         with open(args.output, "wb") as f:
@@ -264,7 +265,7 @@ def cmd_get(args: argparse.Namespace) -> int:
 def cmd_versions(args: argparse.Namespace) -> int:
     """Print an object's version chain as ``version<TAB>size<TAB>age``."""
     with EOSClient(args.host, args.port, timeout=args.timeout) as client:
-        chain = client.versions(args.oid)
+        chain = client.op_versions(args.oid)
     now = time.time()
     for v in chain:
         print(f"{v.version}\t{v.size_bytes}\t{now - v.commit_ts:.1f}s ago")
@@ -298,7 +299,7 @@ def cmd_compact(args: argparse.Namespace) -> int:
 def cmd_list(args: argparse.Namespace) -> int:
     """Print every object as ``oid<TAB>size``."""
     with EOSClient(args.host, args.port, timeout=args.timeout) as client:
-        listing = client.list_objects()
+        listing = client.op_list()
     for oid, size in listing:
         print(f"{oid}\t{size}")
     print(f"({len(listing)} objects)", file=sys.stderr)
@@ -498,28 +499,28 @@ def run_smoke(
     errors: list[str] = []
     requests = [0] * clients
     with EOSClient(host, port, timeout=timeout) as admin:
-        shared_oid = admin.create(size_hint=clients * ops * _CHUNK_BYTES)
+        shared_oid = admin.op_create(size_hint=clients * ops * _CHUNK_BYTES)
 
     def worker(client_id: int) -> None:
         n = 0
         try:
             with EOSClient(host, port, timeout=timeout) as c:
-                private_oid = c.create(size_hint=ops * _CHUNK_BYTES)
+                private_oid = c.op_create(size_hint=ops * _CHUNK_BYTES)
                 n += 1
                 expect = bytearray()
                 for seq in range(ops):
                     piece = _chunk(client_id, seq)
-                    c.append(private_oid, piece)
+                    c.op_append(private_oid, piece)
                     expect += piece
                     n += 1
-                    c.append(shared_oid, piece)
+                    c.op_append(shared_oid, piece)
                     n += 1
                 # A mid-object insert, then verify every private byte.
                 marker = _chunk(client_id, ops)
-                c.insert(private_oid, len(expect) // 2, marker)
+                c.op_insert(private_oid, marker, offset=len(expect) // 2)
                 expect[len(expect) // 2 : len(expect) // 2] = marker
                 n += 1
-                got = c.read(private_oid, 0, len(expect))
+                got = c.op_read(private_oid, offset=0, length=len(expect))
                 n += 1
                 if got != bytes(expect):
                     raise ReproError(
@@ -543,7 +544,7 @@ def run_smoke(
 
     # The shared object saw every client's appends: same chunks, any order.
     with EOSClient(host, port, timeout=timeout) as admin:
-        blob = admin.read(shared_oid, 0, admin.size(shared_oid))
+        blob = admin.op_read(shared_oid, offset=0, length=admin.op_size(shared_oid))
     if not errors:
         seen = sorted(
             _CHUNK.unpack_from(blob, i) for i in range(0, len(blob), _CHUNK_BYTES)

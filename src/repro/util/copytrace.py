@@ -51,11 +51,6 @@ class CopyLedger:
             self.bytes_copied += nbytes
             self.by_site[site] = self.by_site.get(site, 0) + nbytes
 
-    def snapshot(self) -> dict[str, int]:
-        """The per-site totals as a plain dict."""
-        with self._lock:
-            return dict(self.by_site)
-
 
 #: The process-wide ledger the data-path layers report to.
 LEDGER = CopyLedger()

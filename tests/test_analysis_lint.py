@@ -12,8 +12,6 @@ import json
 import textwrap
 from pathlib import Path
 
-import pytest
-
 from repro.analysis.lintcore import (
     lint_paths,
     lint_source,

@@ -9,7 +9,6 @@ Hypothesis property test churns random volumes through
 :class:`~repro.workloads.aging.AgingWorkload` with all sanitizers on.
 """
 
-import json
 import threading
 from types import SimpleNamespace
 from unittest import mock
@@ -21,7 +20,6 @@ from hypothesis import strategies as st
 from repro.api import EOSDatabase
 from repro.compact import (
     BackpressureGuard,
-    CompactionReport,
     Compactor,
     RateLimiter,
     compact_pass,
@@ -30,7 +28,7 @@ from repro.compact import (
 )
 from repro.compact.policy import plan_evacuation
 from repro.core.config import EOSConfig
-from repro.obs.health import ObjectLayout, SpaceHealth, collect_volume_health
+from repro.obs.health import HeatTracker, ObjectLayout, SpaceHealth
 from repro.server import EOSClient, ServerThread, ShardSet
 from repro.server import protocol
 from repro.tools.fsck import fsck
@@ -130,11 +128,20 @@ class TestPlanVictims:
         a = layout(1, seeks=50.0)
         b = layout(2, seeks=50.0)
         health = fake_health([a, b], [space(0)])
-        victims = plan_victims(
-            health, max_segment_pages=64, heat=FakeHeat({2: (3.0, 0.0)})
-        )
-        assert [v.oid for v in victims] == [2, 1]
-        assert victims[0].score > victims[1].score
+        # The same temperature from a stub and from a real tracker whose
+        # six reads have decayed through one half-life to three.
+        now = [0.0]
+        tracker = HeatTracker(half_life_s=10.0, clock=lambda: now[0])
+        for _ in range(6):
+            tracker.touch(2)
+        now[0] = 10.0
+        scores = []
+        for heat in (FakeHeat({2: (3.0, 0.0)}), tracker):
+            victims = plan_victims(health, max_segment_pages=64, heat=heat)
+            assert [v.oid for v in victims] == [2, 1]
+            assert victims[0].score > victims[1].score
+            scores.append([v.score for v in victims])
+        assert scores[1] == pytest.approx(scores[0])
 
     def test_cold_home_space_breaks_ties(self):
         # Same score; oid 2's home space carries the heat, so oid 1
@@ -467,7 +474,7 @@ class TestServedCompaction:
             with ServerThread(shards=ss, port=0) as srv:
                 with EOSClient(port=srv.port, timeout=60.0) as c:
                     for _ in range(8):
-                        c.create(b"y" * (2 * PAGE))
+                        c.op_create(b"y" * (2 * PAGE))
                     docs = c.compact()
             assert {doc["shard"] for doc in docs} == {0, 1}
             assert all(doc["stopped"] == "done" for doc in docs)

@@ -64,8 +64,9 @@ class TestThreadConfinement:
 class TestShardConfinement:
     def test_worker_routed_ops_pass(self, confined_set):
         shard = confined_set.shards[0]
-        oid = shard.op_create(b"payload")
-        assert shard.op_read(oid, offset=0, length=7) == b"payload"
+        oid = shard.submit(shard.db.op_create, b"payload").result()
+        got = shard.submit(shard.db.op_read, oid, offset=0, length=7).result()
+        assert got == b"payload"
 
     def test_foreign_pool_access_raises(self, confined_set):
         shard = confined_set.shards[0]
@@ -87,7 +88,8 @@ class TestShardConfinement:
     def test_close_releases_ownership(self, monkeypatch):
         monkeypatch.setenv(ENV_VAR, "confinement")
         shard_set = ShardSet.create(1, PAGES, PAGE)
-        oid = shard_set.shards[0].op_create(b"x")
+        shard = shard_set.shards[0]
+        oid = shard.submit(shard.db.op_create, b"x").result()
         assert oid >= 0
         shard_set.close()
         # The database is closed, but the guard no longer owns it: a
@@ -139,11 +141,9 @@ class TestShardConfinement:
         shard_set = ShardSet.create(1, PAGES, PAGE, config=config)
         try:
             shard = shard_set.shards[0]
-            oid = shard.op_create(b"versioned payload")
+            oid = shard.submit(shard.db.op_create, b"versioned payload").result()
             # op_read on a versioning database takes the snapshot path,
             # which executes on the *calling* thread.
-            assert (
-                shard.op_read(oid, offset=0, length=9) == b"versioned"
-            )
+            assert shard.db.op_read(oid, offset=0, length=9) == b"versioned"
         finally:
             shard_set.close()

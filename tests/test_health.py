@@ -326,7 +326,8 @@ class TestShardedConfinement:
             # The object-layout pass reads tree pages through the
             # confined buffer pool; walking it inline from this thread
             # is exactly the violation the monitor's submit() avoids.
-            shard_set.shards[0].op_create(b"x" * 4096, size_hint=4096)
+            shard = shard_set.shards[0]
+            shard.submit(shard.db.op_create, b"x" * 4096, size_hint=4096).result()
             with pytest.raises(ConfinementViolation):
                 collect_volume_health(shard_set.shards[0].db)
         finally:
@@ -340,7 +341,7 @@ class TestShardedConfinement:
         shard_set = ShardSet.create(2, 512, PAGE, config=config)
         try:
             oids = [
-                shard.op_create(b"x" * 4096, size_hint=4096)
+                shard.submit(shard.db.op_create, b"x" * 4096, size_hint=4096).result()
                 for shard in shard_set.shards
             ]
             monitor = HealthMonitor(
@@ -354,7 +355,7 @@ class TestShardedConfinement:
                 # must keep flowing while the monitor samples on the
                 # shard workers.
                 for shard, oid in zip(shard_set.shards, oids):
-                    assert shard.op_read(oid, offset=0, length=4) == b"xxxx"
+                    assert shard.db.op_read(oid, offset=0, length=4) == b"xxxx"
                     reads += 1
             monitor.stop()
             assert monitor.samples_taken >= 3

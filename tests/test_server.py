@@ -56,20 +56,20 @@ class TestSessions:
     def test_full_op_surface(self, served):
         db, srv = served
         with EOSClient(port=srv.port) as c:
-            oid = c.create(b"hello", size_hint=4096)
-            assert c.append(oid, b" world") == 11
-            assert c.read(oid, 0, 11) == b"hello world"
-            assert c.write(oid, 0, b"HELLO") == 11
-            assert c.insert(oid, 5, b"!!") == 13
-            assert c.read(oid, 0, 13) == b"HELLO!! world"
-            assert c.delete(oid, 5, 2) == 11
-            assert c.size(oid) == 11
-            stat = c.stat(oid)
+            oid = c.op_create(b"hello", size_hint=4096)
+            assert c.op_append(oid, b" world") == 11
+            assert c.op_read(oid, offset=0, length=11) == b"hello world"
+            assert c.op_write(oid, b"HELLO", offset=0) == 11
+            assert c.op_insert(oid, b"!!", offset=5) == 13
+            assert c.op_read(oid, offset=0, length=13) == b"HELLO!! world"
+            assert c.op_delete(oid, offset=5, length=2) == 11
+            assert c.op_size(oid) == 11
+            stat = c.op_stat(oid)
             assert stat.size_bytes == 11
             assert stat.height >= 1
             assert stat.root_page == db.get_object(oid).root_page
-            other = c.create(b"x" * 2000)
-            listing = dict(c.list_objects())
+            other = c.op_create(b"x" * 2000)
+            listing = dict(c.op_list())
             assert listing[oid] == 11
             assert listing[other] == 2000
 
@@ -77,21 +77,21 @@ class TestSessions:
         _, srv = served
         with EOSClient(port=srv.port) as c:
             with pytest.raises(ObjectNotFound):
-                c.size(999)
-            oid = c.create(b"tiny")
+                c.op_size(999)
+            oid = c.op_create(b"tiny")
             with pytest.raises(ByteRangeError):
-                c.read(oid, 0, 1000)
+                c.op_read(oid, offset=0, length=1000)
             # The session survives both errors.
-            assert c.read(oid, 0, 4) == b"tiny"
+            assert c.op_read(oid, offset=0, length=4) == b"tiny"
 
     def test_many_requests_one_session(self, served):
         _, srv = served
         with EOSClient(port=srv.port) as c:
-            oid = c.create(size_hint=PAGE * 40)
+            oid = c.op_create(size_hint=PAGE * 40)
             blob = bytes(i % 251 for i in range(PAGE * 10))
             for i in range(0, len(blob), PAGE):
-                c.append(oid, blob[i : i + PAGE])
-            assert c.read(oid, 0, len(blob)) == blob
+                c.op_append(oid, blob[i : i + PAGE])
+            assert c.op_read(oid, offset=0, length=len(blob)) == blob
 
     def test_garbage_frame_gets_protocol_error_reply(self, served):
         _, srv = served
@@ -128,7 +128,7 @@ def _saturate(port, oid, n, gate, server):
     def held_read(i):
         try:
             with EOSClient(port=port, timeout=60.0) as c:
-                c.read(oid, 0, 4)
+                c.op_read(oid, offset=0, length=4)
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(f"held client {i}: {exc}")
 
@@ -157,13 +157,13 @@ class TestAdmissionControl:
         try:
             gate["closed"] = False
             with EOSClient(port=srv.port) as admin:
-                oid = admin.create(b"shared")
+                oid = admin.op_create(b"shared")
             gate["closed"] = True
             threads, errors = _saturate(srv.port, oid, 8, gate, srv.server)
             t0 = time.monotonic()
             with EOSClient(port=srv.port) as ninth:
                 with pytest.raises(ServerOverloaded):
-                    ninth.read(oid, 0, 4)
+                    ninth.op_read(oid, offset=0, length=4)
             assert time.monotonic() - t0 < 5.0, "rejection was not immediate"
             gate["closed"] = False
             for t in threads:
@@ -184,14 +184,14 @@ class TestAdmissionControl:
         try:
             gate["closed"] = False
             with EOSClient(port=srv.port) as admin:
-                oid = admin.create(b"shared")
+                oid = admin.op_create(b"shared")
             gate["closed"] = True
             errors = []
 
             def held_append():
                 try:
                     with EOSClient(port=srv.port, timeout=60.0) as c:
-                        c.append(oid, b"q")
+                        c.op_append(oid, b"q")
                 except Exception as exc:  # pragma: no cover
                     errors.append(str(exc))
 
@@ -205,13 +205,13 @@ class TestAdmissionControl:
             # backpressure is an explicit reply, not silent buffering.
             with EOSClient(port=srv.port) as c:
                 with pytest.raises(ServerOverloaded):
-                    c.append(oid, b"r")
+                    c.op_append(oid, b"r")
             gate["closed"] = False
             t.join(30)
             assert errors == []
             # Reads were never subject to the write queue.
             with EOSClient(port=srv.port) as c:
-                assert c.read(oid, 0, 6) == b"shared"
+                assert c.op_read(oid, offset=0, length=6) == b"shared"
         finally:
             gate["closed"] = False
             assert srv.stop() == []
@@ -226,14 +226,14 @@ class TestAdmissionControl:
         try:
             gate["closed"] = False
             with EOSClient(port=srv.port) as admin:
-                oid = admin.create(b"slow")
+                oid = admin.op_create(b"slow")
             gate["closed"] = True
             with EOSClient(port=srv.port, timeout=30.0) as c:
                 with pytest.raises(RequestTimeout):
-                    c.read(oid, 0, 4)
+                    c.op_read(oid, offset=0, length=4)
                 # The budget applies per request; the session lives on.
                 gate["closed"] = False
-                assert c.read(oid, 0, 4) == b"slow"
+                assert c.op_read(oid, offset=0, length=4) == b"slow"
         finally:
             gate["closed"] = False
             assert srv.stop() == []
@@ -254,13 +254,13 @@ class TestRequestPath:
 
         try:
             with EOSClient(port=srv.port) as c:
-                oid = c.create(b"snapshot")
+                oid = c.op_create(b"snapshot")
                 loop.run_in_executor = refuse
                 blocker = srv.server.shards.shards[0].submit(time.sleep, 0.5)
-                assert c.read(oid, 0, 8) == b"snapshot"
-                assert c.size(oid) == 8
-                assert c.stat(oid, version=0).size_bytes == 8
-                assert c.versions(oid)
+                assert c.op_read(oid, offset=0, length=8) == b"snapshot"
+                assert c.op_size(oid) == 8
+                assert c.op_stat(oid, version=0).size_bytes == 8
+                assert c.op_versions(oid)
                 assert not blocker.done(), "the reads queued behind the worker"
                 blocker.result()
         finally:
@@ -275,14 +275,14 @@ class TestRequestPath:
         stopped = False
         try:
             with EOSClient(port=srv.port) as admin:
-                oid = admin.create(b"parked")
+                oid = admin.op_create(b"parked")
             gate["closed"] = True
             outcome = []
 
             def parked_read():
                 try:
                     with EOSClient(port=srv.port, timeout=30.0) as c:
-                        c.read(oid, 0, 6)
+                        c.op_read(oid, offset=0, length=6)
                 except Exception as exc:
                     outcome.append(exc)
 
@@ -326,19 +326,19 @@ class TestDiskFaults:
         srv = ServerThread(db, port=0, request_timeout=10.0).start()
         try:
             with EOSClient(port=srv.port, timeout=10.0) as c:
-                whole = c.read(oid, 0, 16384)
+                whole = c.op_read(oid, offset=0, length=16384)
                 assert len(whole) == 16384
                 # The very next disk read dies mid-request.
                 faulty.arm(fail_after_reads=0)
                 t0 = time.monotonic()
                 with pytest.raises(StorageError):
-                    c.read(oid, 0, 16384)
+                    c.op_read(oid, offset=0, length=16384)
                 # A marshalled error, within the request budget — the
                 # connection did not hang until the socket gave up.
                 assert time.monotonic() - t0 < 5.0
                 # Same session: the device heals, service resumes.
                 faulty.heal()
-                assert c.read(oid, 0, 16384) == whole
+                assert c.op_read(oid, offset=0, length=16384) == whole
                 assert c.ping(b"still here") == b"still here"
         finally:
             assert srv.stop() == []
@@ -369,23 +369,23 @@ class TestEndToEnd:
         errors = []
         try:
             with EOSClient(port=srv.port) as admin:
-                shared = admin.create(size_hint=CLIENTS * ROUNDS * 64)
+                shared = admin.op_create(size_hint=CLIENTS * ROUNDS * 64)
 
             def worker(cid):
                 try:
                     with EOSClient(port=srv.port, timeout=60.0) as c:
-                        private = c.create(size_hint=(ROUNDS + 1) * 64)
+                        private = c.op_create(size_hint=(ROUNDS + 1) * 64)
                         expect = bytearray()
                         for seq in range(ROUNDS):
                             piece = _piece(cid, seq)
-                            c.append(private, piece)
+                            c.op_append(private, piece)
                             expect += piece
-                            c.append(shared, piece)
+                            c.op_append(shared, piece)
                         marker = _piece(cid, ROUNDS)
                         mid = len(expect) // 2
-                        c.insert(private, mid, marker)
+                        c.op_insert(private, marker, offset=mid)
                         expect[mid:mid] = marker
-                        got = c.read(private, 0, len(expect))
+                        got = c.op_read(private, offset=0, length=len(expect))
                         if got != bytes(expect):
                             raise AssertionError(
                                 f"client {cid}: private bytes diverged"
@@ -405,7 +405,7 @@ class TestEndToEnd:
 
             # Shared object: all appends landed, chunk-atomic, none torn.
             with EOSClient(port=srv.port) as admin:
-                blob = admin.read(shared, 0, admin.size(shared))
+                blob = admin.op_read(shared, offset=0, length=admin.op_size(shared))
             assert len(blob) == CLIENTS * ROUNDS * 64
             seen = sorted(
                 CHUNK.unpack_from(blob, i) for i in range(0, len(blob), 64)
@@ -432,7 +432,7 @@ class TestEndToEnd:
             t0 = time.monotonic()
             with EOSClient(port=srv.port) as ninth:
                 with pytest.raises(ServerOverloaded):
-                    ninth.read(shared, 0, 4)
+                    ninth.op_read(shared, offset=0, length=4)
             assert time.monotonic() - t0 < 5.0
             assert db.stats.metrics()["server.rejections"] >= 1
             gate["closed"] = False
@@ -508,11 +508,11 @@ class TestConcurrentClientsOneOid:
     def test_appends_are_atomic(self, one_oid_server, lengths):
         _, srv = one_oid_server
         with EOSClient(port=srv.port) as admin:
-            oid = admin.create()
+            oid = admin.op_create()
 
         def append_all(cid, c):
             return [
-                (c.append(oid, _tagged(cid, seq, n)), _tagged(cid, seq, n))
+                (c.op_append(oid, _tagged(cid, seq, n)), _tagged(cid, seq, n))
                 for seq, n in enumerate(lengths[cid])
             ]
 
@@ -524,8 +524,8 @@ class TestConcurrentClientsOneOid:
         assert len(set(sizes)) == len(sizes), "two appends saw one size"
         total = sum(map(sum, lengths))
         with EOSClient(port=srv.port) as admin:
-            assert admin.size(oid) == total
-            blob = admin.read(oid, 0, total)
+            assert admin.op_size(oid) == total
+            blob = admin.op_read(oid, offset=0, length=total)
         for size, chunk in placed:
             assert blob[size - len(chunk):size] == chunk
 
@@ -542,17 +542,17 @@ class TestConcurrentClientsOneOid:
         size = 3600
         hi = lo + span
         with EOSClient(port=srv.port) as admin:
-            oid = admin.create(bytes(size))
+            oid = admin.op_create(bytes(size))
         writers = len(widen)
 
         def work(cid, c):
             if cid >= writers:  # a reader of [lo, hi)
-                return [set(c.read(oid, lo, span)) for _ in range(12)]
+                return [set(c.op_read(oid, offset=lo, length=span)) for _ in range(12)]
             start = max(0, lo - widen[cid][0])
             stop = min(size, hi + widen[cid][1])
             for seq in range(6):
                 pattern = bytes([1 + cid * 16 + seq])
-                c.write(oid, start, pattern * (stop - start))
+                c.op_write(oid, pattern * (stop - start), offset=start)
             return []
 
         seen = _race(srv.port, work, writers + 2)
@@ -578,7 +578,7 @@ class TestConcurrentClientsOneOid:
         db, srv = one_oid_server
         floor = 2400
         with EOSClient(port=srv.port) as admin:
-            oid = admin.create(bytes(floor))
+            oid = admin.op_create(bytes(floor))
 
         def work(cid, c):
             # Each client deletes at most what it has inserted, so the
@@ -587,17 +587,17 @@ class TestConcurrentClientsOneOid:
             net = 0
             for insert, offset, n in scripts[cid]:
                 if insert:
-                    c.insert(oid, offset, _tagged(cid, offset, n))
+                    c.op_insert(oid, _tagged(cid, offset, n), offset=offset)
                     net += n
                 elif net:
                     n = min(n, net)
-                    c.delete(oid, offset=offset, length=n)
+                    c.op_delete(oid, offset=offset, length=n)
                     net -= n
             return net
 
         grown = sum(_race(srv.port, work, len(scripts)))
         with EOSClient(port=srv.port) as admin:
-            assert admin.size(oid) == floor + grown
+            assert admin.op_size(oid) == floor + grown
         shard = srv.server.shards.shards[0]
         report = shard.submit(fsck, db).result()
         assert report.clean, report.summary()
@@ -606,7 +606,7 @@ class TestConcurrentClientsOneOid:
         _, srv = one_oid_server
         old, new = b"o" * 3000, b"n" * 2000
         with EOSClient(port=srv.port) as admin:
-            oid = admin.create(old)
+            oid = admin.op_create(old)
         shard = srv.server.shards.shards[0]
         budget = srv.server.request_timeout
         blocker = shard.submit(time.sleep, 0.6)
@@ -614,17 +614,17 @@ class TestConcurrentClientsOneOid:
             srv.server.request_timeout = 0.2
             try:
                 with pytest.raises(RequestTimeout):
-                    c.write(oid, 500, new)
+                    c.op_write(oid, new, offset=500)
             finally:
                 srv.server.request_timeout = budget
             # TIMEOUT means "outcome unknown": the write is still queued
             # behind the blocker.  A plain read queues behind it and sees
             # the new bytes; a snapshot read may still see the old ones.
             landed = old[:500] + new + old[2500:]
-            assert c.read(oid, 0, 3000) in (old, landed)
+            assert c.op_read(oid, offset=0, length=3000) in (old, landed)
             blocker.result()
             shard.submit(lambda: None).result()  # the write has run
-            assert c.read(oid, 0, 3000) == landed
+            assert c.op_read(oid, offset=0, length=3000) == landed
         # The op was not dropped from the queue, so its pending count
         # was settled too.
         assert shard.pending == 0

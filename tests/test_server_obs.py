@@ -54,8 +54,8 @@ class TestTracePropagation:
         try:
             with EOSClient(port=srv.port) as c:
                 c.enable_tracing(client_path)
-                oid = c.create(b"x" * 2048)
-                assert c.read(oid, 0, 2048) == b"x" * 2048
+                oid = c.op_create(b"x" * 2048)
+                assert c.op_read(oid, offset=0, length=2048) == b"x" * 2048
         finally:
             assert srv.stop() == []
             db.close()  # flushes the server-side sink
@@ -149,8 +149,8 @@ class TestExposition:
         try:
             with ServerThread(db, port=0) as srv:
                 with EOSClient(port=srv.port) as c:
-                    oid = c.create(b"secret-payload" * 64)
-                    c.read(oid, 0, 64)
+                    oid = c.op_create(b"secret-payload" * 64)
+                    c.op_read(oid, offset=0, length=64)
                     text = c.flight()
             path = tmp_path / "flight.jsonl"
             path.write_text(text)
@@ -171,8 +171,8 @@ class TestExposition:
         try:
             with ServerThread(db, port=0) as srv:
                 with EOSClient(port=srv.port) as c:
-                    oid = c.create(b"y" * 1024)
-                    c.read(oid, 0, 1024)
+                    oid = c.op_create(b"y" * 1024)
+                    c.op_read(oid, offset=0, length=1024)
                 with MetricsHTTPServer(db, srv.server) as side:
                     base = f"http://127.0.0.1:{side.port}"
                     with urllib.request.urlopen(base + "/metrics", timeout=10) as r:
@@ -230,7 +230,7 @@ class TestOverloadObservability:
         try:
             gate["closed"] = False
             with EOSClient(port=srv.port) as admin:
-                oid = admin.create(b"shared")
+                oid = admin.op_create(b"shared")
             gate["closed"] = True
 
             errors: list[str] = []
@@ -238,7 +238,7 @@ class TestOverloadObservability:
             def held_read(i):
                 try:
                     with EOSClient(port=srv.port, timeout=60.0) as c:
-                        c.read(oid, 0, 4)
+                        c.op_read(oid, offset=0, length=4)
                 except Exception as exc:  # pragma: no cover - failure path
                     errors.append(f"held client {i}: {exc}")
 
@@ -255,7 +255,7 @@ class TestOverloadObservability:
 
             with EOSClient(port=srv.port) as extra:
                 with pytest.raises(ServerOverloaded):
-                    extra.read(oid, 0, 4)
+                    extra.op_read(oid, offset=0, length=4)
 
             # Exposition bypasses admission: the overloaded server still
             # answers METRICS, and the rejection has been counted.
@@ -293,14 +293,14 @@ class TestLatencyQuantiles:
         try:
             with ServerThread(db, port=0, max_inflight=16) as srv:
                 with EOSClient(port=srv.port) as admin:
-                    oid = admin.create(b"z" * 8192)
+                    oid = admin.op_create(b"z" * 8192)
                 errors: list[str] = []
 
                 def worker(i):
                     try:
                         with EOSClient(port=srv.port, timeout=30.0) as c:
                             for _ in range(ops):
-                                c.read(oid, 0, 1024)
+                                c.op_read(oid, offset=0, length=1024)
                     except Exception as exc:  # pragma: no cover
                         errors.append(f"client {i}: {exc}")
 

@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.api import EOSDatabase
+from repro.core.config import EOSConfig
 from repro.errors import (
     ByteRangeError,
     DatabaseClosed,
@@ -14,8 +16,8 @@ from repro.errors import (
     ServerOverloaded,
     StorageError,
 )
-from repro.ops import ObjectStat
-from repro.server import protocol
+from repro.ops import ObjectOps, ObjectStat
+from repro.server import EOSClient, ServerThread, protocol
 from repro.server.protocol import Opcode, Status
 from repro.storage.faults import DiskFault
 
@@ -157,4 +159,135 @@ class TestPayloadCodecs:
         assert protocol.WRITE_OPCODES == {
             Opcode.CREATE, Opcode.APPEND, Opcode.WRITE,
             Opcode.INSERT, Opcode.DELETE, Opcode.COMPACT,
+        }
+
+
+# ---------------------------------------------------------------------------
+# Wire compatibility: the bytes each op puts on the wire, pinned
+# ---------------------------------------------------------------------------
+
+#: (opcode, request payload hex, response payload hex) for the fixed
+#: session in :func:`_wire_session`.  Recorded before the served path was
+#: rewritten around protocol.OBJECT_OPCODES; any difference is a wire
+#: format change.  The COMPACT, METRICS and FLIGHT responses carry
+#: timings, so only their requests are pinned.
+PLAIN_SESSION = [
+    ("PING", "6563686f", "6563686f"),
+    ("CREATE", "001000000000000068656c6c6f", "0100000000000000"),
+    ("APPEND", "010000000000000020776f726c64", "0b00000000000000"),
+    ("READ", "010000000000000000000000000000000500000000000000", "68656c6c6f"),
+    ("READ", "010000000000000006000000000000000500000000000000", "776f726c64"),
+    ("WRITE", "0100000000000000000000000000000048454c4c4f", "0b00000000000000"),
+    ("INSERT", "010000000000000005000000000000003c2d3e", "0e00000000000000"),
+    ("DELETE", "010000000000000005000000000000000300000000000000", "0b00000000000000"),
+    ("SIZE", "0100000000000000", "0b00000000000000"),
+    ("STAT", "0100000000000000",
+     "0b0000000000000001000000010000000100000001000000fa030000"),
+    ("STAT", "01000000000000000000000000000000",
+     "0b0000000000000001000000010000000100000001000000fa03000000000000"),
+    ("VERSIONS", "0100000000000000", "0000"),
+    ("LIST", "", "0100000001000000000000000b00000000000000"),
+    ("COMPACT", "00000000000000000000000000000000", None),
+    ("METRICS", "", None),
+    ("FLIGHT", "", None),
+]
+VERSIONED_SESSION = [
+    ("CREATE", "001000000000000068656c6c6f", "0100000000000000"),
+    ("APPEND", "010000000000000020776f726c64", "0b00000000000000"),
+    ("READ", "010000000000000000000000000000000500000000000000", "68656c6c6f"),
+    ("READ", "010000000000000006000000000000000500000000000000", "776f726c64"),
+    ("WRITE", "0100000000000000000000000000000048454c4c4f", "0b00000000000000"),
+    ("INSERT", "010000000000000005000000000000003c2d3e", "0e00000000000000"),
+    ("DELETE", "010000000000000005000000000000000300000000000000", "0b00000000000000"),
+    ("SIZE", "0100000000000000", "0b00000000000000"),
+    ("STAT", "0100000000000000",
+     "0b0000000000000002000000020000000100000001000000f8030000"),
+    ("STAT", "01000000000000000000000000000000",
+     "0b0000000000000002000000020000000100000001000000f803000006000000"),
+    ("READ", "0100000000000000000000000000000005000000000000000200000000000000",
+     "68656c6c6f"),
+    ("STAT", "01000000000000000200000000000000",
+     "050000000000000001000000010000000100000001000000fc03000002000000"),
+    ("LIST", "", "0100000001000000000000000b00000000000000"),
+]
+
+
+def _wire_session(versioning, monkeypatch):
+    """Run the fixed op sequence; every exchange as (opcode, req, resp)."""
+    log = []
+    exchange = EOSClient._exchange
+
+    def spy(self, opcode, payload, *, oid=None, dest=None):
+        out = exchange(self, opcode, payload, oid=oid, dest=dest)
+        body = bytes(dest[:out]) if dest is not None else bytes(out)
+        log.append((opcode.name, bytes(payload).hex(), body.hex()))
+        return out
+
+    monkeypatch.setattr(EOSClient, "_exchange", spy)
+    config = EOSConfig(page_size=512, versioning=versioning)
+    db = EOSDatabase.create(num_pages=1024, page_size=512, config=config)
+    with ServerThread(db, port=0) as srv:
+        with EOSClient(port=srv.port) as c:
+            if not versioning:
+                c.ping(b"echo")
+            oid = c.op_create(b"hello", size_hint=4096)
+            c.op_append(oid, b" world")
+            c.op_read(oid, offset=0, length=5)
+            c.op_read_into(oid, bytearray(5), offset=6, length=5)
+            c.op_write(oid, b"HELLO", offset=0)
+            c.op_insert(oid, b"<->", offset=5)
+            c.op_delete(oid, offset=5, length=3)
+            c.op_size(oid)
+            c.op_stat(oid)
+            c.op_stat(oid, version=0)
+            if versioning:
+                c.op_read(oid, offset=0, length=5, version=2)
+                c.op_stat(oid, version=2)
+            else:
+                c.op_versions(oid)
+            c.op_list()
+            if not versioning:
+                c.compact()
+                c.metrics()
+                c.flight()
+    db.close()
+    return log
+
+
+class TestWireCompatibility:
+    @pytest.mark.parametrize(
+        "versioning, expected",
+        [(False, PLAIN_SESSION), (True, VERSIONED_SESSION)],
+        ids=["plain", "versioned"],
+    )
+    def test_payload_bytes_pinned(self, versioning, expected, monkeypatch):
+        log = _wire_session(versioning, monkeypatch)
+        assert [(op, req) for op, req, _ in log] == [
+            (op, req) for op, req, _ in expected
+        ]
+        for (op, _, got), (_, _, want) in zip(log, expected):
+            if want is not None:
+                assert (op, got) == (op, want)
+
+
+class TestOneObjectOpsSurface:
+    @staticmethod
+    def _object_ops_methods():
+        return {name for name in vars(ObjectOps) if name.startswith("op_")}
+
+    def test_declaration_covers_every_object_op_once(self):
+        declared = [spec.method for spec in protocol.OBJECT_OPCODES.values()]
+        # CREATE places and LIST fans out, so the server serves those two
+        # itself; op_read_into is READ received into a caller's buffer.
+        served_elsewhere = ["op_create", "op_list", "op_read_into"]
+        assert sorted(declared + served_elsewhere) == sorted(self._object_ops_methods())
+
+    def test_client_spells_each_op_once(self):
+        public = {
+            name for name, value in vars(EOSClient).items()
+            if callable(value) and not name.startswith("_")
+        }
+        lifecycle = {"connect", "close", "enable_tracing"}
+        assert public - lifecycle == self._object_ops_methods() | {
+            "ping", "compact", "metrics", "flight", "call",
         }

@@ -1,5 +1,5 @@
 """Sharded server: oid tagging, routing, fan-out, shard death, and the
-ObjectOps conformance contract across all three implementations."""
+ObjectOps conformance contract across both implementations."""
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +11,7 @@ from repro.errors import ObjectNotFound, ShardUnavailable, VersionNotFound
 from repro.ops import ObjectOps, ObjectStat
 from repro.server import EOSClient, ServerThread, ShardSet, Status
 from repro.server.protocol import exception_from, status_for_exception
-from repro.server.sharding import Shard, make_oid, shard_of, split_oid
+from repro.server.sharding import make_oid, shard_of, split_oid
 from repro.storage.timing import TimedDisk
 
 PAGE = 512
@@ -20,6 +20,12 @@ PAGES = 1024
 
 def make_shardset(n):
     return ShardSet.create(n, PAGES, PAGE)
+
+
+def create_on(shard, data=b""):
+    """Create an object on one shard's worker; its wire oid."""
+    local = shard.submit(shard.db.op_create, data).result()
+    return make_oid(shard.index, local, shard.n_shards)
 
 
 # ---------------------------------------------------------------------------
@@ -56,27 +62,30 @@ class TestOidTagging:
 class TestShardSet:
     def test_creates_spread_evenly(self):
         ss = make_shardset(4)
-        try:
-            oids = [ss.pick_for_create().op_create(b"x") for _ in range(32)]
-            residues = sorted(oid % 4 for oid in oids)
-            assert residues == sorted(list(range(4)) * 8)
-        finally:
-            ss.close()
+        with ServerThread(shards=ss, port=0) as srv:
+            with EOSClient(port=srv.port) as c:
+                oids = [c.op_create(b"x") for _ in range(32)]
+        ss.close()
+        residues = sorted(oid % 4 for oid in oids)
+        assert residues == sorted(list(range(4)) * 8)
 
     def test_shard_for_routes_by_residue(self):
         ss = make_shardset(4)
         try:
             for shard in ss.shards:
-                oid = shard.op_create(b"y")
+                oid = create_on(shard, b"y")
                 assert ss.shard_for(oid) is shard
-                assert shard.op_read(oid, offset=0, length=1) == b"y"
+                got = shard.submit(
+                    shard.db.op_read, shard.local_oid(oid), offset=0, length=1
+                ).result()
+                assert got == b"y"
         finally:
             ss.close()
 
     def test_local_oid_rejects_foreign_tag(self):
         ss = make_shardset(4)
         try:
-            oid = ss.shards[0].op_create(b"z")
+            oid = create_on(ss.shards[0], b"z")
             with pytest.raises(ObjectNotFound):
                 ss.shards[1].local_oid(oid)
         finally:
@@ -84,32 +93,33 @@ class TestShardSet:
 
     def test_cross_shard_list_merges_ascending(self):
         ss = make_shardset(4)
-        try:
-            sizes = {}
-            for i in range(12):
-                oid = ss.pick_for_create().op_create(b"a" * (i + 1))
-                sizes[oid] = i + 1
-            listing = ss.op_list()
-            assert [oid for oid, _ in listing] == sorted(sizes)
-            assert dict(listing) == sizes
-            # Every shard contributed.
-            assert {oid % 4 for oid, _ in listing} == {0, 1, 2, 3}
-        finally:
-            ss.close()
+        with ServerThread(shards=ss, port=0) as srv:
+            with EOSClient(port=srv.port) as c:
+                sizes = {}
+                for i in range(12):
+                    oid = c.op_create(b"a" * (i + 1))
+                    sizes[oid] = i + 1
+                listing = c.op_list()
+        ss.close()
+        assert [oid for oid, _ in listing] == sorted(sizes)
+        assert dict(listing) == sizes
+        # Every shard contributed.
+        assert {oid % 4 for oid, _ in listing} == {0, 1, 2, 3}
 
     def test_dead_shard_fails_fanout(self):
         ss = make_shardset(2)
-        try:
-            ss.shards[0].op_create(b"x")
-            ss.shards[1].kill()
-            with pytest.raises(ShardUnavailable):
-                ss.op_list()
-            with pytest.raises(ShardUnavailable):
-                ss.shards[1].op_create(b"y")
-            # The survivor keeps serving, and keeps taking creates.
-            assert ss.pick_for_create() is ss.shards[0]
-        finally:
-            ss.close()
+        with ServerThread(shards=ss, port=0) as srv:
+            with EOSClient(port=srv.port) as c:
+                c.op_create(b"x")
+                ss.shards[1].kill()
+                with pytest.raises(ShardUnavailable):
+                    c.op_list()
+                with pytest.raises(ShardUnavailable):
+                    ss.shards[1].submit(ss.shards[1].db.op_create, b"y")
+                # The survivor keeps serving, and keeps taking creates.
+                assert ss.pick_for_create() is ss.shards[0]
+                assert c.op_create(b"z") % 2 == 0
+        ss.close()
 
     def test_adopt_preserves_observability_identity(self):
         db = EOSDatabase.create(num_pages=PAGES, page_size=PAGE)
@@ -117,7 +127,7 @@ class TestShardSet:
             ss = ShardSet.adopt(db)
             assert ss.single
             assert ss.obs is db.obs
-            oid = ss.shards[0].op_create(b"w")
+            oid = create_on(ss.shards[0], b"w")
             assert db.op_read(oid, offset=0, length=1) == b"w"  # identity oid
         finally:
             db.close()
@@ -143,20 +153,20 @@ class TestShardDeathOverWire:
         ss = ShardSet.create(2, PAGES, PAGE, config=config)
         with ServerThread(shards=ss, port=0) as srv:
             with EOSClient(port=srv.port) as c:
-                oids = [c.create(bytes([i]) * 64) for i in range(4)]
+                oids = [c.op_create(bytes([i]) * 64) for i in range(4)]
                 victim = ss.shards[0]
                 victim.kill()
                 dead = next(o for o in oids if o % 2 == victim.index)
                 live = next(o for o in oids if o % 2 != victim.index)
                 with pytest.raises(ShardUnavailable):
-                    c.read(dead, 0, 8)
-                for probe in (c.size, c.stat, c.versions):
+                    c.op_read(dead, offset=0, length=8)
+                for probe in (c.op_size, c.op_stat, c.op_versions):
                     with pytest.raises(ShardUnavailable):
                         probe(dead)
                 with pytest.raises(ShardUnavailable):
-                    c.list_objects()
+                    c.op_list()
                 # Requests routed to the survivor are unaffected.
-                assert c.read(live, 0, 8) == bytes([oids.index(live)]) * 8
+                assert c.op_read(live, offset=0, length=8) == bytes([oids.index(live)]) * 8
                 doc = c.metrics()
                 alive = {s["shard"]: s["alive"] for s in doc["shards"]}
                 assert alive == {0: False, 1: True}
@@ -165,7 +175,7 @@ class TestShardDeathOverWire:
 
 
 # ---------------------------------------------------------------------------
-# ObjectOps conformance — one suite, three implementations
+# ObjectOps conformance — one suite, both implementations
 # ---------------------------------------------------------------------------
 
 
@@ -213,14 +223,6 @@ class TestObjectOpsConformance:
             exercise_object_ops(db)
         finally:
             db.close()
-
-    def test_shard(self):
-        ss = make_shardset(3)
-        try:
-            for shard in ss.shards:
-                exercise_object_ops(shard)
-        finally:
-            ss.close()
 
     def test_remote_client(self):
         for n_shards in (1, 4):
@@ -335,7 +337,7 @@ class TestShardedExposition:
         ss = make_shardset(2)
         with ServerThread(shards=ss, port=0) as srv:
             with EOSClient(port=srv.port) as c:
-                c.create(b"x" * 256)
+                c.op_create(b"x" * 256)
                 doc = c.metrics()
             assert doc["server"]["shards"] == 2
             assert [s["shard"] for s in doc["shards"]] == [0, 1]
@@ -359,7 +361,7 @@ class TestShardedExposition:
         db.obs.enable()
         with ServerThread(db, port=0) as srv:
             with EOSClient(port=srv.port) as c:
-                c.create(b"x")
+                c.op_create(b"x")
                 doc = c.metrics()
         db.close()
         assert "shards" not in doc          # no per-shard list for N=1

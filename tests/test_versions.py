@@ -1,6 +1,6 @@
 """Copy-on-write object versioning: snapshot isolation, retention,
 reclaim accounting, persistence, the wire surface, and conformance of
-all three ObjectOps implementations on a versioned dbend."""
+both ObjectOps implementations on a versioned backend."""
 
 import threading
 
@@ -428,17 +428,17 @@ class TestWire:
         ss = make_versioned_shardset(2)
         with ServerThread(shards=ss, port=0) as srv:
             with EOSClient(port=srv.port) as c:
-                oid = c.create(b"hello")
-                c.append(oid, b" world")
-                assert c.read(oid, 0, 5, version=2) == b"hello"
-                assert c.read(oid, 0, 11) == b"hello world"
-                chain = c.versions(oid)
+                oid = c.op_create(b"hello")
+                c.op_append(oid, b" world")
+                assert c.op_read(oid, offset=0, length=5, version=2) == b"hello"
+                assert c.op_read(oid, offset=0, length=11) == b"hello world"
+                chain = c.op_versions(oid)
                 assert [v.version for v in chain] == [1, 2, 3]
-                assert c.stat(oid, version=2).version == 2
-                assert c.stat(oid, version=0).version == 3  # latest, numbered
-                assert c.stat(oid).version == 0             # legacy short form
+                assert c.op_stat(oid, version=2).version == 2
+                assert c.op_stat(oid, version=0).version == 3  # latest, numbered
+                assert c.op_stat(oid).version == 0             # legacy short form
                 with pytest.raises(VersionNotFound):
-                    c.read(oid, 0, 1, version=42)
+                    c.op_read(oid, offset=0, length=1, version=42)
         assert srv.leaked_tasks == []
         ss.close()
 
@@ -447,7 +447,7 @@ class TestWire:
         ss = make_versioned_shardset(1)
         with ServerThread(shards=ss, port=0) as srv:
             with EOSClient(port=srv.port) as c:
-                oid = c.create(b"old client")
+                oid = c.op_create(b"old client")
                 legacy_read = c.call(
                     Opcode.READ,
                     protocol.pack_oid_offset_length(oid, 0, 10),
@@ -471,16 +471,16 @@ class TestWire:
         db = EOSDatabase.create(num_pages=PAGES, page_size=PAGE)
         with ServerThread(db, port=0) as srv:
             with EOSClient(port=srv.port) as c:
-                oid = c.create(b"plain")
-                assert c.versions(oid) == []
+                oid = c.op_create(b"plain")
+                assert c.op_versions(oid) == []
                 with pytest.raises(ObjectNotFound):
-                    c.versions(oid + 100)
+                    c.op_versions(oid + 100)
         assert srv.leaked_tasks == []
         db.close()
 
 
 # ---------------------------------------------------------------------------
-# Versioned-read conformance — the same contract, three implementations
+# Versioned-read conformance — the same contract, both implementations
 # ---------------------------------------------------------------------------
 
 
@@ -514,14 +514,6 @@ class TestVersionedConformance:
             exercise_versioned_reads(db)
         finally:
             db.close()
-
-    def test_shard(self):
-        ss = make_versioned_shardset(3)
-        try:
-            for shard in ss.shards:
-                exercise_versioned_reads(shard)
-        finally:
-            ss.close()
 
     def test_remote_client(self):
         for n_shards in (1, 4):
