@@ -17,6 +17,7 @@ import struct
 import threading
 
 from repro.api import EOSDatabase
+from repro.obs import Observability
 from repro.server import EOSClient, ServerThread, ShardSet
 
 
@@ -94,17 +95,22 @@ def sharded_server() -> None:
 
 def main() -> None:
     db = EOSDatabase.create(num_pages=4096, page_size=512)
-    db.obs.enable()  # per-request spans, counters, latency histogram
+    db.obs.enable()  # per-request counters and latency histograms
     with ServerThread(db, port=0) as srv:
         print(f"serving on 127.0.0.1:{srv.port}")
         crud_roundtrip(srv.port)
         concurrent_appenders(srv.port)
 
+        # Span trees are built only for requests that ask for them: a
+        # client with a live tracer sets FLAG_TRACE on the wire.
+        with EOSClient(port=srv.port, obs=Observability().enable()) as traced:
+            traced.ping(b"traced")
+
         metrics = db.stats.metrics()
         lat = metrics["server.latency_ms"]
         print(
             f"  served {metrics['server.requests']} requests "
-            f"({metrics['span.server.request']} traced spans), "
+            f"({metrics['span.server.request']} traced), "
             f"mean latency {lat['sum'] / lat['count']:.2f} ms"
         )
     assert srv.leaked_tasks == []

@@ -11,7 +11,8 @@ individual operations instead of reading three global counter bags:
   delta the disk-head model recorded while the span was open;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` holds named
   counters, gauges and histograms (modelled-cost latencies, seek
-  distributions, transfer-run lengths);
+  distributions, allocation sizes; a scrape reads the disk counters
+  from ``IOStats`` itself);
 * :mod:`repro.obs.sinks` — pluggable receivers: an in-memory ring for
   tests, a JSON-lines file for offline analysis (rendered by
   ``python -m repro.tools.tracefmt``), and a human summary;
@@ -23,7 +24,8 @@ individual operations instead of reading three global counter bags:
 
 Tracing is off by default: every component holds a shared
 :data:`NULL_OBS` whose tracer and registry are no-op singletons, so hot
-paths pay one attribute lookup and an empty method call::
+paths pay one attribute lookup and an empty method call (and a server
+builds spans only for the requests that ask for them)::
 
     db = EOSDatabase.create(num_pages=8192)
     ring = RingSink()

@@ -6,12 +6,13 @@ behind — after the fact, counters say how much went wrong but not what
 the traffic looked like.  :class:`FlightRecorder` keeps two fixed-size
 rings in memory at negligible cost:
 
-* **summaries** — one compact dict per finished request (opcode, oid,
-  status, per-phase timings, byte counts, trace context), recorded by
-  the server for every request whether or not tracing is enabled;
-* **spans** — the most recent finished-span records, captured by
-  attaching the recorder as a tracer sink (``on_span``), so a dump
-  carries the span *trees* of recent requests when tracing is on.
+* **summaries** — one record per finished request (opcode, oid, status,
+  per-phase timings, byte counts, the shard's I/O delta, trace context),
+  appended by the server for every request, traced or not;
+* **spans** — the finished-span records of recent *traced* requests: the
+  server makes the recorder a sink (``on_span``) of the tracers a traced
+  request runs on.  It is not every tracer's sink, and untraced requests
+  build no spans.
 
 On an incident (a :class:`~repro.errors.ServerOverloaded` rejection, an
 error response, or an operator signal) the server calls
@@ -22,14 +23,13 @@ dump opens with a ``kind: "flight_header"`` line, then ``kind:
 lines use the ordinary trace schema, ``python -m repro.tools.tracefmt``
 renders a dump directly.
 
-Records are redacted on the way out: recording only appends (every
-storage span of every served request lands here, so the hot path must
-stay cheap), and :meth:`entries`, :meth:`spans`, :meth:`to_jsonl` and
-:meth:`dump` drop payload-carrying keys and truncate long strings as
-each record leaves.  Nothing the recorder hands out contains object
-bytes, so a dump is safe to ship off-box.  A recorded dict must not be
-mutated afterwards; the server and the tracer build a fresh one per
-record.
+Recording only appends, so the serving hot path stays cheap.  A summary
+is a dict or a fixed-shape record whose ``as_doc()`` makes the dict
+when it leaves; :meth:`entries`, :meth:`spans`, :meth:`to_jsonl` and
+:meth:`dump` also drop payload-carrying keys and truncate long strings
+then.  Nothing the recorder hands out contains object bytes, so a dump
+is safe to ship off-box.  A recorded summary must not be mutated
+afterwards; the server and the tracer build a fresh one per record.
 """
 
 from __future__ import annotations
@@ -70,17 +70,12 @@ class FlightRecorder:
     ``to_jsonl`` runs on whatever thread serves the dump.
     """
 
-    def __init__(
-        self,
-        capacity: int = 256,
-        *,
-        span_capacity: int | None = None,
-        min_dump_interval: float = 5.0,
-    ) -> None:
+    def __init__(self, capacity: int = 256, *, min_dump_interval: float = 5.0) -> None:
         self.capacity = capacity
         self.min_dump_interval = min_dump_interval
         self._entries: deque = deque(maxlen=capacity)
-        self._spans: deque = deque(maxlen=span_capacity or capacity * 8)
+        # A traced request leaves a few spans per storage call.
+        self._spans: deque = deque(maxlen=capacity * 8)
         self._lock = threading.Lock()
         self._last_dump = 0.0
         self.dumps = 0
@@ -90,11 +85,12 @@ class FlightRecorder:
     # Recording
     # ------------------------------------------------------------------
 
-    def record(self, entry: dict) -> None:
-        """Append one request summary (evicts the oldest).
+    def record(self, entry) -> None:
+        """Append one request summary (evicts the oldest): a dict, or a
+        record whose ``as_doc()`` returns one.
 
-        Nothing is copied or redacted here; that happens when the
-        summary leaves the recorder.
+        Nothing is rendered, copied or redacted here; that happens when
+        the summary leaves the recorder.
         """
         with self._lock:
             self._entries.append(entry)
@@ -108,19 +104,16 @@ class FlightRecorder:
         """The retained request summaries, oldest first, redacted."""
         with self._lock:
             entries = list(self._entries)
-        return [{**_redact(e), "kind": "flight"} for e in entries]
+        return [
+            {**_redact(e if isinstance(e, dict) else e.as_doc()), "kind": "flight"}
+            for e in entries
+        ]
 
     def spans(self) -> list[dict]:
         """The retained span records, oldest first, redacted."""
         with self._lock:
             spans = list(self._spans)
         return [_redact(s) for s in spans]
-
-    def clear(self) -> None:
-        """Drop everything retained."""
-        with self._lock:
-            self._entries.clear()
-            self._spans.clear()
 
     def __len__(self) -> int:
         with self._lock:

@@ -229,10 +229,6 @@ class MetricsRegistry:
         for _, instrument in self.instruments():
             instrument.reset()
 
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._instruments)
-
 
 class _NullInstrument:
     """One object stands in for every instrument when metrics are off."""
@@ -283,9 +279,6 @@ class NullMetrics:
 
     def reset(self) -> None:
         """Nothing to reset."""
-
-    def __len__(self) -> int:
-        return 0
 
 
 NULL_METRICS = NullMetrics()

@@ -17,9 +17,10 @@ from repro.obs.summary import format_summary, format_tree
 
 
 class RingSink:
-    """Keeps the last ``capacity`` span records in memory (for tests)."""
+    """Keeps the last ``capacity`` span records in memory (all of them
+    when ``capacity`` is None)."""
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, capacity: int | None = 4096) -> None:
         self._ring: deque = deque(maxlen=capacity)
         self.metrics: dict | None = None
 
@@ -35,11 +36,6 @@ class RingSink:
     def records(self) -> list[dict]:
         """The retained records, oldest first."""
         return list(self._ring)
-
-    def clear(self) -> None:
-        """Drop all retained records and the metrics snapshot."""
-        self._ring.clear()
-        self.metrics = None
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -83,20 +79,11 @@ class JsonLinesSink:
             self._file = None
 
 
-class SummarySink:
-    """Collects records and renders a per-operation summary on demand."""
+class SummarySink(RingSink):
+    """Keeps every record and renders a per-operation summary on demand."""
 
     def __init__(self) -> None:
-        self.records: list[dict] = []
-        self.metrics: dict | None = None
-
-    def on_span(self, record: dict) -> None:
-        """Collect one finished-span record."""
-        self.records.append(record)
-
-    def on_metrics(self, snapshot: dict) -> None:
-        """Remember the latest metrics snapshot."""
-        self.metrics = snapshot
+        super().__init__(capacity=None)
 
     def render(self, *, tree: bool = False) -> str:
         """The aggregate table, optionally preceded by the span tree."""

@@ -24,12 +24,15 @@ shared always-disabled bundle that standalone components default to.
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from typing import Iterable
 
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.storage.geometry import DISK_1992, DiskGeometry
+
+_IO_KEYS = ("seeks", "page_reads", "page_writes")
 
 
 class NullSpan:
@@ -77,8 +80,18 @@ class NullTracer:
     def record_span(self, name: str, **kwargs) -> None:
         """Discard the hand-built record."""
 
+    def mute(self, muted: bool = True) -> bool:
+        """Nothing to mute; reports "was not muted"."""
+        return False
+
 
 NULL_TRACER = NullTracer()
+
+
+class _ThreadState(threading.local):
+    """Per-thread tracer state: whether span building is muted here."""
+
+    muted = False
 
 
 class Span:
@@ -161,31 +174,36 @@ class Tracer:
         self._stack: list[Span] = []
         # Span name -> its (counter, cost_ms, seeks) instruments.
         self._instruments: dict[str, tuple] = {}
-        self._next_span = first_span_id
-        self._next_trace = first_trace_id
-        # Span/trace ids are handed out to the serving layer from both the
-        # event loop and executor threads; emission interleaves the same
-        # way, so both take small locks.
-        self._id_lock = threading.Lock()
+        # Ids are handed out from the event loop and worker threads; a
+        # count's next() is one C call under the GIL, so needs no lock.
+        # Emission interleaves the same way and takes a small lock.
+        self._span_ids = itertools.count(first_span_id)
+        self._trace_ids = itertools.count(first_trace_id)
         self._emit_lock = threading.Lock()
+        self._thread = _ThreadState()
 
-    def span(self, name: str, **attrs) -> Span:
-        """A new span; it joins the trace tree when entered."""
+    def span(self, name: str, **attrs) -> Span | NullSpan:
+        """A new span; it joins the trace tree when entered.  On a
+        thread that muted this tracer it is the shared no-op span."""
+        if self._thread.muted:
+            return _NULL_SPAN
         return Span(self, name, attrs)
+
+    def mute(self, muted: bool = True) -> bool:
+        """Stop (or resume) building spans on the calling thread only;
+        returns the previous state.  The server mutes a shard's tracer
+        around an op nobody asked to trace."""
+        state = self._thread
+        previous, state.muted = state.muted, muted
+        return previous
 
     def new_span_id(self) -> int:
         """Allocate a span id (thread-safe; for hand-built records)."""
-        with self._id_lock:
-            span_id = self._next_span
-            self._next_span += 1
-            return span_id
+        return next(self._span_ids)
 
     def new_trace_id(self) -> int:
         """Allocate a trace id (thread-safe; for hand-built records)."""
-        with self._id_lock:
-            trace_id = self._next_trace
-            self._next_trace += 1
-            return trace_id
+        return next(self._trace_ids)
 
     # -- span lifecycle ------------------------------------------------------
 
@@ -255,38 +273,14 @@ class Tracer:
         count.inc()
         cost_ms.observe(span.cost_ms)
         seeks.observe(span.io[0])
-        if not self.sinks:
-            return
-        record = {
-            "kind": "span",
-            "trace": span.trace_id,
-            "span": span.span_id,
-            "parent": span.parent_id,
-            "name": span.name,
-            "attrs": span.attrs,
-            "elapsed_ms": round(span.elapsed_ms, 3),
-            "io": {
-                "seeks": span.io[0],
-                "page_reads": span.io[1],
-                "page_writes": span.io[2],
-            },
-            "self_io": {
-                "seeks": span.self_io[0],
-                "page_reads": span.self_io[1],
-                "page_writes": span.self_io[2],
-            },
-            "cost_ms": round(span.cost_ms, 3),
-        }
-        if span.error is not None:
-            record["error"] = span.error
-        if span.remote_parent:
-            record["remote_parent"] = True
-        self._dispatch(record)
-
-    def _dispatch(self, record: dict) -> None:
-        with self._emit_lock:
-            for sink in self.sinks:
-                sink.on_span(record)
+        if self.sinks:
+            self._dispatch(
+                span.name, span.trace_id, span.span_id, span.parent_id,
+                span.remote_parent, span.elapsed_ms, span.attrs, span.error,
+                io=dict(zip(_IO_KEYS, span.io)),
+                self_io=dict(zip(_IO_KEYS, span.self_io)),
+                cost_ms=round(span.cost_ms, 3),
+            )
 
     def record_span(
         self,
@@ -311,39 +305,30 @@ class Tracer:
         process's trace file (the wire-propagated client span id).
         """
         self.metrics.counter(f"span.{name}").inc()
+        if self.sinks:
+            self._dispatch(name, trace_id, span_id, parent_id, remote_parent,
+                           elapsed_ms, attrs or {}, error)
+
+    def _dispatch(self, name, trace_id, span_id, parent_id, remote_parent,
+                  elapsed_ms, attrs, error, **measured) -> None:
+        """Hand one finished span's record to every sink."""
         record = {
             "kind": "span",
             "trace": trace_id,
             "span": span_id,
             "parent": parent_id,
             "name": name,
-            "attrs": attrs or {},
+            "attrs": attrs,
             "elapsed_ms": round(elapsed_ms, 3),
+            **measured,
         }
         if error is not None:
             record["error"] = error
         if remote_parent:
             record["remote_parent"] = True
-        if self.sinks:
-            self._dispatch(record)
-
-
-class _DiskObserver:
-    """Feeds per-transfer metrics from the head model into the registry."""
-
-    __slots__ = ("read_runs", "write_runs", "seeks")
-
-    def __init__(self, metrics: MetricsRegistry) -> None:
-        self.read_runs = metrics.histogram("disk.read_run_pages")
-        self.write_runs = metrics.histogram("disk.write_run_pages")
-        self.seeks = metrics.counter("disk.seeks")
-
-    def on_transfer(
-        self, first_page: int, n_pages: int, *, is_write: bool, seeked: bool
-    ) -> None:
-        (self.write_runs if is_write else self.read_runs).observe(n_pages)
-        if seeked:
-            self.seeks.inc()
+        with self._emit_lock:
+            for sink in self.sinks:
+                sink.on_span(record)
 
 
 class Observability:
@@ -379,8 +364,6 @@ class Observability:
         self,
         sinks: Iterable = (),
         *,
-        metrics: MetricsRegistry | None = None,
-        geometry: DiskGeometry | None = None,
         first_trace_id: int = 1,
         first_span_id: int = 1,
     ) -> "Observability":
@@ -399,9 +382,7 @@ class Observability:
                 "NULL_OBS is the shared disabled bundle; create an "
                 "Observability of your own (or use the database's) to enable"
             )
-        if geometry is not None:
-            self.geometry = geometry
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self.sinks = list(sinks)
         self.tracer = Tracer(
             self.iostats,
@@ -412,8 +393,6 @@ class Observability:
             first_trace_id=first_trace_id,
             first_span_id=first_span_id,
         )
-        if self.iostats is not None:
-            self.iostats.observer = _DiskObserver(self.metrics)
         return self
 
     def disable(self) -> None:
@@ -421,8 +400,6 @@ class Observability:
         neither open nor closed — use :meth:`close` to finalise them)."""
         if isinstance(self.tracer, Tracer):
             self.tracer._pop_all()
-        if self.iostats is not None:
-            self.iostats.observer = None
         self.tracer = NULL_TRACER
         self.metrics = NULL_METRICS
         self.sinks = []

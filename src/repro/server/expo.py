@@ -12,7 +12,8 @@ own daemon thread serving
 
 * ``GET /metrics`` — Prometheus text format
   (:func:`repro.obs.prom.render_prometheus` over the live registry,
-  plus space/uptime gauges grafted from the status document);
+  plus space, uptime and disk-counter (``disk.seeks`` …) gauges grafted
+  from the status document);
 * ``GET /healthz`` — a small JSON liveness document (status, uptime,
   inflight, rejection count).
 
@@ -48,28 +49,18 @@ def _space_doc(db) -> dict:
     }
 
 
-def _owning_shard(db, server):
-    """The live shard whose worker thread owns this database, if any."""
-    shard_set = getattr(server, "shards", None)
-    if shard_set is None:
-        return None
-    for shard in shard_set.shards:
-        if shard.db is db and shard.alive:
-            return shard
-    return None
-
-
 def _space_for(db, server) -> dict:
     """A space document, routed through the owning shard's worker.
 
     The exposition endpoints run on sidecar/executor threads; a served
-    database's pool and buddy are confined to its shard worker, so the
-    walk is submitted there (EOS008).  Unserved databases have no
+    database's pool and buddy are confined to its live shard's worker,
+    so the walk is submitted there (EOS008).  Unserved databases have no
     worker and are walked inline.
     """
-    shard = _owning_shard(db, server)
-    if shard is not None:
-        return shard.submit(_space_doc, db).result()
+    shard_set = getattr(server, "shards", None)
+    for shard in shard_set.shards if shard_set is not None else ():
+        if shard.db is db and shard.alive:
+            return shard.submit(_space_doc, db).result()
     return _space_doc(db)
 
 
@@ -159,6 +150,15 @@ def status_snapshot(db, server=None, *, include_space: bool = True) -> dict:
     return doc
 
 
+def _graft_stats(out: dict, stats: dict, label: str = "") -> None:
+    """Buffer gauges and the disk's ``IOStats`` counters from one
+    ``db.stats`` document (read at scrape time, never fed per transfer)."""
+    out[f"buffer.hit_ratio{label}"] = stats["buffer"]["hit_ratio"]
+    out[f"buffer.decodes{label}"] = stats["buffer"]["decodes"]
+    for name, value in stats["io"].items():
+        out[f"disk.{name}{label}"] = value
+
+
 def gauges_from_status(status: dict) -> dict[str, float]:
     """Registry-external gauges for the Prometheus rendering."""
     out: dict[str, float] = {}
@@ -173,10 +173,8 @@ def gauges_from_status(status: dict) -> dict[str, float]:
         out["buddy.free_pages"] = space["free_pages"]
         out["buddy.total_pages"] = space["total_pages"]
         out["buddy.utilization"] = space["utilization"]
-    stats = status.get("stats")
-    if stats:
-        out["buffer.hit_ratio"] = stats["buffer"]["hit_ratio"]
-        out["buffer.decodes"] = stats["buffer"]["decodes"]
+    if status.get("stats"):
+        _graft_stats(out, status["stats"])
     health = status.get("health")
     if health:
         for sample in health.get("samples", ()):
@@ -231,10 +229,8 @@ def gauges_from_status(status: dict) -> dict[str, float]:
         if sspace:
             out[f"buddy.free_pages{label}"] = sspace["free_pages"]
             out[f"buddy.utilization{label}"] = sspace["utilization"]
-        sstats = sdoc.get("stats")
-        if sstats:
-            out[f"buffer.hit_ratio{label}"] = sstats["buffer"]["hit_ratio"]
-            out[f"buffer.decodes{label}"] = sstats["buffer"]["decodes"]
+        if sdoc.get("stats"):
+            _graft_stats(out, sdoc["stats"], label)
     out["up"] = 0.0 if status.get("closed") else 1.0
     return out
 

@@ -51,22 +51,21 @@ Every request passes two stages:
 
 Observability
 -------------
-Every request becomes a ``server.request`` root span with phase
-children — ``server.admission``, ``server.execute`` (the
-worker-thread span that carries the storage stack's own child spans)
-and ``server.encode`` — plus matching phase histograms
-(``server.admission_wait_ms``, ``server.execute_ms``,
-``server.encode_ms``) and the end-to-end
-``server.latency_ms``.  When the client propagated a wire trace context
-(:data:`~repro.server.protocol.FLAG_TRACE`), the root hangs under the
-client's span id with ``remote_parent`` set, so ``tracefmt --merge``
-renders one tree across both processes.
-
-A :class:`~repro.obs.flight.FlightRecorder` retains the last N request
-summaries (and recent spans, when tracing is on); any non-OK response or
-admission rejection triggers a rate-limited dump to ``flight_dump_dir``.
-The METRICS and FLIGHT opcodes are answered *before* admission control,
-so an overloaded server can still be inspected remotely.
+Every request leaves one fixed-shape record (:class:`_Request`) that
+feeds the ``server.*`` counters and phase histograms and lands in the
+:class:`~repro.obs.flight.FlightRecorder` ring as is.  A span tree is
+built only for a request that asks: it carries
+:data:`~repro.server.protocol.FLAG_TRACE`, or the coordinator's bundle
+has sinks of its own (``servectl serve --trace``).  It is a
+``server.request`` root with ``server.admission``, ``server.execute``
+(the worker-thread span the storage spans nest under) and
+``server.encode`` children; under a wire context the root hangs below
+the client's span (``remote_parent``), so ``tracefmt --merge`` renders
+one tree across both processes.  Any other request runs its op with the
+shard's tracer muted.  Any non-OK response or admission rejection dumps
+the ring, rate-limited, to ``flight_dump_dir``.  The METRICS and FLIGHT
+opcodes are answered *before* admission control, so an overloaded
+server can still be inspected remotely.
 """
 
 from __future__ import annotations
@@ -92,76 +91,122 @@ from repro.server.protocol import Opcode, Status
 from repro.server.sharding import Shard, ShardSet, make_oid
 
 
-class _RequestTrace:
-    """One request's trace context and phase accounting.
+_IO_KEYS = ("seeks", "page_reads", "page_writes")
+_MS_FIELDS = (("total", "total_ms"), ("admission", "admission_ms"),
+              ("execute", "exec_ms"), ("encode", "encode_ms"))
 
-    Per-request span trees cannot come from the tracer's stack alone:
-    the event loop interleaves requests, so the root stays open across
-    awaits while other requests run.  The root and the phase children
-    are therefore hand-emitted records
-    (:meth:`~repro.obs.tracer.Tracer.record_span`); only the execution
-    phase is a real stack span (it runs serialized under ``db.op_lock``
-    in a worker thread, where nesting is sound).
+
+class _Request:
+    """One request's fixed-shape record: opcode, outcome, oid and shard,
+    bytes out, the four phase timings, the shard's ``IOStats`` delta
+    (read on each side of the op) and, when traced, the trace context.
+
+    The flight ring keeps it as is; :meth:`as_doc` makes the ring's JSON
+    dict on the way out.  A traced request's root and its admission and
+    encode phases are hand-emitted span records, because the event loop
+    interleaves requests (only the execution phase, serialized on a
+    worker under ``db.op_lock``, is a real stack span).
     """
 
     __slots__ = (
-        "tracer", "opcode", "trace_id", "root_id", "parent_id", "remote",
-        "oid", "shard", "admission_ms", "exec_ms", "encode_ms", "deadline",
+        "opcode", "request_id", "traced", "trace_id", "root_id", "parent_id",
+        "remote", "oid", "shard", "status", "error", "bytes_out", "ts",
+        "admission_ms", "exec_ms", "encode_ms", "total_ms", "io", "deadline",
     )
 
-    def __init__(self, tracer, opcode: Opcode,
-                 wire_trace: tuple[int, int] | None, admission_ms: float) -> None:
-        self.tracer = tracer
+    def __init__(self, tracer, opcode: Opcode, request_id: int,
+                 wire_trace: tuple[int, int] | None, traced: bool,
+                 admission_ms: float) -> None:
         self.opcode = opcode
-        self.oid: int | None = None
-        self.shard: int | None = None
+        self.request_id = request_id
+        self.traced = traced
+        self.oid = self.shard = self.error = None
+        self.status = Status.OK
+        self.bytes_out = 0
+        self.ts = self.exec_ms = self.encode_ms = self.total_ms = 0.0
         self.admission_ms = admission_ms
-        self.exec_ms = 0.0
-        self.encode_ms = 0.0
-        if wire_trace is not None:
+        self.io = (0, 0, 0)
+        self.remote = wire_trace is not None
+        if self.remote:
             self.trace_id, self.parent_id = wire_trace
-            self.remote = True
         else:
-            self.trace_id = tracer.new_trace_id()
+            self.trace_id = tracer.new_trace_id() if traced else 0
             self.parent_id = None
-            self.remote = False
-        self.root_id = tracer.new_span_id()
+        self.root_id = tracer.new_span_id() if traced else 0
 
     def remaining(self) -> float:
         """Seconds left before ``deadline`` (absolute, loop clock)."""
         return self.deadline - asyncio.get_running_loop().time()
 
-    def _phase(self, name: str, elapsed_ms: float, **attrs) -> None:
-        self.tracer.record_span(
-            f"server.{name}",
-            trace_id=self.trace_id,
-            span_id=self.tracer.new_span_id(),
-            parent_id=self.root_id,
-            elapsed_ms=elapsed_ms,
-            attrs=attrs or None,
-        )
+    def add_io(self, seeks: int, page_reads: int, page_writes: int) -> None:
+        """Add one op's ``IOStats`` delta (a LIST adds one per shard)."""
+        io = self.io
+        self.io = (io[0] + seeks, io[1] + page_reads, io[2] + page_writes)
 
-    def emit(self, status: Status, error: str | None, total_ms: float) -> None:
-        """Emit the phase children and the request root."""
-        if not self.tracer.enabled:
-            return
-        self._phase("admission", self.admission_ms)
-        self._phase("encode", self.encode_ms)
-        attrs = {"opcode": self.opcode.name.lower(), "status": status.name.lower()}
-        if self.oid is not None:
-            attrs["oid"] = self.oid
-        if self.shard is not None:
-            attrs["shard"] = self.shard
-        self.tracer.record_span(
+    def _known(self, *names: str) -> dict:
+        return {n: getattr(self, n) for n in names if getattr(self, n) is not None}
+
+    def emit(self, tracer) -> None:
+        """Emit a traced request's phase children and root."""
+        for name, elapsed_ms in (("server.admission", self.admission_ms),
+                                 ("server.encode", self.encode_ms)):
+            tracer.record_span(
+                name, trace_id=self.trace_id, span_id=tracer.new_span_id(),
+                parent_id=self.root_id, elapsed_ms=elapsed_ms,
+            )
+        tracer.record_span(
             "server.request",
             trace_id=self.trace_id,
             span_id=self.root_id,
             parent_id=self.parent_id,
             remote_parent=self.remote,
-            elapsed_ms=total_ms,
-            attrs=attrs,
-            error=error,
+            elapsed_ms=self.total_ms,
+            attrs={"opcode": self.opcode.name.lower(),
+                   "status": self.status.name.lower(), **self._known("oid", "shard")},
+            error=self.error,
         )
+
+    def as_doc(self) -> dict:
+        """The flight ring's JSON form of this record."""
+        doc = {
+            "ts": round(self.ts, 3),
+            "request_id": self.request_id,
+            "opcode": self.opcode.name.lower(),
+            "status": self.status.name.lower(),
+            "bytes_out": self.bytes_out,
+            "ms": {key: round(getattr(self, f), 3) for key, f in _MS_FIELDS},
+            "io": dict(zip(_IO_KEYS, self.io)),
+            **self._known("oid", "shard", "error"),
+        }
+        if self.traced:
+            doc["trace"], doc["span"] = self.trace_id, self.root_id
+        return doc
+
+
+class _Instruments:
+    """The server's per-request instruments, bound to one registry once."""
+
+    def __init__(self, registry, n_shards: int) -> None:
+        self.registry = registry
+        counter, histogram = registry.counter, registry.histogram
+        self.requests = counter("server.requests")
+        self.by_opcode = {
+            op: counter(f"server.requests.{op.name.lower()}")
+            for op in Opcode if op not in protocol.EXPOSITION_OPCODES
+        }
+        self.by_shard = [  # only a multi-shard server counts per shard
+            counter(f"server.shard.{index}.requests") for index in range(n_shards)
+        ] if n_shards > 1 else []
+        self.errors = counter("server.errors")
+        self.rejections = counter("server.rejections")
+        self.exposition = counter("server.exposition")
+        self.bytes_in = counter("server.bytes_in")
+        self.bytes_out = counter("server.bytes_out")
+        self.inflight = registry.gauge("server.inflight")
+        self.latency = histogram("server.latency_ms")
+        self.admission = histogram("server.admission_wait_ms")
+        self.execute = histogram("server.execute_ms")
+        self.encode = histogram("server.encode_ms")
 
 
 class EOSServer:
@@ -235,7 +280,7 @@ class EOSServer:
         self._server: asyncio.AbstractServer | None = None
         self._conn_tasks: set[asyncio.Task] = set()
         self._writers: set[asyncio.StreamWriter] = set()
-        self._flight_tracers: dict[int, object] = {}
+        self._bound = _Instruments(self.obs.metrics, shards.n_shards)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -248,7 +293,6 @@ class EOSServer:
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self.started_at = time.time()
-        self._attach_flight_sink()
 
     async def serve_forever(self) -> None:
         """Run until cancelled (servectl's serve loop)."""
@@ -276,24 +320,24 @@ class EOSServer:
             await self._server.wait_closed()
             self._server = None
 
-    def _attach_flight_sink(self) -> None:
-        """Capture spans into the flight ring while tracing is on.
+    def _instruments(self) -> _Instruments:
+        """The per-request instruments, rebound only if the coordinator's
+        registry was replaced (``obs.enable`` after construction)."""
+        bound = self._bound
+        if bound.registry is not self.obs.metrics:
+            bound = self._bound = _Instruments(
+                self.obs.metrics, self.shards.n_shards
+            )
+        return bound
 
-        Any tracer can be enabled (or re-enabled, producing a new Tracer)
-        at any point in the server's life, so this re-checks identity and
-        appends to each *live* ``tracer.sinks`` list — the coordinator's
-        (request roots and phases) and every shard's (execute spans).
-        The FlightRecorder is thread-safe, so one ring can take spans
-        from all of them.
+    def _attach_flight_sink(self) -> None:
+        """Capture a traced request's spans into the flight ring: join it
+        to the *live* sinks of the coordinator's and every shard's tracer
+        (any of them can be re-enabled at any point in the server's life).
         """
-        tracers = [self.obs.tracer]
-        tracers.extend(shard.db.obs.tracer for shard in self.shards.shards)
-        for tracer in tracers:
-            if not tracer.enabled or id(tracer) in self._flight_tracers:
-                continue
-            tracer.sinks.append(self.flight)
-            # Hold the tracer so its id() cannot be recycled by a new one.
-            self._flight_tracers[id(tracer)] = tracer
+        for tracer in [self.obs.tracer, *(s.db.obs.tracer for s in self.shards.shards)]:
+            if tracer.enabled and self.flight not in tracer.sinks:
+                tracer.sinks.append(self.flight)
 
     def dump_flight(self, reason: str = "manual") -> str | None:
         """Force a flight dump (``flight_dump_dir`` must be configured)."""
@@ -355,7 +399,6 @@ class EOSServer:
     async def _session(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        metrics = self.obs.metrics
         while True:
             raw = await reader.readexactly(protocol.HEADER.size)
             try:
@@ -377,8 +420,8 @@ class EOSServer:
                 wire_trace = protocol.TRACE_CTX.unpack(ctx)
                 frame_bytes += protocol.TRACE_CTX.size
             payload = await reader.readexactly(header.length)
-            metrics.counter("server.bytes_in").inc(frame_bytes)
-            self._attach_flight_sink()
+            bound = self._instruments()
+            bound.bytes_in.inc(frame_bytes)
 
             # Exposition opcodes bypass admission control: an overloaded
             # server must stay observable.
@@ -391,7 +434,7 @@ class EOSServer:
             rejection = self._admission_check(opcode)
             admission_ms = (time.perf_counter() - a0) * 1000.0
             if rejection is not None:
-                metrics.counter("server.rejections").inc()
+                bound.rejections.inc()
                 self.flight.record({
                     "ts": round(time.time(), 3),
                     "request_id": header.request_id,
@@ -402,7 +445,7 @@ class EOSServer:
                     "write_queued": self.write_queued,
                 })
                 response = protocol.encode_error(rejection, header.request_id)
-                metrics.counter("server.bytes_out").inc(len(response))
+                bound.bytes_out.inc(len(response))
                 writer.write(response)
                 await writer.drain()
                 await self._dump_incident_async("overloaded")
@@ -430,8 +473,8 @@ class EOSServer:
         self, opcode: Opcode, request_id: int, writer: asyncio.StreamWriter
     ) -> None:
         """Answer METRICS/FLIGHT; counted separately from server.requests."""
-        metrics = self.obs.metrics
-        metrics.counter("server.exposition").inc()
+        bound = self._instruments()
+        bound.exposition.inc()
         try:
             if opcode is Opcode.METRICS:
                 # free_pages() does page I/O under op_lock; keep it off
@@ -448,7 +491,7 @@ class EOSServer:
             response = protocol.encode_error(
                 ReproError(f"{exc.__class__.__name__}: {exc}"), request_id
             )
-        metrics.counter("server.bytes_out").inc(len(response))
+        bound.bytes_out.inc(len(response))
         writer.write(response)
         await writer.drain()
 
@@ -466,17 +509,20 @@ class EOSServer:
         wire_trace: tuple[int, int] | None = None,
         admission_ms: float = 0.0,
     ) -> None:
-        metrics = self.obs.metrics
+        bound = self._instruments()
         self.inflight += 1
         is_write = opcode in protocol.WRITE_OPCODES
         if is_write:
             self.write_queued += 1
-        metrics.gauge("server.inflight").set(self.inflight)
-        req = _RequestTrace(self.obs.tracer, opcode, wire_trace, admission_ms)
+        bound.inflight.set(self.inflight)
+        traced = wire_trace is not None or bool(self.obs.sinks)
+        req = _Request(
+            self.obs.tracer, opcode, request_id, wire_trace, traced, admission_ms
+        )
+        if traced:
+            self._attach_flight_sink()
         req.deadline = asyncio.get_running_loop().time() + self.request_timeout
         t0 = time.perf_counter()
-        status = Status.OK
-        error: str | None = None
         result = b""
         failure: BaseException | None = None
         try:
@@ -485,19 +531,19 @@ class EOSServer:
             failure = RequestTimeout(
                 f"request exceeded the {self.request_timeout:g}s budget"
             )
-            status, error = Status.TIMEOUT, failure.__class__.__name__
+            req.status, req.error = Status.TIMEOUT, failure.__class__.__name__
         except ReproError as exc:
             failure = exc
-            status = protocol.status_for_exception(exc)
-            error = exc.__class__.__name__
+            req.status = protocol.status_for_exception(exc)
+            req.error = exc.__class__.__name__
         except Exception as exc:  # never let one request kill the session
             failure = ReproError(f"{exc.__class__.__name__}: {exc}")
-            status, error = Status.SERVER_ERROR, exc.__class__.__name__
+            req.status, req.error = Status.SERVER_ERROR, exc.__class__.__name__
         finally:
             self.inflight -= 1
             if is_write:
                 self.write_queued -= 1
-            metrics.gauge("server.inflight").set(self.inflight)
+            bound.inflight.set(self.inflight)
 
         # Then serialize the response.  Accounting happens *before*
         # the frame is written, so a client that has seen the response is
@@ -511,77 +557,51 @@ class EOSServer:
         else:
             frames = [protocol.encode_error(failure, request_id)]
         req.encode_ms = (time.perf_counter() - e0) * 1000.0
-        total_ms = admission_ms + (time.perf_counter() - t0) * 1000.0
-        bytes_out = sum(len(frame) for frame in frames)
-        self._account(req, request_id, status, error, total_ms, bytes_out)
-        if status is not Status.OK:
+        req.total_ms = admission_ms + (time.perf_counter() - t0) * 1000.0
+        req.bytes_out = sum(len(frame) for frame in frames)
+        self._account(req)
+        if req.status is not Status.OK:
             # The evidence dump is disk I/O: hop off the event loop.
-            await self._dump_incident_async(f"status-{status.name.lower()}")
-        metrics.counter("server.bytes_out").inc(bytes_out)
+            await self._dump_incident_async(f"status-{req.status.name.lower()}")
+        bound.bytes_out.inc(req.bytes_out)
         for frame in frames:
             writer.write(frame)
         await writer.drain()
 
-    def _account(
-        self,
-        req: _RequestTrace,
-        request_id: int,
-        status: Status,
-        error: str | None,
-        total_ms: float,
-        bytes_out: int,
-    ) -> None:
-        """Metrics, spans and the flight entry for one finished request."""
-        metrics = self.obs.metrics
-        metrics.counter("server.requests").inc()
-        metrics.counter(f"server.requests.{req.opcode.name.lower()}").inc()
-        if req.shard is not None and not self.shards.single:
-            metrics.counter(f"server.shard.{req.shard}.requests").inc()
-        if error is not None:
-            metrics.counter("server.errors").inc()
-        metrics.histogram("server.latency_ms").observe(total_ms)
-        metrics.histogram("server.admission_wait_ms").observe(req.admission_ms)
-        metrics.histogram("server.execute_ms").observe(req.exec_ms)
-        metrics.histogram("server.encode_ms").observe(req.encode_ms)
+    def _account(self, req: _Request) -> None:
+        """Feed the instruments from one finished request's record, emit
+        its spans when traced, and append the record to the flight ring."""
+        bound = self._instruments()
+        bound.requests.inc()
+        bound.by_opcode[req.opcode].inc()
+        if req.shard is not None and bound.by_shard:
+            bound.by_shard[req.shard].inc()
+        if req.error is not None:
+            bound.errors.inc()
+        bound.latency.observe(req.total_ms)
+        bound.admission.observe(req.admission_ms)
+        bound.execute.observe(req.exec_ms)
+        bound.encode.observe(req.encode_ms)
         if self.health is not None and req.oid is not None:
             self.health.heat.touch(
                 req.oid, write=req.opcode in protocol.WRITE_OPCODES
             )
-        req.emit(status, error, total_ms)
-        entry = {
-            "ts": round(time.time(), 3),
-            "request_id": request_id,
-            "opcode": req.opcode.name.lower(),
-            "status": status.name.lower(),
-            "bytes_out": bytes_out,
-            "ms": {
-                "total": round(total_ms, 3),
-                "admission": round(req.admission_ms, 3),
-                "execute": round(req.exec_ms, 3),
-                "encode": round(req.encode_ms, 3),
-            },
-        }
-        if req.oid is not None:
-            entry["oid"] = req.oid
-        if req.shard is not None:
-            entry["shard"] = req.shard
-        if error is not None:
-            entry["error"] = error
-        if req.trace_id:
-            entry["trace"] = req.trace_id
-            entry["span"] = req.root_id
-        self.flight.record(entry)
+        if req.traced:
+            req.emit(self.obs.tracer)
+        req.ts = time.time()
+        self.flight.record(req)
 
     async def _run_on(
-        self, shard: Shard, opcode: Opcode, req: _RequestTrace,
+        self, shard: Shard, opcode: Opcode, req: _Request,
         op: Callable[[], object],
     ) -> object:
-        """Run ``op`` on the shard's worker under its op lock and span.
+        """Run ``op`` on the shard's worker under its op lock.
 
-        The span covers exactly the op, opened in the shard's worker
-        thread under that shard's database op lock so span nesting stays
-        sound; ``.under()`` hangs it below this request's root span.  The
-        worker is a :class:`~repro.server.sharding.Shard`'s single
+        The worker reads the shard's ``IOStats`` on each side of the op
+        for the record.  A traced op runs in a ``server.execute`` span
+        opened there, so span nesting stays sound (``.under()`` hangs it
+        below the request's root); an untraced one with the shard's
+        tracer muted.  The worker is a :class:`~repro.server.sharding.Shard`'s single
         thread, so ops on one shard serialize while shards proceed
         independently; a killed shard raises
         :class:`~repro.errors.ShardUnavailable` here.  The wait ends at
@@ -590,14 +610,28 @@ class EOSServer:
         never drops a queued op (nor leaks the shard's ``pending``).
         """
         db = shard.db
+        io = (0, 0, 0)
 
         def locked() -> object:
+            nonlocal io
             with db.op_lock:
-                with db.obs.tracer.span(
-                    "server.execute", opcode=opcode.name.lower(),
-                    shard=shard.index,
-                ).under(req.trace_id, req.root_id):
-                    return op()
+                tracer, stats = db.obs.tracer, db.obs.iostats
+                seeks, reads, writes = stats.seeks, stats.page_reads, stats.page_writes
+                try:
+                    if req.traced:
+                        with tracer.span(
+                            "server.execute", opcode=opcode.name.lower(),
+                            shard=shard.index,
+                        ).under(req.trace_id, req.root_id):
+                            return op()
+                    muted = tracer.mute()
+                    try:
+                        return op()
+                    finally:
+                        tracer.mute(muted)
+                finally:
+                    io = (stats.seeks - seeks, stats.page_reads - reads,
+                          stats.page_writes - writes)
 
         t0 = time.perf_counter()
         try:
@@ -605,9 +639,11 @@ class EOSServer:
             return await asyncio.wait_for(asyncio.shield(future), req.remaining())
         finally:
             req.exec_ms += (time.perf_counter() - t0) * 1000.0
+            # Added here, on the loop: a LIST's workers finish concurrently.
+            req.add_io(*io)
 
     async def _run_snapshot(
-        self, shard: Shard, opcode: Opcode, req: _RequestTrace,
+        self, shard: Shard, opcode: Opcode, req: _Request,
         op: Callable[[], object],
     ) -> object:
         """Run a snapshot read to completion on the event loop.
@@ -618,18 +654,23 @@ class EOSServer:
         queueing behind a writer) and any thread hop (under the GIL an
         executor adds only context switches and a wake-up).  Nothing is
         awaited, so the deadline cannot interrupt one.  A killed shard
-        refuses them.  The execute span is hand-emitted, ``snapshot`` set.
+        refuses them.  I/O and tracing are handled as in :meth:`_run_on`,
+        but a traced read's execute span is hand-emitted, ``snapshot`` set.
         """
         if not shard.alive:
             raise ShardUnavailable(f"shard {shard.index} is not serving")
+        tracer, stats = shard.db.obs.tracer, shard.db.obs.iostats
+        seeks, reads, writes = stats.seeks, stats.page_reads, stats.page_writes
+        muted = False if req.traced else tracer.mute()
         t0 = time.perf_counter()
         try:
             return op()
         finally:
             elapsed = (time.perf_counter() - t0) * 1000.0
             req.exec_ms += elapsed
-            tracer = shard.db.obs.tracer
-            if tracer.enabled:
+            req.add_io(stats.seeks - seeks, stats.page_reads - reads,
+                       stats.page_writes - writes)
+            if req.traced:
                 tracer.record_span(
                     "server.execute",
                     trace_id=req.trace_id,
@@ -638,9 +679,11 @@ class EOSServer:
                     elapsed_ms=elapsed,
                     attrs={"opcode": opcode.name.lower(), "shard": shard.index, "snapshot": True},
                 )
+            else:
+                tracer.mute(muted)
 
     async def _run_read(
-        self, shard: Shard, opcode: Opcode, req: _RequestTrace,
+        self, shard: Shard, opcode: Opcode, req: _Request,
         op: Callable[[], object],
     ) -> object:
         """Run a read-side op: a snapshot read on the loop when the
@@ -650,7 +693,7 @@ class EOSServer:
         return await self._run_on(shard, opcode, req, op)
 
     async def _execute(
-        self, opcode: Opcode, payload: bytes, req: _RequestTrace
+        self, opcode: Opcode, payload: bytes, req: _Request
     ) -> bytes:
         if self.op_hook is not None:
             await asyncio.wait_for(self.op_hook(opcode), req.remaining())

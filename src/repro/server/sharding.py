@@ -240,10 +240,12 @@ class ShardSet:
         simulated arm),
         its own metrics registry, and a tracer whose span ids live in a
         disjoint block so per-shard spans merge cleanly under
-        coordinator-allocated request roots.  ``sinks`` (span sinks,
-        e.g. a JSON-lines file) are shared by the coordinator and every
-        shard tracer; sinks used this way must tolerate concurrent
-        ``on_span`` calls.
+        coordinator-allocated request roots.  A server over the set
+        builds span trees only for requests that carry the wire's trace
+        flag — or for every request when ``sinks`` is given.  ``sinks``
+        (span sinks, e.g. a JSON-lines file) are shared by the
+        coordinator and every shard tracer; sinks used this way must
+        tolerate concurrent ``on_span`` calls.
         """
         if n_shards < 1:
             raise ValueError(f"need at least one shard, got {n_shards}")
@@ -283,10 +285,6 @@ class ShardSet:
         if not live:
             raise ShardUnavailable("no shard is serving")
         return min(live, key=lambda s: (s.load, s.index))
-
-    def live_shards(self) -> list[Shard]:
-        """Shards currently serving."""
-        return [s for s in self.shards if s.alive]
 
     def close(self) -> None:
         """Close every shard (drains workers) and the coordinator bundle."""

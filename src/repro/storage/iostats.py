@@ -106,8 +106,9 @@ class IOStats(IOSnapshot):
     # Physical page the head would be positioned after the last transfer,
     # or None before any I/O (the first access always seeks).
     head: int | None = field(default=None, repr=False)
-    # Optional per-transfer hook (an object with ``on_transfer``),
-    # installed by repro.obs when observability is enabled.
+    # Optional per-transfer hook (an object with ``on_transfer``).  The
+    # slot belongs to spies (tests, benchmark taps); observability reads
+    # the counters above instead of installing one.
     observer: object | None = field(default=None, repr=False, compare=False)
 
     def record_read(self, first_page: int, n_pages: int) -> None:

@@ -26,7 +26,7 @@ def pages_transferred():
 
     def run(db, action, *, writes):
         stats = db.disk.stats
-        assert stats.observer is None, "the test database must not be traced"
+        assert stats.observer is None, "another spy holds the observer slot"
         stats.observer = tap = _PageTap(writes)
         try:
             action()

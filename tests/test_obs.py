@@ -28,6 +28,8 @@ from repro.obs import (
     aggregate_spans,
     format_tree,
 )
+from repro.obs.prom import render_prometheus
+from repro.server.expo import gauges_from_status, status_snapshot
 from repro.storage.buffer import BufferPoolStats
 from repro.storage.iostats import IOSnapshot
 from repro.tools.tracefmt import load_trace, render_trace
@@ -191,6 +193,30 @@ class TestDisabledTracer:
         assert db.stats.metrics() == {}
         assert db.disk.stats.observer is None
 
+    def test_observing_leaves_the_observer_slot_to_spies(self, pages_transferred):
+        """``IOStats.observer`` is not observability's: a spy installed
+        before or after ``enable()`` survives it, and an observed
+        database moves the same pages as an unobserved one."""
+        seen = {}
+        for observed in (False, True):
+            db = make_db()
+            obj = db.create_object(bytes(range(256)) * 12)
+            db.pool.clear()
+            if observed:
+                db.obs.enable()
+            seen[observed] = (
+                pages_transferred(db, lambda: obj.insert(700, b"I" * 900), writes=True),
+                pages_transferred(db, lambda: obj.read(0, obj.size()), writes=False),
+            )
+            spy = object()
+            db.disk.stats.observer = spy
+            db.obs.disable()
+            db.obs.enable()
+            assert db.disk.stats.observer is spy
+            db.disk.stats.observer = None
+        assert seen[True] == seen[False]
+        assert all(seen[True])
+
     def test_null_obs_refuses_enable(self):
         with pytest.raises(RuntimeError):
             NULL_OBS.enable()
@@ -242,7 +268,7 @@ class TestMetricsRegistry:
         registry.reset()
         assert registry.snapshot()["c"] == 0
 
-    def test_disk_observer_feeds_run_histograms(self):
+    def test_disk_counters_are_read_at_scrape_time(self):
         db = make_db()
         db.obs.enable()
         db.stats.reset()
@@ -251,11 +277,21 @@ class TestMetricsRegistry:
         db.pool.clear()
         db.disk.stats.head = None
         obj.read(0, 8 * PAGE)
-        snap = db.stats.metrics()
-        assert snap["disk.read_run_pages"]["count"] >= 1
-        assert snap["disk.write_run_pages"]["count"] >= 1
-        assert snap["disk.seeks"] == db.disk.stats.seeks
-        assert snap["buddy.alloc.pages"]["count"] >= 1
+        # Nothing on the transfer path feeds the registry: the disk
+        # counters are grafted from IOStats when a scrape renders.
+        assert db.disk.stats.observer is None
+        assert not any(name.startswith("disk.") for name in db.stats.metrics())
+        # The document reads the counters before its space walk (which
+        # does directory I/O of its own).
+        want = db.disk.stats.snapshot()
+        gauges = gauges_from_status(status_snapshot(db))
+        assert want.seeks > 0
+        assert gauges["disk.seeks"] == want.seeks
+        assert gauges["disk.page_reads"] == want.page_reads
+        assert gauges["disk.page_writes"] == want.page_writes
+        text = render_prometheus(db.obs.metrics, extra_gauges=gauges)
+        assert f"eos_disk_seeks {want.seeks}\n" in text
+        assert db.stats.metrics()["buddy.alloc.pages"]["count"] >= 1
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +729,65 @@ class TestMetricsThreadSafety:
         snap = hist.snapshot()
         assert snap["count"] == total
         assert sum(snap["buckets"].values()) == total
+
+
+class TestTracerThreads:
+    def test_ids_stay_unique_across_threads(self):
+        """Span and trace ids come from one counter each, with no lock."""
+        import sys
+        import threading
+
+        tracer = Tracer()
+        n_threads, n_ids = 8, 2000
+        barrier = threading.Barrier(n_threads)
+        ids: list[list[int]] = [[] for _ in range(n_threads)]
+
+        def work(index):
+            barrier.wait()
+            mine = ids[index]
+            for _ in range(n_ids):
+                mine.append(tracer.new_span_id())
+                mine.append(-tracer.new_trace_id())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,)) for i in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        flat = [i for mine in ids for i in mine]
+        assert len(set(flat)) == len(flat) == 2 * n_threads * n_ids
+
+    def test_mute_is_per_thread(self):
+        import threading
+
+        ring = RingSink()
+        registry = MetricsRegistry()
+        tracer = Tracer(metrics=registry, sinks=[ring])
+
+        def traced_elsewhere():
+            with tracer.span("other"):
+                pass
+
+        assert tracer.mute() is False
+        other = threading.Thread(target=traced_elsewhere)
+        with tracer.span("muted"):
+            other.start()
+            other.join(10)
+        assert not other.is_alive()
+        assert tracer.mute(False) is True
+        with tracer.span("unmuted"):
+            pass
+        assert [r["name"] for r in ring.records] == ["other", "unmuted"]
+        assert set(registry.snapshot()) >= {"span.other", "span.unmuted"}
+        assert "span.muted" not in registry.snapshot()
 
 
 class TestHistogramPercentiles:

@@ -22,6 +22,7 @@ from repro.errors import (
     ServerOverloaded,
     StorageError,
 )
+from repro.obs import Observability
 from repro.server import EOSClient, ServerThread, protocol
 from repro.server.protocol import Status
 from repro.storage.faults import FaultyDisk
@@ -367,8 +368,11 @@ class TestEndToEnd:
             db, port=0, max_inflight=CLIENTS, op_hook=_gated_hook(gate)
         ).start()
         errors = []
+        # The admin client asks for span trees (FLAG_TRACE on the wire);
+        # the eight workers do not.
+        traced = Observability().enable()
         try:
-            with EOSClient(port=srv.port) as admin:
+            with EOSClient(port=srv.port, obs=traced) as admin:
                 shared = admin.op_create(size_hint=CLIENTS * ROUNDS * 64)
 
             def worker(cid):
@@ -404,7 +408,7 @@ class TestEndToEnd:
             assert errors == []
 
             # Shared object: all appends landed, chunk-atomic, none torn.
-            with EOSClient(port=srv.port) as admin:
+            with EOSClient(port=srv.port, obs=traced) as admin:
                 blob = admin.op_read(shared, offset=0, length=admin.op_size(shared))
             assert len(blob) == CLIENTS * ROUNDS * 64
             seen = sorted(
@@ -414,11 +418,13 @@ class TestEndToEnd:
                 (cid, seq) for cid in range(CLIENTS) for seq in range(ROUNDS)
             )
 
-            # Observability: nonzero per-request spans and counters.
+            # Observability: every request counted; span trees exactly
+            # for the admin client's three traced requests.
             metrics = db.stats.metrics()
             expected_requests = 3 + CLIENTS * (2 * ROUNDS + 3)
             assert metrics["server.requests"] == expected_requests
-            assert metrics["span.server.request"] == expected_requests
+            assert metrics["span.server.request"] == 3
+            assert metrics["span.server.execute"] == 3
             assert metrics["server.latency_ms"]["count"] == expected_requests
             assert metrics["server.bytes_in"] > 0
             assert metrics["server.bytes_out"] > 0

@@ -1,9 +1,10 @@
 """End-to-end tests for request observability on the object server.
 
-Covers the wire-level trace propagation (one merged client→server span
-tree), the METRICS/FLIGHT exposition opcodes, the HTTP metrics sidecar,
-the overload path (rejection counter + flight dump), and latency
-quantile sanity under concurrent clients.
+Covers the per-request record contract (one fixed record per request,
+span trees only for traced requests), the wire-level trace propagation
+(one merged client→server span tree), the METRICS/FLIGHT exposition
+opcodes, the HTTP metrics sidecar, the overload path (rejection counter
++ flight dump), and latency quantile sanity under concurrent clients.
 """
 
 import asyncio
@@ -16,11 +17,13 @@ import urllib.request
 import pytest
 
 from repro.api import EOSDatabase
+from repro.core.config import EOSConfig
 from repro.errors import ServerOverloaded
-from repro.obs import load_flight
+from repro.obs import Observability, RingSink, load_flight
 from repro.obs.sinks import JsonLinesSink
 from repro.obs.summary import format_tree
 from repro.server import EOSClient, MetricsHTTPServer, ServerThread
+from repro.server.sharding import ShardSet
 from repro.tools import tracefmt
 
 PAGE = 512
@@ -41,6 +44,141 @@ def _gated_hook(gate):
             await asyncio.sleep(0.005)
 
     return hook
+
+
+def versioned_set(sinks=()):
+    """The served configuration: two versioned shards."""
+    config = EOSConfig(page_size=PAGE, versioning=True, version_retain=4)
+    return ShardSet.create(2, 4096, PAGE, config=config, sinks=sinks)
+
+
+def drive(client, n_objects=4):
+    """A sequential mix of every single-object op over objects on both
+    shards; returns the number of requests sent."""
+    oids = [client.op_create(bytes([i]) * 3000) for i in range(n_objects)]
+    for oid in oids:
+        client.op_append(oid, b"a" * 2000)
+        client.op_insert(oid, b"i" * 700, offset=100)
+        client.op_write(oid, b"w" * 300, offset=1000)
+        client.op_read(oid, offset=0, length=4000)
+        client.op_size(oid)
+        client.op_stat(oid)
+        client.op_versions(oid)
+        client.op_delete(oid, offset=10, length=900)
+    return n_objects * 9
+
+
+def span_names(registry):
+    return sorted(k for k in registry.snapshot() if k.startswith("span."))
+
+
+def assert_request_tree(spans, trace_id):
+    """``server.request`` -> ``server.execute`` -> ``op.insert`` ->
+    ``segio.*``, all in one trace."""
+    spans = [s for s in spans if s["trace"] == trace_id]
+    by_id = {s["span"]: s for s in spans}
+    (root,) = [s for s in spans if s["name"] == "server.request"]
+    (execute,) = [s for s in spans if s["name"] == "server.execute"]
+    assert execute["parent"] == root["span"]
+    (op,) = [s for s in spans if s["name"] == "op.insert"]
+
+    def ancestors(span):
+        while span["parent"] in by_id:
+            span = by_id[span["parent"]]
+            yield span["name"]
+
+    assert "server.execute" in ancestors(op)
+    segio = [s for s in spans if s["name"].startswith("segio.")]
+    assert segio and any("op.insert" in ancestors(s) for s in segio)
+    assert all("server.request" in ancestors(s) for s in spans if s is not root)
+
+
+class TestRequestRecord:
+    """One fixed record per served request; span trees only on request."""
+
+    def test_untraced_requests_build_no_spans_and_record_their_io(self):
+        shards = versioned_set()
+        try:
+            with ServerThread(shards=shards, port=0) as srv:
+                before = [s.db.disk.stats.snapshot() for s in shards.shards]
+                with EOSClient(port=srv.port) as c:
+                    n = drive(c)
+                after = [s.db.disk.stats.snapshot() for s in shards.shards]
+                records = srv.server.flight.entries()
+                assert srv.server.flight.spans() == []
+            # No tracer emitted a span: span.* counters count every one.
+            assert span_names(shards.obs.metrics) == []
+            for shard in shards.shards:
+                assert span_names(shard.db.obs.metrics) == []
+                # The shard registries stay live for their own counters.
+                assert shard.db.obs.metrics.snapshot()["versions.published"] > 0
+            assert shards.obs.metrics.snapshot()["server.requests"] == n
+            assert len(records) == n
+            assert all(r["status"] == "ok" and "trace" not in r for r in records)
+            for shard, b, a in zip(shards.shards, before, after):
+                mine = [r["io"] for r in records if r["shard"] == shard.index]
+                assert mine
+                for key in ("seeks", "page_reads", "page_writes"):
+                    assert sum(io[key] for io in mine) == getattr(a - b, key)
+                assert (a - b).page_transfers > 0
+        finally:
+            shards.close()
+
+    @pytest.mark.parametrize("user_sink", [False, True])
+    def test_flag_trace_request_builds_one_tree(self, user_sink):
+        sink = RingSink()
+        shards = versioned_set(sinks=[sink] if user_sink else ())
+        try:
+            with ServerThread(shards=shards, port=0) as srv:
+                with EOSClient(port=srv.port) as c:
+                    oid = c.op_create(b"x" * 5000)
+                client_ring = RingSink()
+                # A trace-id block of its own, as enable_tracing picks.
+                client_obs = Observability().enable(
+                    sinks=[client_ring], first_trace_id=1 << 40
+                )
+                with EOSClient(port=srv.port, obs=client_obs) as traced:
+                    traced.op_insert(oid, b"i" * 700, offset=100)
+                ring_spans = srv.server.flight.spans()
+            metrics = shards.obs.metrics.snapshot()
+        finally:
+            shards.close()
+        (client_root,) = [
+            s for s in client_ring.records if s["name"] == "client.request"
+        ]
+        trace_id = client_root["trace"]
+        assert_request_tree(ring_spans, trace_id)
+        (root,) = [
+            s for s in ring_spans
+            if s["name"] == "server.request" and s["trace"] == trace_id
+        ]
+        assert root["parent"] == client_root["span"] and root["remote_parent"]
+        if user_sink:
+            assert_request_tree(sink.records, trace_id)
+        else:
+            # Only the traced request built spans.
+            assert {s["trace"] for s in ring_spans} == {trace_id}
+            assert metrics["span.server.request"] == 1
+
+    def test_a_bundle_with_a_sink_traces_every_request(self):
+        sink = RingSink()
+        shards = versioned_set(sinks=[sink])
+        try:
+            with ServerThread(shards=shards, port=0) as srv:
+                with EOSClient(port=srv.port) as c:
+                    n = drive(c, n_objects=2)
+                records = srv.server.flight.entries()
+            metrics = shards.obs.metrics.snapshot()
+        finally:
+            shards.close()
+        roots = [s for s in sink.records if s["name"] == "server.request"]
+        assert len(roots) == len(records) == n
+        assert {r["trace"] for r in records} == {s["trace"] for s in roots}
+        executes = {
+            s["parent"] for s in sink.records if s["name"] == "server.execute"
+        }
+        assert executes == {s["span"] for s in roots}
+        assert metrics["span.server.request"] == n
 
 
 class TestTracePropagation:
