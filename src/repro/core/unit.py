@@ -168,13 +168,15 @@ class UnitAllocator:
     split into maximal sub-runs, ascending — while runs of old pages
     are recorded in :attr:`deferred` and stay allocated, because the old
     tree's leaves still live there.  What happens to them at commit is
-    the caller's policy: this class drops them.
+    the caller's policy: this class leaves them in :attr:`dead`.
     """
 
     def __init__(self, base) -> None:
         self.base = base
         self.local: set[PageId] = set()
         self.deferred: list[tuple[PageId, int]] = []
+        #: The deferred runs of the last committed unit, still allocated.
+        self.dead: list[tuple[PageId, int]] = []
         #: Running total of pages whose free was deferred (never reset).
         self.deferred_pages = 0
 
@@ -221,8 +223,8 @@ class UnitAllocator:
 
     def commit_unit(self) -> None:
         """The root switched: the unit's allocations are the tree's now.
-        The deferred frees are dropped (their pages stay allocated)."""
-        self._close()
+        The deferred runs stay allocated; they move to :attr:`dead`."""
+        _, self.dead = self._close()
 
     def abort_unit(self) -> None:
         """Free every still-live unit-local allocation (failed unit);

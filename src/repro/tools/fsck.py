@@ -23,7 +23,11 @@ Cross-checks four independent sources of truth:
    versions' trees join the page ledger — pages shared between two
    versions of the *same* object are the normal CoW case, while a page
    claimed by two different objects is still corruption, and a page
-   reachable from no live version (and no latest tree) is a leak;
+   reachable from no live version (and no latest tree) is a leak.
+   Each older retained record's *dead list* (what the reclaimer frees
+   when it expires) must equal its pages minus the next version's, by
+   fsck's own walks; every listed page must be allocated and reachable
+   from no newer retained version, and the latest's list is empty;
 6. the *storage-health collector* (:mod:`repro.obs.health`): its free
    totals and utilization are re-derived from fsck's own segment walk —
    a disagreement means dashboards show numbers the ledger disowns;
@@ -82,6 +86,7 @@ class FsckReport:
     health_disagreements: list[str] = field(default_factory=list)
     layout_disagreements: list[str] = field(default_factory=list)
     snapshot_cache_disagreements: list[str] = field(default_factory=list)
+    dead_list_disagreements: list[str] = field(default_factory=list)
     errors: list[str] = field(default_factory=list)
 
     @property
@@ -99,6 +104,7 @@ class FsckReport:
             or self.health_disagreements
             or self.layout_disagreements
             or self.snapshot_cache_disagreements
+            or self.dead_list_disagreements
         )
 
     def summary(self) -> str:
@@ -160,6 +166,11 @@ class FsckReport:
             lines.extend(
                 f"  snapshot cache disagreement: {d}"
                 for d in self.snapshot_cache_disagreements[:10]
+            )
+        if self.dead_list_disagreements:
+            lines.extend(
+                f"  dead list disagreement: {d}"
+                for d in self.dead_list_disagreements[:10]
             )
         lines.extend(f"  error: {e}" for e in self.errors)
         return "\n".join(lines)
@@ -427,8 +438,11 @@ def _check_version_chains(
     catalog state — its tree was walked by the main object pass — so
     only *older* retained versions are walked here, claiming their pages
     with the owning oid so intra-object CoW sharing is not a finding.
+    The walks then judge the chain's dead lists.
     """
     for oid, chain in sorted(db.versions.snapshot_chains().items()):
+        # Each record's page set, where fsck could walk it.
+        walked: list[set[int] | None] = [None] * len(chain)
         if any(a.version >= b.version for a, b in zip(chain, chain[1:])):
             report.nonmonotonic_chains.append(oid)
         try:
@@ -438,7 +452,9 @@ def _check_version_chains(
             continue
         if chain and chain[-1].root_page != catalog_root:
             report.stale_catalog_roots.append(oid)
-        for record in chain:
+        elif oid in version_pages:
+            walked[-1] = version_pages[oid][0]
+        for i, record in enumerate(chain):
             if record.root_page not in allocated:
                 report.dangling_version_roots.append((oid, record.version))
                 continue
@@ -448,11 +464,53 @@ def _check_version_chains(
             try:
                 pages = _walk_version(db, oid, record, claim)
                 version_pages.setdefault(oid, []).append(pages)
+                walked[i] = pages
             except (ReproError, AssertionError, ValueError) as exc:
                 report.dangling_version_roots.append((oid, record.version))
                 report.errors.append(
                     f"object {oid} version {record.version}: {exc}"
                 )
+        _check_dead_lists(report, oid, chain, walked, allocated)
+
+
+def _check_dead_lists(
+    report: FsckReport,
+    oid: int,
+    chain: list,
+    walked: list[set[int] | None],
+    allocated: set[int],
+) -> None:
+    """Judge each record's dead list by fsck's own walks: it must be
+    pages(record) - pages(next), allocated, and reachable from no newer
+    retained version; the latest record's must be empty.  A record
+    whose walk (or its successor's) failed is already a finding and is
+    skipped here."""
+    for i, record in enumerate(chain):
+        listed = {p for first, n in record.dead for p in range(first, first + n)}
+        where = f"oid {oid} v{record.version}"
+        if i == len(chain) - 1:
+            if listed:
+                report.dead_list_disagreements.append(
+                    f"{where} is the latest but lists {len(listed)} dead pages"
+                )
+            continue
+        pages, newer = walked[i], walked[i + 1:]
+        if pages is None or newer[0] is None:
+            continue
+        expect = pages - newer[0]
+        if listed != expect:
+            report.dead_list_disagreements.append(
+                f"{where} differs from the walk at page {min(listed ^ expect)}"
+            )
+        if listed - allocated:
+            report.dead_list_disagreements.append(
+                f"{where} lists free page {min(listed - allocated)}"
+            )
+        reached = listed & set().union(*(s for s in newer if s is not None))
+        if reached:
+            report.dead_list_disagreements.append(
+                f"{where} lists page {min(reached)}, which a newer version reaches"
+            )
 
 
 def _check_snapshot_cache(

@@ -596,7 +596,12 @@ def cmd_bench_smoke(args: argparse.Namespace) -> int:
             leaked = spawned.stop()
             obs = spawned.server.obs
             handled = obs.metrics.counter("server.requests").value
-            print(f"server handled {handled} requests")
+            dbs = [s.db for s in shardset.shards] if shardset is not None else [db]
+            reclaimed = sum(
+                d.obs.metrics.counter("versions.reclaimed").value for d in dbs
+            )
+            print(f"server handled {handled} requests, "
+                  f"versions.reclaimed {reclaimed}")
             if shardset is not None:
                 shardset.close()
             elif db is not None:

@@ -13,14 +13,16 @@ with the reclaimer.  That cache's entry and exit rules are kept here:
 a commit seeds the pages it published, and every page is forgotten
 before it is freed.
 
-Reclamation is strictly oldest-first.  When a chain exceeds the
-retention window and its oldest version is unpinned, that record is
-*removed from the chain first* (so no new reader can resolve or pin
-it) and only then are its pages freed — exactly the pages reachable
-from the expired root but not from the next surviving one.  Pages
-never re-enter a newer tree while still allocated, so the difference
-sets of successive expiries are disjoint: every page is freed exactly
-once (the fsck version-chain check re-proves this offline).
+A commit's *dead list* — the old index pages its unit superseded, the
+old root and the leaf runs whose frees it deferred, i.e. the pages the
+old version reaches and the new one does not — goes on the old record.
+Reclamation is strictly oldest-first: an unpinned record past the
+retention window is *removed from the chain first* (so no new reader
+can resolve or pin it) and only then is its dead list freed, walking
+no tree.  Pages never re-enter a newer tree while still allocated, so
+dead lists are disjoint: every page is freed once (the pin sanitizer
+re-proves each list at publish, fsck offline; ``restore`` rebuilds
+them at attach).
 
 The chains are persisted as a tolerantly-parsed, magic-tagged section
 appended to the page-0 catalog; pre-versioning images simply have no
@@ -34,7 +36,7 @@ import threading
 import time
 from collections.abc import Iterable
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 from repro.core.node import Node
 from repro.core.object import tree_stats
@@ -42,7 +44,8 @@ from repro.core.search import read_range, read_range_into
 from repro.core.segio import SegmentIO
 from repro.core.tree import LargeObjectTree
 from repro.core.unit import UnitAllocator, page_runs, run_unit
-from repro.errors import LargeObjectError, ObjectNotFound, VersionNotFound
+from repro.errors import InvariantViolation, LargeObjectError, ObjectNotFound
+from repro.errors import ReproError, VersionNotFound
 from repro.ops import ObjectStat, VersionInfo
 from repro.storage.page import PageId
 from repro.versions.pager import DiskNodePager, VersionPager
@@ -65,6 +68,8 @@ class VersionRecord:
     root_page: PageId
     commit_ts: float
     byte_size: int
+    #: Runs freed when this version expires (empty on the latest).
+    dead: tuple[tuple[PageId, int], ...] = ()
 
     def info(self) -> VersionInfo:
         """The record as the public :class:`~repro.ops.VersionInfo`."""
@@ -80,6 +85,7 @@ class VersionManager:
         self._lock = threading.Lock()
         self._chains: dict[int, list[VersionRecord]] = {}
         self._pins: dict[tuple[int, int], int] = {}
+        self._live = 0  # records in all chains: the versions.live gauge
         #: Index nodes of every snapshot tree (readers and the reclaimer).
         self.snap_pager = DiskNodePager(db.disk, db.config.page_size)
         self.snap_pager.obs = db.obs
@@ -97,9 +103,10 @@ class VersionManager:
         record = VersionRecord(1, tree.root_page, time.time(), tree.size())
         with self._lock:
             self._chains[oid] = [record]
+            self._live += 1
         metrics = self.db.obs.metrics
         metrics.counter("versions.published").inc()
-        metrics.gauge("versions.live").set(self._live_count())
+        metrics.gauge("versions.live").set(self._live)
 
     def mutate(self, oid: int, fn):
         """Run one mutation as a version unit and publish its root.
@@ -108,7 +115,8 @@ class VersionManager:
         with the object bound to a :class:`VersionPager` and a
         :class:`~repro.core.unit.UnitAllocator`, so index and data
         pages of older versions are never overwritten nor freed.  On
-        success the new root is published as the next version and the
+        success the new root is published as the next version, what it
+        superseded becomes the previous record's dead list, and the
         retention window is enforced; on failure every unit-local page
         is freed and the old tree is untouched.
         """
@@ -124,18 +132,30 @@ class VersionManager:
         tree = obj.tree
         tree.root_page = new_root
         self._seed(pager.published)
+        dead = pager.dead.union(*(range(f, f + n) for f, n in unit_buddy.dead))
         record = VersionRecord(
             next_version, new_root, time.time(), tree.size()
         )
         with self._lock:
-            self._chains[oid].append(record)
+            chain = self._chains[oid]
+            superseded = chain[-1] = replace(chain[-1], dead=tuple(page_runs(dead)))
+            chain.append(record)
+            self._live += 1
+        if self.snap_pager.checked:  # the pin sanitizer proves the list
+            expect = self._walked_dead_lists([superseded, record])[0]
+            if expect != superseded.dead:
+                page = min(_run_pages(expect) ^ _run_pages(superseded.dead))
+                raise InvariantViolation(
+                    f"object {oid} version {superseded.version}: the dead "
+                    f"list and the tree walk disagree at page {page}"
+                )
         metrics = db.obs.metrics
         metrics.counter("versions.published").inc()
         metrics.counter("versions.deferred_frees").inc(
             unit_buddy.deferred_pages
         )
         self._reclaim(oid)
-        metrics.gauge("versions.live").set(self._live_count())
+        metrics.gauge("versions.live").set(self._live)
         return result
 
     def drop_object(self, oid: int) -> None:
@@ -149,11 +169,12 @@ class VersionManager:
                     f"object {oid} has pinned versions and cannot be deleted"
                 )
             del self._chains[oid]
+            self._live -= len(chain)
         pages: set[PageId] = set()
         for record in chain:
             pages |= self._page_set(record.root_page)
-        self._free_pages(pages)
-        self.db.obs.metrics.gauge("versions.live").set(self._live_count())
+        self._free_runs(page_runs(pages))
+        self.db.obs.metrics.gauge("versions.live").set(self._live)
 
     # ------------------------------------------------------------------
     # Lock-free reader side (any thread; never takes the op_lock)
@@ -274,7 +295,7 @@ class VersionManager:
     def _reclaim(self, oid: int) -> None:
         """Expire beyond-retention versions, strictly oldest-first.
 
-        Records are removed from the chain *before* their pages are
+        Records are removed from the chain *before* their dead lists are
         freed: resolution and pinning go through the same lock, so once
         a record is out of the chain no reader can reach its pages.
         """
@@ -282,34 +303,31 @@ class VersionManager:
         with self._lock:
             chain = self._chains[oid]
             while len(chain) > self.retain:
-                oldest = chain[0]
-                if self._pins.get((oid, oldest.version)):
+                if self._pins.get((oid, chain[0].version)):
                     break  # a reader holds it; retry after the next commit
-                victims.append(oldest)
-                chain.pop(0)
-            if not victims:
-                return
-            survivor_root = chain[0].root_page
-        page_sets = [self._page_set(v.root_page) for v in victims]
-        page_sets.append(self._page_set(survivor_root))
-        dead = [current - newer for current, newer in zip(page_sets, page_sets[1:])]
-        self._free_pages(*dead)
+                victims.append(chain.pop(0))
+            self._live -= len(victims)
+        if not victims:
+            return
+        runs = [run for victim in victims for run in victim.dead]
+        self._free_runs(runs)
         metrics = self.db.obs.metrics
         metrics.counter("versions.reclaimed").inc(len(victims))
-        metrics.counter("versions.pages_reclaimed").inc(sum(map(len, dead)))
+        metrics.counter("versions.pages_reclaimed").inc(sum(n for _, n in runs))
 
-    def _page_set(self, root_page: PageId) -> set[PageId]:
+    def _page_set(self, root_page: PageId, read=None) -> set[PageId]:
         """Every page reachable from a version root (index + full runs).
 
         Leaf runs count all ``entry.pages`` — spare pages a later trim
         deferred are thereby reclaimed with the version that last
-        reached them.
+        reached them.  Nodes come from ``read`` or the snapshot cache.
         """
+        read = read or self.snap_pager.read
         pages: set[PageId] = set()
 
         def walk(page: PageId) -> None:
             pages.add(page)
-            node = self.snap_pager.read(page)
+            node = read(page)
             for child, n_pages in zip(node.child, node.pages):
                 if node.level == 0:
                     pages.update(range(child, child + n_pages))
@@ -319,9 +337,20 @@ class VersionManager:
         walk(root_page)
         return pages
 
-    def _free_pages(self, *page_sets: set[PageId]) -> None:
-        """Free versioned pages, set by set — the only place one is ever
-        freed.
+    def _walked_dead_lists(self, chain: list[VersionRecord]) -> list[tuple]:
+        """Each record's dead list as walks of the trees give it, read
+        with ``disk.peek``: no I/O count moves, nothing enters the
+        snapshot cache."""
+
+        def peek(page: PageId) -> Node:
+            return Node.from_page(self.db.disk.peek(page))
+
+        sets = [self._page_set(r.root_page, peek) for r in chain]
+        return [tuple(page_runs(a - b)) for a, b in zip(sets, sets[1:])] + [()]
+
+    def _free_runs(self, runs: list[tuple[PageId, int]]) -> None:
+        """Free versioned page runs, in order — the only place a
+        versioned page is ever freed.
 
         The snapshot cache's exit rule: every page leaves the cache
         before the first run goes back to the allocator, which could
@@ -330,14 +359,12 @@ class VersionManager:
         write no directory page: the next unit's forced write, or a
         checkpoint, carries them to the disk.
         """
-        for pages in page_sets:
-            self.snap_pager.forget(pages)
-        pool = self.db.pool
-        for pages in page_sets:
-            for first, count in page_runs(pages):
-                for page in range(first, first + count):
-                    pool.drop(page)
-                self.db.buddy.free(first, count)
+        self.snap_pager.forget(_run_pages(runs))
+        pool, buddy = self.db.pool, self.db.buddy
+        for first, count in runs:
+            for page in range(first, first + count):
+                pool.drop(page)
+            buddy.free(first, count)
 
     def _seed(self, pages: Iterable[PageId]) -> None:
         """The snapshot cache's commit-time entry: each just-flushed
@@ -347,10 +374,6 @@ class VersionManager:
             node = pool.resident_decoded(page, Node.from_page)
             if node is not None:
                 self.snap_pager.seed(page, node)
-
-    def _live_count(self) -> int:
-        with self._lock:
-            return sum(len(chain) for chain in self._chains.values())
 
     # ------------------------------------------------------------------
     # Persistence (page-0 catalog section)
@@ -363,11 +386,25 @@ class VersionManager:
 
     def restore(self, chains: dict[int, list[VersionRecord]]) -> None:
         """Replace the chain table (catalog attach path); the snapshot
-        cache starts empty."""
+        cache starts empty.  The catalog has no dead lists: they are
+        rebuilt with one walk per retained version.  A chain whose trees
+        do not walk (fsck flags it) keeps empty lists and leaks."""
+        rebuilt = {}
+        for oid, chain in chains.items():
+            try:
+                lists = self._walked_dead_lists(chain)
+            except (ReproError, RecursionError):
+                lists = [()] * len(chain)
+            rebuilt[oid] = [replace(r, dead=d) for r, d in zip(chain, lists)]
         with self._lock:
-            self._chains = {oid: list(chain) for oid, chain in chains.items()}
+            self._chains = rebuilt
+            self._live = sum(map(len, rebuilt.values()))
         self.snap_pager.clear()
-        self.db.obs.metrics.gauge("versions.live").set(self._live_count())
+        self.db.obs.metrics.gauge("versions.live").set(self._live)
+
+
+def _run_pages(runs: Iterable[tuple[PageId, int]]) -> set[PageId]:
+    return {page for first, n in runs for page in range(first, first + n)}
 
 
 def pack_version_section(

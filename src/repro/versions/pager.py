@@ -8,13 +8,13 @@
   every index page the unit wrote, and returns the new root's page id;
   the old tree — root included — stays byte-identical on disk.
   Superseded pages are *left allocated*, because older versions still
-  reach them (the reclaimer frees them when their last version
-  expires).  The data-page half is a plain
-  :class:`~repro.core.unit.UnitAllocator`, whose deferred frees are
-  dropped for the same reason.
-* :class:`DiskNodePager` — the read-only pager of snapshot readers and
-  the reclaimer: an exact cache of decoded index nodes keyed by page,
-  filled from the disk volume on a miss.  Readers use it from arbitrary
+  reach them; together with the old root they are left in
+  :attr:`VersionPager.dead`, which the version manager joins with the
+  plain :class:`~repro.core.unit.UnitAllocator`'s deferred leaf runs
+  into the old version's dead list (freed when that version expires).
+* :class:`DiskNodePager` — the read-only pager of snapshot readers: an
+  exact cache of decoded index nodes keyed by page, filled from the
+  disk volume on a miss.  Readers use it from arbitrary
   threads with no coordination with the (single-threaded) buffer pool:
   published version pages are flushed at commit and never rewritten
   while a version reaches them, so each one is decoded once.
@@ -40,6 +40,8 @@ class VersionPager(UnitPager):
     #: Every index page of the version the last commit published — the
     #: pages the unit wrote, new root included, all flushed.
     published: frozenset[PageId] = frozenset()
+    #: The old version's index pages it left behind, old root included.
+    dead: frozenset[PageId] = frozenset()
 
     def commit_unit(self, lsn: int) -> PageId | None:
         """Publish the new tree under a freshly allocated root page.
@@ -66,7 +68,7 @@ class VersionPager(UnitPager):
             relocated=len(self.local),
             superseded=len(self.superseded),
         ):
-            _, node = self._pending_root
+            old_root, node = self._pending_root
             node.lsn = lsn
             new_root = self.base.allocate()
             # Unit-local before it is written, so an abort frees it.
@@ -77,12 +79,13 @@ class VersionPager(UnitPager):
             # page of the new version durable before it is published.
             for page in self.local:
                 self.base.pool.flush_page(page)
-        # An old version still reaches the superseded pages; the
-        # reclaimer frees them when that version expires.
+        # An old version still reaches the superseded pages; they join
+        # its dead list and are freed when that version expires.
         self.obs.metrics.counter("versions.deferred_frees").inc(
             len(self.superseded)
         )
         self.published = frozenset(self.local)
+        self.dead = frozenset(self.superseded | {old_root})
         self._reset()
         return new_root
 
@@ -104,14 +107,14 @@ class DiskNodePager(NodePager):
 
     * **Entry.**  A page is read — and so enters — only by a reader that
       holds a pin on a version reaching it, or by code running under the
-      database's ``op_lock`` (the reclaimer, ``drop_object``, the health
-      collector's ``sharing_stats``).  Separately, after a unit committed
-      and flushed, the version manager :meth:`seed`\\ s the pages it
-      published with the immutable decoded form on the writer's pool
-      frame — never the unit's editing node, never a disk read (a page
-      whose frame is not resident is not seeded).
+      database's ``op_lock`` (``drop_object``, the health collector's
+      ``sharing_stats``; not the reclaimer, which reads nothing).
+      Separately, after a unit committed and flushed, the version
+      manager :meth:`seed`\\ s the pages it published with the immutable
+      decoded form on the writer's pool frame — never the unit's editing
+      node, never a disk read (a non-resident frame is not seeded).
     * **Exit.**  The version manager :meth:`forget`\\ s pages before
-      their runs go back to the allocator — in ``_free_pages``, the only
+      their runs go back to the allocator — in ``_free_runs``, the only
       place a versioned page is ever freed — and :meth:`clear`\\ s the
       cache when the chain table is replaced.
 

@@ -3,6 +3,7 @@ reclaim accounting, persistence, the wire surface, and conformance of
 both ObjectOps implementations on a versioned backend."""
 
 import threading
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from repro.api import EOSDatabase
 from repro.compact.engine import relocate_object
 from repro.core.config import EOSConfig
 from repro.core.node import Node
+from repro.core.unit import UnitAllocator
 from repro.errors import (
     InvariantViolation, LargeObjectError, ObjectNotFound, VersionNotFound,
 )
@@ -154,6 +156,25 @@ class TestReclaim:
         assert metrics.counter("versions.reclaimed").value >= 4
         assert metrics.counter("versions.pages_reclaimed").value > 0
         assert metrics.gauge("versions.live").value == 2
+
+    @pytest.mark.parametrize("mb", [1, 32])
+    def test_commit_and_reclaim_read_no_snapshot_node(self, mb, monkeypatch):
+        # The reclaimer frees the expired version's dead list: it walks
+        # no tree, so the object's size does not show in the reads.
+        cfg = EOSConfig(versioning=True, version_retain=1)
+        db = EOSDatabase.create(num_pages=mb * 256 + 2048, config=cfg)
+        db.obs.enable()
+        oid = db.op_create(b"s" * (mb << 20))
+        reclaimed = db.obs.metrics.counter("versions.pages_reclaimed")
+        before = reclaimed.value
+        pager = db.versions.snap_pager
+        reads, read = [], pager.read
+        monkeypatch.setattr(
+            pager, "read", lambda page: reads.append(page) or read(page)
+        )
+        db.op_append(oid, b"a" * 8192)  # a commit, and the oldest's reclaim
+        assert reclaimed.value > before
+        assert reads == []
 
     def test_drop_object_refuses_while_pinned(self):
         db = make_db()
@@ -394,6 +415,60 @@ class TestPersistence:
         db.op_append(db_oid := oid, b"!")
         assert db.op_versions(db_oid)[-1].version == 5
 
+    def test_a_reopened_volume_reclaims_like_one_never_closed(self, tmp_path):
+        # The catalog carries no dead lists; the attach rebuilds them.
+        # Without that, every page the restored versions supersede leaks.
+        def commit(db, oid, i):
+            db.op_append(oid, bytes([i]) * 300)
+            db.op_delete(oid, offset=i % 7, length=120)
+
+        def setup():
+            db = make_db(retain=2)
+            oid = db.op_create(b"r" * 1500)
+            for i in range(10):
+                commit(db, oid, i)
+            return db, oid
+
+        twin, oid = setup()
+        db, _ = setup()
+        db.save(tmp_path / "r.db")
+        db = EOSDatabase.open_file(tmp_path / "r.db")
+        for i in range(10, 50):
+            commit(twin, oid, i)
+            commit(db, oid, i)
+        report = fsck(db)
+        assert report.clean, report.summary()
+        assert report.leaked_pages == []
+        assert db.free_pages() == twin.free_pages()
+        assert db.op_read(oid, offset=0, length=db.op_size(oid)) == (
+            twin.op_read(oid, offset=0, length=twin.op_size(oid))
+        )
+
+    def test_fsck_flags_forged_dead_lists(self):
+        db = make_db()
+        oid = db.op_create(b"f" * 3000)
+        db.op_delete(oid, offset=0, length=1500)
+        db.op_append(oid, b"g" * 700)
+        assert fsck(db).dead_list_disagreements == []
+        chain = db.versions._chains[oid]
+        record, newer_root = chain[-2], chain[-1].root_page
+        (first, _), *rest = record.dead
+        free_page = max(free_page_set(db))
+        # One run missing, a page the latest reaches, a free page.
+        chain[-2] = replace(
+            record, dead=(*rest, (newer_root, 1), (free_page, 1))
+        )
+        report = fsck(db)
+        assert not report.clean
+        where = f"oid {oid} v{record.version}"
+        assert report.dead_list_disagreements == [
+            f"{where} differs from the walk at page "
+            f"{min(first, newer_root, free_page)}",
+            f"{where} lists free page {free_page}",
+            f"{where} lists page {newer_root}, which a newer version reaches",
+        ]
+        assert "dead list disagreement" in report.summary()
+
     def test_fsck_flags_forged_chain_state(self):
         db = make_db()
         oid = db.op_create(b"forge")
@@ -588,6 +663,37 @@ def free_page_set(db):
     return free
 
 
+def version_page_set(db, root):
+    """Every page a version reaches (index pages, whole leaf runs)."""
+    pages = set()
+    for page in index_pages(db, root):
+        pages.add(page)
+        node = disk_node(db, page)
+        if node.level == 0:
+            for child, n_pages in zip(node.child, node.pages):
+                pages.update(range(child, child + n_pages))
+    return pages
+
+
+def assert_dead_lists_exact(db):
+    """Each retained dead list is the walk difference with the next
+    version, in disjoint allocated runs; the gauge counts every record."""
+    chains = db.versions.snapshot_chains()
+    free = free_page_set(db)
+    for chain in chains.values():
+        assert chain[-1].dead == ()
+        sets = [version_page_set(db, record.root_page) for record in chain]
+        for record, pages, newer in zip(chain, sets, sets[1:]):
+            runs = sorted(record.dead)
+            assert all(a + n <= b for (a, n), (b, _) in zip(runs, runs[1:]))
+            listed = {p for first, n in runs for p in range(first, first + n)}
+            assert listed == pages - newer
+            assert not listed & free
+    assert db.obs.metrics.gauge("versions.live").value == sum(
+        map(len, chains.values())
+    )
+
+
 def assert_cache_coherent(db):
     """Every entry is allocated, reachable from a live version and equal
     to the disk; so the cache never outgrows the live index pages."""
@@ -702,6 +808,17 @@ class TestSnapshotNodeCache:
         with pytest.raises(InvariantViolation, match=f"page {new_root}"):
             db.op_read(oid, offset=0, length=12)
 
+    def test_sanitizer_checks_every_dead_list(self, monkeypatch):
+        db = make_small_page_db(retain=4, sanitize_pins=True)
+        oid = db.op_create(b"d" * 2000)
+        db.op_delete(oid, offset=0, length=500)  # the list holds leaf runs
+        # A unit that loses its deferred leaf runs: the list misses them.
+        monkeypatch.setattr(
+            UnitAllocator, "commit_unit", UnitAllocator.crash_unit
+        )
+        with pytest.raises(InvariantViolation, match=f"object {oid} version 3"):
+            db.op_delete(oid, offset=0, length=500)
+
     def test_sanitized_counts_are_the_plain_counts(self):
         def script(**config):
             db = make_small_page_db(retain=2, **config)
@@ -763,6 +880,7 @@ class SnapshotCacheMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.db = make_small_page_db(retain=3)
+        self.db.obs.enable()
         self.current: dict[int, bytearray] = {}
         self.history: dict[int, dict[int, bytes]] = {}
 
@@ -866,6 +984,10 @@ class SnapshotCacheMachine(RuleBasedStateMachine):
     @invariant()
     def cache_is_coherent(self):
         assert_cache_coherent(self.db)
+
+    @invariant()
+    def dead_lists_are_exact(self):
+        assert_dead_lists_exact(self.db)
 
 
 SnapshotCacheMachine.TestCase.settings = settings(
