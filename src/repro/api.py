@@ -35,6 +35,8 @@ import threading
 from repro.buddy.directory import max_capacity
 from repro.buddy.manager import BuddyManager
 from repro.core.config import EOSConfig
+from repro.core.delete import delete_range as _core_delete
+from repro.core.insert import insert as _core_insert
 from repro.core.object import LargeObject
 from repro.core.pager import InPlacePager
 from repro.core.segio import SegmentIO
@@ -60,16 +62,44 @@ from repro.versions import (
 )
 
 
-def _append(data):
-    """The ``(plain, cow)`` pair of an append, for :meth:`EOSDatabase.mutate`.
+# The ``(plain, cow)`` executor pairs for :meth:`EOSDatabase.mutate`.
+# A versioned object keeps its tail's spare pages as an append
+# reservation, so its executors call the core without the trim the
+# plain ``LargeObject`` methods run first, and append through
+# ``cow_append`` (which fills the reservation) instead of patching the
+# partial tail page an older snapshot may still read.
 
-    The in-place executor patches the partial tail page; under
-    versioning those bytes may be live in an older snapshot.
-    """
-    return (
-        lambda o: o.append(data),
-        lambda o: cow_append(o.tree, o.segio, o.buddy, data),
-    )
+
+def _cow_append(o: LargeObject, data) -> None:
+    cow_append(o.tree, o.segio, o.buddy, data, threshold=o.policy.base)
+
+
+def _append(data):
+    """The executor pair of an append."""
+    return lambda o: o.append(data), lambda o: _cow_append(o, data)
+
+
+def _insert(offset: int, data):
+    """The executor pair of an insert; at the very end it is an append."""
+
+    def cow(o: LargeObject) -> None:
+        if offset == o.size():
+            _cow_append(o, data)
+            return
+        with o._span("insert", offset=offset, bytes=len(data)):
+            _core_insert(o.tree, o.segio, o.buddy, offset, data, policy=o.policy)
+
+    return lambda o: o.insert(offset, data), cow
+
+
+def _delete(offset: int, length: int):
+    """The executor pair of a range delete."""
+
+    def cow(o: LargeObject) -> None:
+        with o._span("delete", offset=offset, bytes=length):
+            _core_delete(o.tree, o.segio, o.buddy, offset, length, policy=o.policy)
+
+    return lambda o: o.delete(offset, length), cow
 
 
 class EOSDatabase:
@@ -385,24 +415,14 @@ class EOSDatabase:
 
     def op_insert(self, oid: int, data: bytes, *, offset: int) -> int:
         """Insert bytes at ``offset``; returns the new size."""
-
-        def cow_insert(o: LargeObject) -> None:
-            # Insert-at-end takes the append fast path, which patches the
-            # partial tail page in place; under versioning those bytes may
-            # be live in an older snapshot, so route it through cow_append.
-            if offset == o.size():
-                cow_append(o.tree, o.segio, o.buddy, data)
-            else:
-                o.insert(offset, data)
-
         with self.op_lock:
-            self.mutate(oid, lambda o: o.insert(offset, data), cow_insert)
+            self.mutate(oid, *_insert(offset, data))
             return self.get_object(oid).size()
 
     def op_delete(self, oid: int, *, offset: int, length: int) -> int:
         """Delete a byte range; returns the new size."""
         with self.op_lock:
-            self.mutate(oid, lambda o: o.delete(offset, length))
+            self.mutate(oid, *_delete(offset, length))
             return self.get_object(oid).size()
 
     def op_size(self, oid: int) -> int:
@@ -625,7 +645,8 @@ class EOSDatabase:
         An image written by a versioning-enabled database carries a
         version section; attaching one re-enables versioning with the
         saved retention bound even when the caller's config left it off,
-        so ``save``/``open_file`` round-trips keep the history.  Chains
+        so ``save``/``open_file`` round-trips keep the history; the
+        handles already attached take the effective config too.  Chains
         whose latest root disagrees with the object catalog — and
         objects with no persisted chain at all (images saved before
         versioning was enabled) — restart from a fresh version 1 at the
@@ -638,6 +659,8 @@ class EOSDatabase:
             self.config = dataclasses.replace(
                 self.config, versioning=True, version_retain=retain
             )
+            for obj in self._objects.values():
+                obj.tree.config = self.config
             self.versions = VersionManager(self)
         restored = {}
         for oid, obj in self._objects.items():

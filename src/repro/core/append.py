@@ -22,9 +22,13 @@ page writes, and only then are new segments allocated.
 is always trimmed, i.e., its unused pages (if any) at the right end are
 given back to the free space.  Trimming a segment is trivial because the
 buddy system of EOS deals with allocation/deallocation of segments of
-any size with a precision of 1 page."  :func:`trim` is that operation;
-insert and delete call it first so their page arithmetic can rely on the
-no-spare invariant.
+any size with a precision of 1 page."  :func:`trim` is that operation.
+An unversioned object also trims before every insert and delete
+(:class:`~repro.core.object.LargeObject` does it), so its spare pages
+live only between appends.  A versioned object keeps them as its append
+reservation (:func:`repro.versions.ops.cow_append`); the insert and
+delete arithmetic counts only the pages that hold bytes, so it works on
+either.
 """
 
 from __future__ import annotations
@@ -138,9 +142,15 @@ def append(
         tree.append_leaf_entries(new_entries)
 
 
-def trim(tree: LargeObjectTree, buddy: BuddyManager) -> int:
-    """Free the tail segment's unused pages; returns pages freed."""
-    size = tree.size()
+def trim(
+    tree: LargeObjectTree, buddy: BuddyManager, size: int | None = None
+) -> int:
+    """Free the tail segment's unused pages; returns pages freed.
+
+    ``size`` is the object's size when the caller has just read it.
+    """
+    if size is None:
+        size = tree.size()
     if size == 0:
         return 0
     path, _ = tree.descend(size)

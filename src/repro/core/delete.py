@@ -28,7 +28,6 @@ entries where one segment stood.
 from __future__ import annotations
 
 from repro.buddy.manager import BuddyManager
-from repro.core.append import trim
 from repro.core.node import Entry
 from repro.core.reshuffle import ReshufflePlan, plan_reshuffle
 from repro.core.segio import SegmentIO, allocate_and_write
@@ -56,7 +55,6 @@ def delete_range(
     policy = policy or ThresholdPolicy(
         tree.config.threshold, tree.config.adaptive_threshold
     )
-    trim(tree, buddy)
 
     ps = segio.page_size
     lo, hi = offset, offset + length
@@ -79,7 +77,8 @@ def delete_range(
     l0 = p * ps + pb
     q = local_r // ps
     qb = local_r % ps
-    q_c = ps if q < sp_entry.pages - 1 else sp_entry.count - q * ps
+    # Spare pages past S''s bytes (a tail segment's) stay with R.
+    q_c = ps if q < ceil_div(sp_entry.count, ps) - 1 else sp_entry.count - q * ps
     n0 = q_c - (qb + 1)
     r0 = max(0, sp_entry.count - (q + 1) * ps)
 

@@ -29,14 +29,13 @@ segments in that node are first coalesced into single larger segments.
 from __future__ import annotations
 
 from repro.buddy.manager import BuddyManager
-from repro.core.append import append as append_op
-from repro.core.append import trim
 from repro.core.node import Entry
 from repro.core.reshuffle import plan_reshuffle
 from repro.core.segio import SegmentIO, allocate_and_write
 from repro.core.threshold import ThresholdPolicy, find_unsafe_runs
 from repro.core.tree import LargeObjectTree
 from repro.errors import ByteRangeError, TreeCorrupt
+from repro.util.bitops import ceil_div
 
 
 def insert(
@@ -47,21 +46,20 @@ def insert(
     data: bytes,
     *,
     policy: ThresholdPolicy | None = None,
-    log=None,
 ) -> None:
-    """Insert ``data`` so its first byte lands at byte ``offset``."""
+    """Insert ``data`` so its first byte lands at byte ``offset``.
+
+    ``offset`` must fall inside the object.  Inserting at the very end
+    is an append, and which append is the caller's choice: the plain one
+    fills the tail in place, a versioned one must not
+    (:func:`repro.versions.ops.cow_append`).
+    """
     size = tree.size()
-    if offset < 0 or offset > size:
+    if offset < 0 or offset >= size:
         raise ByteRangeError(offset, len(data), size)
     if not data:
         return
-    if offset == size:
-        # Inserting at the very end is an append (and benefits from the
-        # append path's tail-filling instead of segment splitting).
-        append_op(tree, segio, buddy, data, log=log)
-        return
     policy = policy or ThresholdPolicy(tree.config.threshold, tree.config.adaptive_threshold)
-    trim(tree, buddy)  # the page arithmetic below assumes no spare pages
 
     ps = segio.page_size
     path, local = tree.descend(offset)
@@ -74,7 +72,9 @@ def insert(
     b = local
     p = b // ps  # the page of S holding byte b
     pb = b % ps  # insertion offset within that page
-    p_c = ps if p < s_pages - 1 else s_c - p * ps  # bytes stored in page P
+    # Only the pages holding bytes count: a tail segment may carry spare
+    # pages past them, which R keeps (or the free below returns).
+    p_c = ps if p < ceil_div(s_c, ps) - 1 else s_c - p * ps  # bytes in page P
     l0 = p * ps + pb
     r0 = max(0, s_c - (p + 1) * ps)
     n0 = len(data) + (p_c - pb)

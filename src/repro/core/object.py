@@ -179,17 +179,32 @@ class LargeObject:
         with self._span("replace", offset=offset, bytes=len(data)):
             _replace(self.tree, self.segio, offset, data, log=self.page_log)
 
+    # Insert, delete and truncate trim the tail first: an unversioned
+    # object keeps no spare pages past an edit (Section 4.1's trim at
+    # the end of a run of appends).  The size read here is the one the
+    # trim would otherwise make.
+
     def insert(self, offset: int, data: bytes) -> None:
-        """Insert bytes at ``offset`` (Section 4.3.1)."""
+        """Insert bytes at ``offset`` (Section 4.3.1); at the very end,
+        an append that fills the tail segment."""
         with self._span("insert", offset=offset, bytes=len(data)):
+            size = self.tree.size()
+            if offset == size:
+                _append(self.tree, self.segio, self.buddy, data, log=self.page_log)
+                return
+            if data and 0 <= offset < size:
+                _trim(self.tree, self.buddy, size)
             _insert(
                 self.tree, self.segio, self.buddy, offset, data,
-                policy=self.policy, log=self.page_log,
+                policy=self.policy,
             )
 
     def delete(self, offset: int, length: int) -> None:
         """Delete a byte range (Section 4.3.2)."""
         with self._span("delete", offset=offset, bytes=length):
+            size = self.tree.size()
+            if 0 < length and 0 <= offset <= size - length:
+                _trim(self.tree, self.buddy, size)
             _delete(
                 self.tree, self.segio, self.buddy, offset, length,
                 policy=self.policy,
@@ -198,6 +213,9 @@ class LargeObject:
     def truncate(self, new_size: int) -> None:
         """Delete from ``new_size`` to the end."""
         with self._span("truncate", new_size=new_size):
+            size = self.tree.size()
+            if 0 <= new_size < size:
+                _trim(self.tree, self.buddy, size)
             _truncate(
                 self.tree, self.segio, self.buddy, new_size, policy=self.policy
             )

@@ -191,6 +191,9 @@ PLAIN_SESSION = [
     ("METRICS", "", None),
     ("FLIGHT", "", None),
 ]
+#: The versioned STAT bodies were re-recorded when versioned appends
+#: began filling a tail reservation: version 2 (the created "hello")
+#: now holds a T-page segment, and the roots land on other pages.
 VERSIONED_SESSION = [
     ("CREATE", "001000000000000068656c6c6f", "0100000000000000"),
     ("APPEND", "010000000000000020776f726c64", "0b00000000000000"),
@@ -201,13 +204,13 @@ VERSIONED_SESSION = [
     ("DELETE", "010000000000000005000000000000000300000000000000", "0b00000000000000"),
     ("SIZE", "0100000000000000", "0b00000000000000"),
     ("STAT", "0100000000000000",
-     "0b0000000000000002000000020000000100000001000000f8030000"),
+     "0b0000000000000002000000020000000100000001000000e6030000"),
     ("STAT", "01000000000000000000000000000000",
-     "0b0000000000000002000000020000000100000001000000f803000006000000"),
+     "0b0000000000000002000000020000000100000001000000e603000006000000"),
     ("READ", "0100000000000000000000000000000005000000000000000200000000000000",
      "68656c6c6f"),
     ("STAT", "01000000000000000200000000000000",
-     "050000000000000001000000010000000100000001000000fc03000002000000"),
+     "050000000000000001000000080000000100000001000000fb03000002000000"),
     ("LIST", "", "0100000001000000000000000b00000000000000"),
 ]
 

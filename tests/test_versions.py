@@ -415,6 +415,17 @@ class TestPersistence:
         db.op_append(db_oid := oid, b"!")
         assert db.op_versions(db_oid)[-1].version == 5
 
+    def test_reattached_handles_carry_the_effective_config(self, tmp_path):
+        # The image turns versioning back on with its saved retention;
+        # the object handles must say so too, not the caller's default.
+        db = make_db(retain=3)
+        oid = db.op_create(b"cfg" * 400)
+        db.save(tmp_path / "c.db")
+        db = EOSDatabase.open_file(tmp_path / "c.db")
+        assert (db.config.versioning, db.config.version_retain) == (True, 3)
+        assert db.get_object(oid).config == db.config
+        assert db.versions.retain == 3
+
     def test_a_reopened_volume_reclaims_like_one_never_closed(self, tmp_path):
         # The catalog carries no dead lists; the attach rebuilds them.
         # Without that, every page the restored versions supersede leaks.
@@ -994,3 +1005,114 @@ SnapshotCacheMachine.TestCase.settings = settings(
     max_examples=50, stateful_step_count=40, deadline=None
 )
 TestSnapshotCacheMachine = SnapshotCacheMachine.TestCase
+
+
+# ---------------------------------------------------------------------------
+# Versioned appends fill a tail reservation, never a counted page
+# ---------------------------------------------------------------------------
+
+
+def counted_pages(db):
+    """Every page a retained version reads: its index pages and, per
+    leaf entry, ``[child, child + ceil(count / page size))``."""
+    ps = db.config.page_size
+    pages = set()
+    for chain in db.versions.snapshot_chains().values():
+        for record in chain:
+            for page in index_pages(db, record.root_page):
+                pages.add(page)
+                node = disk_node(db, page)
+                if node.level == 0:
+                    for i in range(node.n_entries):
+                        entry = node.entry(i)
+                        pages.update(
+                            range(entry.child, entry.child - (-entry.count // ps))
+                        )
+    return pages
+
+
+class _CountedPageGuard:
+    """An ``IOStats.observer`` failing the write that lands on a page a
+    retained version counts, at the moment it is issued."""
+
+    def __init__(self, counted):
+        self.counted = counted
+
+    def on_transfer(self, first_page, n_pages, *, is_write, seeked):
+        if is_write:
+            hit = self.counted.intersection(
+                range(first_page, first_page + n_pages)
+            )
+            assert not hit, f"a versioned write hit counted pages {sorted(hit)}"
+
+
+class TestTailReservation:
+    """Appends, inserts and deletes at the tail segment and away from it,
+    with odd sizes that leave partial tail pages, and reattaches: no
+    versioned write ever lands on a page some retained version counts,
+    every retained version reads back as committed, and the reservation
+    stays below T pages."""
+
+    T = EOSConfig().threshold
+
+    @pytest.mark.parametrize("retain", [1, 2, 8])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_versioned_writes_never_touch_a_counted_page(
+        self, retain, data, tmp_path_factory
+    ):
+        db = make_db(retain=retain)
+        oid = db.op_create(data.draw(st.binary(max_size=1500), label="initial"))
+        history = {v.version: db.op_read(oid, offset=0, length=v.size_bytes)
+                   for v in db.op_versions(oid)}
+        current = bytearray(history[max(history)])
+        for _ in range(data.draw(st.integers(1, 14), label="steps")):
+            op = data.draw(st.sampled_from(
+                ["append", "append", "insert", "delete", "reopen"]
+            ), label="op")
+            if op == "reopen":
+                path = tmp_path_factory.mktemp("reserve") / "v.db"
+                db.save(path)
+                db = EOSDatabase.open_file(path)
+                continue
+            size = len(current)
+            lo = 0
+            if size and data.draw(st.booleans(), label="at_tail_segment"):
+                lo = size - db.get_object(oid).segments()[-1][1].count
+            guard = _CountedPageGuard(counted_pages(db))
+            db.disk.stats.observer = guard
+            try:
+                if op == "append":
+                    # Odd sizes leave a partial tail page; whole pages
+                    # leave none.
+                    n = data.draw(st.one_of(
+                        st.integers(1, 3 * PAGE + 7),
+                        st.sampled_from([PAGE, 2 * PAGE]),
+                    ), label="n")
+                    chunk = data.draw(st.binary(min_size=n, max_size=n))
+                    db.op_append(oid, chunk)
+                    current += chunk
+                elif op == "insert":
+                    at = data.draw(st.integers(lo, size), label="at")
+                    chunk = data.draw(st.binary(min_size=1, max_size=2 * PAGE + 3))
+                    db.op_insert(oid, chunk, offset=at)
+                    current[at:at] = chunk
+                elif size:
+                    at = data.draw(st.integers(lo, size - 1), label="at")
+                    length = data.draw(st.integers(1, size - at), label="length")
+                    db.op_delete(oid, offset=at, length=length)
+                    del current[at:at + length]
+            finally:
+                db.disk.stats.observer = None
+            history[db.op_versions(oid)[-1].version] = bytes(current)
+
+            for v in db.op_versions(oid):
+                assert db.op_read(
+                    oid, offset=0, length=v.size_bytes, version=v.version
+                ) == history[v.version]
+            db.verify()  # spare pages on the tail segment only
+            report = fsck(db)
+            assert report.clean, report.summary()
+            if current:
+                tail = db.get_object(oid).segments()[-1][1]
+                assert tail.pages - (-(-tail.count // PAGE)) <= self.T - 1
