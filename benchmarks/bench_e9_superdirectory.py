@@ -40,10 +40,10 @@ def build(use_superdirectory: bool):
 
 
 def allocations_probe(manager, n_allocs=16):
-    # Fresh optimistic superdirectory (a restart), as the paper describes.
+    # A restart: a fresh optimistic superdirectory and a cold directory
+    # pool, as the paper describes.
     rebuilt = BuddyManager(
-        manager.volume, manager.pool,
-        use_superdirectory=manager.use_superdirectory,
+        manager.volume, use_superdirectory=manager.use_superdirectory
     )
     loads = []
     for _ in range(n_allocs):

@@ -139,11 +139,12 @@ class EOSDatabase:
             obs.iostats = disk.stats
         self.obs = obs
         self.pool = BufferPool(disk, capacity=pool_capacity)
-        self.buddy = BuddyManager(volume, self.pool, obs=self.obs)
+        self.buddy = BuddyManager(volume, obs=self.obs)
         # Per-instance sanitizers (the EOS_SANITIZE env var enables the
         # same checks globally; see repro.analysis.sanitize).
         if config.sanitize_pins:
-            self.pool.attach_pin_sanitizer()
+            for pool in (self.pool, self.buddy.pool):
+                pool.attach_pin_sanitizer()
         if config.sanitize_buddy:
             self.buddy.attach_invariant_sanitizer()
         self.pager = InPlacePager(self.pool, self.buddy, config.page_size)
@@ -207,14 +208,8 @@ class EOSDatabase:
             space_capacity = min(max_capacity(page_size), usable - usable % 4)
         n_spaces = max(1, (num_pages - 1) // (1 + space_capacity))
         volume = Volume.format(disk, n_spaces=n_spaces, space_capacity=space_capacity)
-        db = cls(disk, volume, config, pool_capacity=pool_capacity, obs=obs)
         BuddyManager.format(volume)
-        # Rebuild the manager so its superdirectory starts fresh.
-        db.buddy = BuddyManager(volume, db.pool, obs=db.obs)
-        if config.sanitize_buddy:
-            db.buddy.attach_invariant_sanitizer()
-        db.pager = InPlacePager(db.pool, db.buddy, config.page_size)
-        return db
+        return cls(disk, volume, config, pool_capacity=pool_capacity, obs=obs)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -238,12 +233,13 @@ class EOSDatabase:
         """
         if self._closed:
             return
-        if self.pool.pin_sanitizer is not None:
-            # Report leaked pins with their origin stacks *before*
-            # clear() dies on the bare pin count with no clue attached.
-            self.pool.pin_sanitizer.assert_no_leaks()
+        for pool in (self.pool, self.buddy.pool):
+            if pool.pin_sanitizer is not None:
+                # Report leaked pins with their origin stacks *before*
+                # clear() dies on the bare pin count with no clue attached.
+                pool.pin_sanitizer.assert_no_leaks()
+        self.pager.flush()
         self.pool.clear()
-        self.buddy.write_dirty()
         self.obs.close()
         self._closed = True
 
@@ -711,15 +707,11 @@ class EOSDatabase:
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Flush every dirty buffered page to the disk image.
-
-        Index pages go first, then the directory pages whose frees are
-        still only in the allocator's frames: a page is marked free on
-        disk only after no page on disk references it.
+        """Flush every dirty buffered page to the disk image, through the
+        write-order barrier (:meth:`~repro.core.pager.InPlacePager.flush`).
         """
         self._ensure_open("checkpoint")
-        self.pool.flush_all()
-        self.buddy.write_dirty()
+        self.pager.flush()
 
     def free_pages(self) -> int:
         """Free pages across all buddy spaces."""

@@ -24,21 +24,14 @@ call still pins it, every mutation is serialised into it, and whenever
 a mutation fails the decoded copy is thrown away and rebuilt from the
 frame.
 
-When the frame reaches the disk follows one invariant: **the on-disk
-directory marks allocated every page that anything on disk can
-reference.**  Section 4.5 logs allocation changes and forces them at
-commit rather than on every call, and so does this manager:
-
-* an allocation outside a copy-on-write unit is written through at
-  once — an in-place index write may reference the page right after;
-* an allocation inside a unit (:meth:`deferring`) only dirties the
-  frame, and the unit forces each dirtied directory page once
-  (:meth:`write_dirty`) before its switch point, since nothing can
-  reference a unit's pages before then;
-* a free never forces a write: the dirty frame rides the next directory
-  write or the database's checkpoint.  A crash in between leaks the
-  freed pages — which fsck reports — and never leaves a page claimed
-  twice.
+Directory frames live in the manager's own small buffer pool.  An
+allocation outside a copy-on-write unit is written through at once (an
+in-place index write may name the page right after); inside a unit
+(:meth:`deferring`) an allocation, and anywhere a free, only dirties the
+frame.  Every other directory write is :meth:`write_dirty`, called by
+the write-order barrier alone (:meth:`repro.core.pager.InPlacePager.flush`;
+INTERNALS, "Write order").  A crash can then leak freed pages, which
+fsck reports, and never leave a page claimed twice.
 """
 
 from __future__ import annotations
@@ -96,13 +89,13 @@ class BuddyManager:
     def __init__(
         self,
         volume: Volume,
-        pool: BufferPool | None = None,
         *,
         use_superdirectory: bool = True,
         obs: Observability | None = None,
     ) -> None:
         self.volume = volume
-        self.pool = pool or BufferPool(volume.disk, capacity=volume.n_spaces + 8)
+        #: The directory frames: this manager's own, never shared.
+        self.pool = BufferPool(volume.disk, capacity=volume.n_spaces + 8)
         self.use_superdirectory = use_superdirectory
         self.obs = obs if obs is not None else NULL_OBS
         self.stats = AllocatorStats()
@@ -244,8 +237,7 @@ class BuddyManager:
         """Inside the block an allocation only dirties its frame.
 
         For a copy-on-write unit, whose pages nothing can reference
-        before its switch point: the unit calls :meth:`write_dirty`
-        there.
+        before its switch point, where the barrier writes them.
         """
         self._deferring = True
         try:
@@ -255,7 +247,7 @@ class BuddyManager:
 
     def write_dirty(self) -> None:
         """Write every directory page whose frame is ahead of the disk,
-        once each (a unit's switch point, and the database checkpoint).
+        once each: the second half of the write-order barrier.
 
         A failed write leaves the frame as it is: the unit that forced it
         aborts, and its frees bring the frame back to the pre-unit state.

@@ -18,6 +18,8 @@ in-place switch point) and :class:`~repro.versions.pager.VersionPager`
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from repro.buddy.manager import BuddyManager
 from repro.core.node import Node
 from repro.errors import TreeCorrupt
@@ -97,6 +99,13 @@ class InPlacePager(NodePager):
     def write_root(self, page: PageId, node: Node) -> None:
         self.write(page, node)
 
-    def flush(self) -> None:
-        """Write back every dirty buffered page."""
-        self.pool.flush_all()
+    def flush(self, pages: Iterable[PageId] | None = None) -> None:
+        """The write-order barrier: writes back ``pages`` (every dirty
+        frame when None), then every directory page ahead of the disk.
+        The caller publishes afterwards (INTERNALS, "Write order")."""
+        if pages is None:
+            self.pool.flush_all()
+        else:
+            for page in pages:
+                self.pool.flush_page(page)
+        self.buddy.write_dirty()

@@ -19,11 +19,12 @@ means is the only thing the two users disagree on:
 pages) hold everything else once, and :func:`run_unit` is the only
 begin / commit-or-abort / rebind sequence in the program.
 
-The allocator's directory follows the unit too.  Nothing can reference
-a unit's pages before its switch point, so its allocations only dirty
-their directory frames (:meth:`~repro.buddy.manager.BuddyManager.deferring`)
-and each policy forces every dirty directory page once, just before it
-switches.  A failed forced write aborts the unit like any other failure.
+Nothing can reference a unit's pages before its switch point, so its
+allocations only dirty their directory frames
+(:meth:`~repro.buddy.manager.BuddyManager.deferring`); each policy
+passes the unit's pages through the write-order barrier
+(:meth:`~repro.core.pager.InPlacePager.flush`) before it publishes.  A
+failed barrier write aborts the unit like any other failure.
 """
 
 from __future__ import annotations
@@ -54,9 +55,8 @@ class UnitPager(NodePager):
 
     Subclasses supply ``kind`` (the metric/span prefix) and
     ``commit_unit(lsn)`` — what becomes of the pending root and of the
-    superseded pages — which writes the unit's allocations to the
-    directory (``base.buddy.write_dirty()``) right before its switch
-    point; a failure there aborts the unit.
+    superseded pages — which calls the barrier ``base.flush(local)``
+    before its switch point; a failure there aborts the unit.
     """
 
     kind = "unit"
@@ -250,10 +250,10 @@ def run_unit(
     ``obj`` is bound to the unit's pager and allocator for the duration
     and bound back whatever happens.  The commit is inside the guarded
     region: any failure up to the pager's switch point — in ``fn`` or in
-    ``commit_unit`` itself, its forced directory write included — aborts
-    both halves and leaves the old tree untouched.  Both run inside the
-    allocator's ``deferring()`` block, so no allocation of the unit is
-    written before that forced write.  Once the pager has left the unit
+    ``commit_unit`` itself, its barrier included — aborts both halves
+    and leaves the old tree untouched.  Both run inside the allocator's
+    ``deferring()`` block, so no allocation of the unit is written
+    before the barrier.  Once the pager has left the unit
     (it switched and then died freeing what the new tree superseded, or
     ``fn`` crashed it on purpose) the unit's pages are not ours to free:
     they leak, as after a crash.  Returns ``(fn's result, the pager's

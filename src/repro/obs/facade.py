@@ -105,6 +105,7 @@ class DatabaseStats:
         disk-head position first (a cold-cache run)."""
         db = self._db
         if cold:
+            db.pager.flush()
             db.pool.clear()
             db.disk.stats.head = None
         return measure(self.snapshot)

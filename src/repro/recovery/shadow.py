@@ -14,10 +14,11 @@ deliberately designed so it is never required.
 :class:`ShadowPager` is the copy-on-write unit of
 :mod:`repro.core.unit` with the paper's commit policy: the root is the
 single *in-place* write that atomically switches from the old tree to
-the new one, it carries the operation's LSN, the unit's allocations
-reach the on-disk directory just before it, and only after it are the
-superseded pages freed.  An abort (or a crash before the root write)
-frees/leaks only *new* pages — the old tree was never touched.
+the new one, it carries the operation's LSN, the unit's pages pass the
+write-order barrier (:meth:`~repro.core.pager.InPlacePager.flush`)
+just before it, and only after it are the superseded pages freed.  An
+abort (or a crash before the root write) frees/leaks only *new* pages —
+the old tree was never touched.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ class ShadowPager(UnitPager):
             if self._pending_root is not None:
                 page, node = self._pending_root
                 node.lsn = lsn
-                self.base.buddy.write_dirty()  # the unit's allocations
+                self.base.flush(self.local)
                 self.base.write_root(page, node)
             # The switch happened: from here on nothing may abort it.
             superseded = self.superseded

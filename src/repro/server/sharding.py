@@ -116,7 +116,8 @@ class Shard:
         ):
             self.confinement = ThreadConfinement(f"shard-{index}")
             self._pool.submit(self.confinement.claim).result()
-            db.pool.attach_confinement(self.confinement)
+            for pool in (db.pool, db.buddy.pool):
+                pool.attach_confinement(self.confinement)
             db.buddy.attach_confinement(self.confinement)
 
     # -- scheduling ----------------------------------------------------------

@@ -98,7 +98,7 @@ class VersionManager:
 
     def publish_initial(self, oid: int, tree: LargeObjectTree) -> None:
         """Record version 1 of a just-created (or adopted) object."""
-        self.db.pool.flush_page(tree.root_page)
+        self.db.pager.flush((tree.root_page,))
         self._seed((tree.root_page,))
         record = VersionRecord(1, tree.root_page, time.time(), tree.size())
         with self._lock:

@@ -3,10 +3,9 @@
 * :class:`VersionPager` — the copy-on-write unit of
   :mod:`repro.core.unit` with the versioning commit policy: the commit
   does **not** overwrite the old root in place.  It allocates a
-  brand-new page for the edited root, forces the unit's allocations to
-  the on-disk directory (one write per dirty directory page), flushes
-  every index page the unit wrote, and returns the new root's page id;
-  the old tree — root included — stays byte-identical on disk.
+  brand-new page for the edited root, passes every index page the unit
+  wrote through the write-order barrier, and returns the new root's page
+  id; the old tree — root included — stays byte-identical on disk.
   Superseded pages are *left allocated*, because older versions still
   reach them; together with the old root they are left in
   :attr:`VersionPager.dead`, which the version manager joins with the
@@ -48,11 +47,11 @@ class VersionPager(UnitPager):
 
         Returns the new root's page id, or None when the operation was
         a no-op (nothing was written — e.g. an empty append), in which
-        case no new version exists.  The unit's allocations, the new
-        root's included, reach the on-disk directory first.  Then every
-        index page the unit wrote is flushed through the buffer pool so
-        lock-free snapshot readers, which never use the pool, see the
-        full tree; the set is left in :attr:`published`.
+        case no new version exists.  Every index page the unit wrote,
+        new root included, goes through the write-order barrier
+        (:meth:`~repro.core.pager.InPlacePager.flush`), so lock-free
+        snapshot readers, which never use the pool, find the whole tree
+        on disk; the set is left in :attr:`published`.
         """
         self._require_unit("commit")
         if self._pending_root is None:
@@ -74,11 +73,7 @@ class VersionPager(UnitPager):
             # Unit-local before it is written, so an abort frees it.
             self.local.add(new_root)
             self.base.write_new(new_root, node)
-            self.base.buddy.write_dirty()  # the unit's allocations
-            # Disk-direct snapshot readers bypass the pool: make every
-            # page of the new version durable before it is published.
-            for page in self.local:
-                self.base.pool.flush_page(page)
+            self.base.flush(self.local)
         # An old version still reaches the superseded pages; they join
         # its dead list and are freed when that version expires.
         self.obs.metrics.counter("versions.deferred_frees").inc(

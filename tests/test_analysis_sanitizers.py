@@ -272,8 +272,14 @@ class TestScanHintAndMirrorChecks:
 
     def test_page_written_behind_the_managers_back(self):
         manager = self.fragmented_manager()
-        other = BuddyManager(manager.volume, manager.pool)
+        # A second manager on the volume allocates, and its directory
+        # image lands in this manager's frame behind its back.
+        manager.write_dirty()  # the other manager must see the frees
+        other = BuddyManager(manager.volume)
         other.allocate(4)
+        page = manager.volume.spaces[0].directory_page
+        with manager.pool.page(page) as image:
+            image[:] = manager.volume.disk.peek(page)
         problems = check_manager(manager)
         assert len(problems) == 1 and "differs from the stored page" in problems[0]
         manager.attach_invariant_sanitizer()
@@ -358,6 +364,31 @@ class TestGating:
         assert db.pool.pin_sanitizer is None
         assert not db.buddy.check_invariants
         assert LockManager().order_sanitizer is None
+        db.close()
+
+
+class TestBothPoolsAreArmed:
+    """The allocator's directory pool is sanitized wherever ``db.pool`` is."""
+
+    @staticmethod
+    def sanitized_db(monkeypatch):
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        config = EOSConfig(page_size=256, sanitize_pins=True)
+        return EOSDatabase.create(64, page_size=256, config=config)
+
+    def test_config_flag_arms_the_directory_pool(self, monkeypatch):
+        db = self.sanitized_db(monkeypatch)
+        assert db.buddy.pool is not db.pool
+        assert db.buddy.pool.pin_sanitizer is not None
+        db.close()
+
+    def test_close_reports_a_leaked_directory_pin(self, monkeypatch):
+        db = self.sanitized_db(monkeypatch)
+        page = db.volume.spaces[0].directory_page
+        db.buddy.pool.fetch(page)  # deliberately never unpinned
+        with pytest.raises(PinLeak, match=f"page {page} pinned at:"):
+            db.close()
+        db.buddy.pool.unpin(page)
         db.close()
 
 

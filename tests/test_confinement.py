@@ -79,6 +79,12 @@ class TestShardConfinement:
         with pytest.raises(ConfinementViolation):
             shard.db.buddy.allocate(4)
 
+    def test_foreign_directory_pool_access_raises(self, confined_set):
+        # The allocator's own pool, reached without an alloc/free call.
+        shard = confined_set.shards[1]
+        with pytest.raises(ConfinementViolation):
+            shard.db.buddy.load_space(0)
+
     def test_each_shard_confines_to_its_own_worker(self, confined_set):
         # Shard 1's worker is a foreign thread to shard 0's substrate.
         first, second = confined_set.shards
