@@ -36,7 +36,7 @@ from repro.core.config import EOSConfig
 from repro.core.node import Entry
 from repro.core.pager import InPlacePager
 from repro.core.segio import SegmentIO
-from repro.core.tree import LargeObjectTree
+from repro.core.tree import LargeObjectTree, walk_index
 from repro.errors import ByteRangeError
 from repro.util.bitops import ceil_div
 
@@ -214,19 +214,11 @@ class ExodusStore(LargeObjectStore):
         self.pager.free(tree.root_page)
 
     def stats(self, tree: LargeObjectTree) -> StoreStats:
-        data_pages = 0
-        meta_pages = 1
-
-        def walk(node) -> None:
-            nonlocal data_pages, meta_pages
-            for entry in node.entries:
-                if node.level == 0:
-                    data_pages += entry.pages
-                else:
-                    meta_pages += 1
-                    walk(self.pager.read(entry.child))
-
-        walk(tree.read_root())
+        data_pages = meta_pages = 0
+        for _, node in walk_index(tree.root_page, tree.read_root(), self.pager.read):
+            meta_pages += 1
+            if node.level == 0:
+                data_pages += sum(node.pages)
         return StoreStats(
             size_bytes=tree.size(), data_pages=data_pages, meta_pages=meta_pages
         )

@@ -30,10 +30,9 @@ from repro.core.search import read_range_into as _read_into
 from repro.core.search import replace_range as _replace
 from repro.core.segio import SegmentIO
 from repro.core.threshold import ThresholdPolicy
-from repro.core.tree import LargeObjectTree
+from repro.core.tree import LargeObjectTree, walk_index
 from repro.obs.tracer import NULL_OBS, Observability
 from repro.storage.page import PageId
-from repro.util.bitops import ceil_div
 
 
 @dataclass(frozen=True)
@@ -65,25 +64,15 @@ class ObjectStats:
 
 def tree_stats(tree: LargeObjectTree) -> ObjectStats:
     """Space accounting of one tree (reads the whole index, no leaf I/O)."""
-    size = tree.size()
-    leaf_pages = 0
-    segments = 0
-    index_pages = 1  # the root
-
-    def walk(node) -> None:
-        nonlocal leaf_pages, segments, index_pages
+    root = tree.read_root()
+    leaf_pages = segments = index_pages = 0
+    for _, node in walk_index(tree.root_page, root, tree.pager.read):
+        index_pages += 1
         if node.level == 0:
             segments += node.n_entries
             leaf_pages += sum(node.pages)
-        else:
-            for child in node.child:
-                index_pages += 1
-                walk(tree.pager.read(child))
-
-    root = tree.read_root()
-    walk(root)
     return ObjectStats(
-        size_bytes=size,
+        size_bytes=root.total_bytes,
         segments=segments,
         leaf_pages=leaf_pages,
         index_pages=index_pages,
@@ -307,11 +296,5 @@ class LargeObject:
         return stats.leaf_pages / stats.segments if stats.segments else 0.0
 
     def verify(self) -> None:
-        """Check all structural invariants plus content accounting."""
+        """Check all structural invariants (:meth:`LargeObjectTree.verify`)."""
         self.tree.verify()
-        # Cross-check: page counts of non-tail segments are exact.
-        entries = self.tree.leaf_entries()
-        ps = self.config.page_size
-        for _, entry in entries[:-1]:
-            if entry.pages != ceil_div(entry.count, ps):
-                raise AssertionError("non-tail segment with spare pages")

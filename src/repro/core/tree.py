@@ -31,7 +31,7 @@ segments are partially kept).
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.core.config import EOSConfig
 from repro.core.node import ENTRY_SIZE, HEADER_SIZE, Entry, Node, fanout, min_entries
@@ -40,6 +40,25 @@ from repro.errors import ByteRangeError, TreeCorrupt
 from repro.obs.tracer import NULL_OBS, Observability
 from repro.storage.page import PageId
 from repro.util.bitops import ceil_div
+
+
+def walk_index(
+    page: PageId, node: Node, read: Callable[[PageId], Node]
+) -> Iterator[tuple[PageId, Node]]:
+    """Yield ``(page, node)`` for ``node`` and then each of its subtrees,
+    depth-first and left to right: the whole index in the order Section
+    4.2's stack traversal visits it.
+
+    Each child is read through ``read`` only when its turn comes, so the
+    caller's reader (the buffer pool, the snapshot cache, ``disk.peek``)
+    sees every index page once, in this order, and a caller that stops
+    early reads no further.  Leaf segments are never read: they are the
+    ``(child, pages)`` runs of the level-0 nodes yielded.
+    """
+    yield page, node
+    if node.level:
+        for child in node.child:
+            yield from walk_index(child, read(child), read)
 
 
 class PathStep:
@@ -143,20 +162,20 @@ class LargeObjectTree:
                 node = self.pager.read(page)
 
     def leaf_entries(self) -> list[tuple[int, Entry]]:
-        """All leaf entries with their global byte offsets (left to right)."""
+        """All leaf entries with their global byte offsets (left to right).
+
+        A full scan over :func:`walk_index`, independent of
+        :meth:`iter_segments`'s pruned descent: tests hold the two
+        against each other.
+        """
         out: list[tuple[int, Entry]] = []
-
-        def walk(node: Node, base: int) -> None:
-            offset = base
-            for end, child, pages in zip(node.cum, node.child, node.pages):
-                end += base
-                if node.level == 0:
-                    out.append((offset, Entry(end - offset, child, pages)))
-                else:
-                    walk(self.pager.read(child), offset)
-                offset = end
-
-        walk(self.read_root(), 0)
+        offset = 0
+        for _, node in walk_index(self.root_page, self.read_root(), self.pager.read):
+            if node.level == 0:
+                for i in range(node.n_entries):
+                    entry = node.entry(i)
+                    out.append((offset, entry))
+                    offset += entry.count
         return out
 
     def iter_segments(
@@ -542,9 +561,10 @@ class LargeObjectTree:
           and only the rightmost segment may hold spare pages;
         * segments and index pages are pairwise disjoint.
         """
-        root = self.read_root()
-        claimed_pages: list[tuple[int, int, str]] = [(self.root_page, 1, "root")]
-        leaf_segments: list[tuple[int, int, int]] = []  # (count, first page, pages)
+        claimed_pages: list[tuple[int, int, str]] = []
+        # (level, bytes) each upcoming child must have, the next one on top.
+        expected: list[tuple[int, int]] = []
+        spare = None  # (page, pages, needed): spare pages are legal only in the tail
 
         # A byte-limited root (footnote 3) can force under-half-full
         # nodes: a root capped at k entries may have to push fewer than
@@ -553,54 +573,49 @@ class LargeObjectTree:
         root_is_limited = self.root_fanout < self.fanout
         occupancy_floor = 1 if root_is_limited else self.min_entries
 
-        def walk(node: Node, is_root: bool) -> int:
+        for page, node in walk_index(self.root_page, self.read_root(), self.pager.read):
             n = node.n_entries
-            if not is_root and n < occupancy_floor:
-                raise TreeCorrupt(
-                    f"non-root node has {n} entries; minimum is {occupancy_floor}"
-                )
-            if n > (self.root_fanout if is_root else self.fanout):
+            if not expected:
+                limit, what = self.root_fanout, "root"
+            else:
+                limit, what = self.fanout, "index"
+                level, count = expected.pop()
+                if node.level != level:
+                    raise TreeCorrupt(
+                        f"level skew: node level {level + 1} has child "
+                        f"level {node.level}"
+                    )
+                if node.total_bytes != count:
+                    raise TreeCorrupt(
+                        f"entry says {count} bytes, child holds {node.total_bytes}"
+                    )
+                if n < occupancy_floor:
+                    raise TreeCorrupt(
+                        f"non-root node has {n} entries; minimum is {occupancy_floor}"
+                    )
+            if n > limit:
                 raise TreeCorrupt("node exceeds its fan-out")
-            total = 0
-            for end, child_page, pages in zip(node.cum, node.child, node.pages):
-                count = end - total
-                total = end
-                if node.level == 0:
-                    if count <= 0:
-                        raise TreeCorrupt(f"leaf entry with {count} bytes")
-                    needed = ceil_div(count, self.config.page_size)
-                    if pages < needed:
-                        raise TreeCorrupt(
-                            f"segment at page {child_page} has {pages} "
-                            f"pages for {count} bytes"
-                        )
-                    claimed_pages.append((child_page, pages, "segment"))
-                    leaf_segments.append((count, child_page, pages))
-                else:
-                    child = self.pager.read(child_page)
-                    if child.level != node.level - 1:
-                        raise TreeCorrupt(
-                            f"level skew: node level {node.level} has child "
-                            f"level {child.level}"
-                        )
-                    claimed_pages.append((child_page, 1, "index"))
-                    child_total = walk(child, False)
-                    if child_total != count:
-                        raise TreeCorrupt(
-                            f"entry says {count} bytes, child holds "
-                            f"{child_total}"
-                        )
-            return total
-
-        walk(root, True)
-        # Spare capacity is legal only in the rightmost segment.
-        for count, first_page, pages in leaf_segments[:-1]:
-            exact = ceil_div(count, self.config.page_size)
-            if pages != exact:
-                raise TreeCorrupt(
-                    f"non-tail segment at page {first_page} holds spare pages "
-                    f"({pages} vs {exact})"
-                )
+            claimed_pages.append((page, 1, what))
+            counts = [end - start for start, end in zip((0, *node.cum), node.cum)]
+            if node.level:
+                expected.extend((node.level - 1, count) for count in reversed(counts))
+                continue
+            for count, child, pages in zip(counts, node.child, node.pages):
+                if count <= 0:
+                    raise TreeCorrupt(f"leaf entry with {count} bytes")
+                needed = ceil_div(count, self.config.page_size)
+                if pages < needed:
+                    raise TreeCorrupt(
+                        f"segment at page {child} has {pages} pages for {count} bytes"
+                    )
+                if spare is not None:
+                    raise TreeCorrupt(
+                        "non-tail segment at page {} holds spare pages ({} vs {})"
+                        .format(*spare)
+                    )
+                if pages != needed:
+                    spare = (child, pages, needed)
+                claimed_pages.append((child, pages, "segment"))
         # Disjointness.
         spans = sorted((p, p + n, what) for p, n, what in claimed_pages)
         for (a_lo, a_hi, a_what), (b_lo, b_hi, b_what) in zip(spans, spans[1:]):

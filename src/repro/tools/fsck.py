@@ -62,6 +62,7 @@ from dataclasses import dataclass, field
 from repro.analysis.buddycheck import check_manager_space, check_space
 from repro.api import EOSDatabase
 from repro.core.node import Node
+from repro.core.tree import walk_index
 from repro.errors import ReproError
 
 
@@ -250,28 +251,10 @@ def fsck(db: EOSDatabase, *, expect_no_leaks: bool = True) -> FsckReport:
         except ReproError as exc:
             report.errors.append(f"object {oid}: {exc}")
             continue
-        except AssertionError as exc:
-            report.errors.append(f"object {oid}: {exc}")
-            continue
         report.objects_checked += 1
         share = oid if versioned else None
-        claim(obj.root_page, 1, f"root of oid {oid}", share)
         extents = leaf_extents.setdefault(oid, [])
-        latest_pages = {obj.root_page}
-
-        def walk(node: Node, oid=oid, share=share,
-                 extents=extents, latest_pages=latest_pages) -> None:
-            for child, n_pages in zip(node.child, node.pages):
-                if node.level == 0:
-                    claim(child, n_pages, f"segment of oid {oid}", share)
-                    extents.append((child, n_pages))
-                    latest_pages.update(range(child, child + n_pages))
-                else:
-                    claim(child, 1, f"index of oid {oid}", share)
-                    latest_pages.add(child)
-                    walk(db.pager.read(child))
-
-        walk(obj.tree.read_root())
+        latest_pages = _claim_tree(db, obj.root_page, f"oid {oid}", share, claim, extents)
         if versioned:
             version_pages[oid] = [latest_pages]
 
@@ -297,6 +280,33 @@ def fsck(db: EOSDatabase, *, expect_no_leaks: bool = True) -> FsckReport:
     # cross-check that "frag improved" claims match the disk.
     _check_layout_agreement(db, report, allocated, leaf_extents, version_pages)
     return report
+
+
+def _claim_tree(
+    db: EOSDatabase, root_page: int, label: str, share, claim, extents=None
+) -> set[int]:
+    """Claim every page one tree reaches: its root, its index pages and
+    its whole leaf runs, in :func:`~repro.core.tree.walk_index` order.
+
+    ``label`` names the owner in the ledger (``"oid 7"``, ``"oid 7 v3"``)
+    and ``share`` is the oid whose other versions may claim the same
+    pages (None on an unversioned database).  The leaf runs are appended
+    to ``extents`` in scan order when it is given.  Returns the tree's
+    page set, the accounting the version manager's sharing ledger uses.
+    """
+    claim(root_page, 1, f"root of {label}", share)
+    pages: set[int] = set()
+    for page, node in walk_index(root_page, db.pager.read(root_page), db.pager.read):
+        if pages:  # every node after the root
+            claim(page, 1, f"index of {label}", share)
+        pages.add(page)
+        if node.level == 0:
+            for child, n_pages in zip(node.child, node.pages):
+                claim(child, n_pages, f"segment of {label}", share)
+                pages.update(range(child, child + n_pages))
+                if extents is not None:
+                    extents.append((child, n_pages))
+    return pages
 
 
 def _check_health_agreement(
@@ -462,10 +472,12 @@ def _check_version_chains(
             if record is chain[-1]:
                 continue  # the latest tree was walked by the object pass
             try:
-                pages = _walk_version(db, oid, record, claim)
+                pages = _claim_tree(
+                    db, record.root_page, f"oid {oid} v{record.version}", oid, claim
+                )
                 version_pages.setdefault(oid, []).append(pages)
                 walked[i] = pages
-            except (ReproError, AssertionError, ValueError) as exc:
+            except (ReproError, ValueError) as exc:
                 report.dangling_version_roots.append((oid, record.version))
                 report.errors.append(
                     f"object {oid} version {record.version}: {exc}"
@@ -539,32 +551,6 @@ def _check_snapshot_cache(
                 report.snapshot_cache_disagreements.append(
                     f"page {page} differs from disk"
                 )
-
-
-def _walk_version(db: EOSDatabase, oid: int, record, claim) -> set[int]:
-    """Claim every page reachable from one retained version's root.
-
-    Returns the full page set (root, index pages, full leaf runs) —
-    the same accounting the version manager's sharing ledger uses.
-    """
-    claim(record.root_page, 1, f"root of oid {oid} v{record.version}", oid)
-    pages = {record.root_page}
-
-    def walk(node: Node) -> None:
-        for child, n_pages in zip(node.child, node.pages):
-            if node.level == 0:
-                claim(
-                    child, n_pages,
-                    f"segment of oid {oid} v{record.version}", oid,
-                )
-                pages.update(range(child, child + n_pages))
-            else:
-                claim(child, 1, f"index of oid {oid} v{record.version}", oid)
-                pages.add(child)
-                walk(db.pager.read(child))
-
-    walk(db.pager.read(record.root_page))
-    return pages
 
 
 def _check_file_catalog(db: EOSDatabase, report: FsckReport) -> None:

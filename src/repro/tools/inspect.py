@@ -22,8 +22,7 @@ import argparse
 
 from repro.api import EOSDatabase
 from repro.buddy.space import BuddySpace
-from repro.core.node import Node
-from repro.core.tree import LargeObjectTree
+from repro.core.tree import LargeObjectTree, walk_index
 from repro.obs.health import VolumeHealth, collect_volume_health
 from repro.util.fmt import human_bytes
 
@@ -56,39 +55,30 @@ def dump_space(space: BuddySpace, *, max_rows: int = 64) -> str:
 
 def dump_object(tree: LargeObjectTree, *, max_entries: int = 32) -> str:
     """Render an object's positional tree, Figure 5 style."""
-    lines = [
-        f"object @ root page {tree.root_page}: {tree.size()} bytes, "
-        f"height {tree.height()}"
-    ]
-
-    def walk(node: Node, page: int, depth: int, base: int) -> None:
-        pad = "  " * (depth + 1)
-        kind = "leaf-parent" if node.level == 0 else f"level {node.level}"
-        lines.append(
-            f"{pad}node @ page {page} ({kind}): cumulative {list(node.cum)}"
-        )
-        offset = base
-        shown = 0
-        for end, child, n_pages in zip(node.cum, node.child, node.pages):
-            end += base
-            if node.level == 0:
-                if shown < max_entries:
-                    lines.append(
-                        f"{pad}  bytes [{offset} .. {end - 1}] "
-                        f"-> segment @ page {child} x{n_pages}"
-                    )
-                shown += 1
-            else:
-                walk(tree.pager.read(child), child, depth + 1, offset)
-            offset = end
-        if node.level == 0 and shown > max_entries:
-            lines.append(f"{pad}  ... {shown - max_entries} more segments")
-
     root = tree.read_root()
-    if root.n_entries:
-        walk(root, tree.root_page, 0, 0)
-    else:
-        lines.append("  (empty)")
+    lines = [
+        f"object @ root page {tree.root_page}: {root.total_bytes} bytes, "
+        f"height {root.level + 1}"
+    ]
+    if not root.n_entries:
+        return lines[0] + "\n  (empty)"
+    offset = 0  # bytes held by the leaf-parents already rendered
+    for page, node in walk_index(tree.root_page, root, tree.pager.read):
+        pad = "  " * (root.level - node.level + 1)
+        kind = "leaf-parent" if node.level == 0 else f"level {node.level}"
+        lines.append(f"{pad}node @ page {page} ({kind}): cumulative {list(node.cum)}")
+        if node.level:
+            continue
+        start = offset
+        for end, child, n_pages in zip(node.cum[:max_entries], node.child, node.pages):
+            lines.append(
+                f"{pad}  bytes [{start} .. {offset + end - 1}] "
+                f"-> segment @ page {child} x{n_pages}"
+            )
+            start = offset + end
+        if node.n_entries > max_entries:
+            lines.append(f"{pad}  ... {node.n_entries - max_entries} more segments")
+        offset += node.total_bytes
     return "\n".join(lines)
 
 

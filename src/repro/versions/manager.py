@@ -42,7 +42,7 @@ from repro.core.node import Node
 from repro.core.object import tree_stats
 from repro.core.search import read_range, read_range_into
 from repro.core.segio import SegmentIO
-from repro.core.tree import LargeObjectTree
+from repro.core.tree import LargeObjectTree, walk_index
 from repro.core.unit import UnitAllocator, page_runs, run_unit
 from repro.errors import InvariantViolation, LargeObjectError, ObjectNotFound
 from repro.errors import ReproError, VersionNotFound
@@ -324,17 +324,10 @@ class VersionManager:
         """
         read = read or self.snap_pager.read
         pages: set[PageId] = set()
-
-        def walk(page: PageId) -> None:
+        for page, node in walk_index(root_page, read(root_page), read):
             pages.add(page)
-            node = read(page)
-            for child, n_pages in zip(node.child, node.pages):
-                if node.level == 0:
-                    pages.update(range(child, child + n_pages))
-                else:
-                    walk(child)
-
-        walk(root_page)
+            if node.level == 0:
+                pages |= _run_pages(zip(node.child, node.pages))
         return pages
 
     def _walked_dead_lists(self, chain: list[VersionRecord]) -> list[tuple]:

@@ -245,6 +245,47 @@ class TestTools:
         assert fsck_main([path]) == 0
         assert "CLEAN" in capsys.readouterr().out
 
+    def test_cli_dumps_a_multi_level_tree(self, tmp_path, capsys):
+        config = EOSConfig(page_size=PAGE, threshold=1)
+        db = EOSDatabase.create(num_pages=4000, page_size=PAGE, config=config)
+        obj = db.create_object(payload(4000))
+        for i in range(20):
+            obj.insert((i * 997) % obj.size(), payload(30, seed=i))
+        assert obj.tree.height() == 2
+        path = str(tmp_path / "tree.db")
+        db.save(path)
+        assert inspect_main([path, "--root", str(obj.root_page)]) == 0
+        out = capsys.readouterr().out
+        assert out == dump_object(obj.tree) + "\n"
+        assert "(level 1)" in out and out.count("(leaf-parent)") == 2
+
+    def test_cli_layout_and_candidates_of_a_versioned_image(self, tmp_path, capsys):
+        config = EOSConfig(
+            page_size=1024, threshold=1, versioning=True, version_retain=2
+        )
+        db = EOSDatabase.create(num_pages=2000, page_size=1024, config=config)
+        edited = db.op_create(payload(3000))
+        appended = db.op_create(payload(500, seed=1))
+        for i in range(20):
+            at = (i * 997) % db.op_size(edited)
+            db.op_insert(edited, payload(40, seed=i), offset=at)
+            db.op_append(appended, payload(50, seed=i))
+        path = str(tmp_path / "versioned.db")
+        db.save(path)
+        argv = [path, "--objects", "--sort", "extents", "--candidates"]
+        assert inspect_main(argv) == 0
+        out = capsys.readouterr().out
+        table, candidates = out.split("object layout:\n")[1].split("compaction")
+        # oid, size (number and unit), extents, runs, ..., cow
+        rows = [line.split() for line in table.splitlines()[1:]]
+        # Most disk runs first; both versioned objects share pages (cow).
+        assert [int(row[0]) for row in rows] == [appended, edited]
+        assert int(rows[0][4]) > int(rows[1][4])
+        assert all(0 < float(row[-1]) < 1 for row in rows)
+        assert candidates.startswith(" candidates (2), best payback first:")
+        assert fsck_main([path]) == 0
+        assert "CLEAN" in capsys.readouterr().out
+
 class TestFsckFileCatalog:
     """fsck's raw parse of the persisted page-0 file section."""
 

@@ -9,8 +9,10 @@ from hypothesis import strategies as st
 
 from repro import EOSConfig, EOSDatabase
 from repro.core.node import Entry, Node
-from repro.core.tree import LargeObjectTree
+from repro.core.object import tree_stats
+from repro.core.tree import LargeObjectTree, walk_index
 from repro.errors import ByteRangeError, TreeCorrupt
+from repro.tools.inspect import dump_object
 from repro.workloads.aging import AgingWorkload
 
 PAGE = 100  # fanout 6, min 3
@@ -268,6 +270,81 @@ class TestVerify:
         with pytest.raises(TreeCorrupt):
             tree.verify()
 
+    # Each test below breaks exactly one rule, and ``match`` pins the
+    # branch that must catch it.
+
+    def two_level(self):
+        db = make_db()
+        tree = make_tree(db)
+        add_segments(db, tree, [100] * 12)
+        assert tree.height() == 2
+        return db, tree
+
+    def test_detects_level_skew(self):
+        db, tree = self.two_level()
+        page = tree.read_root().child[0]
+        child = db.pager.read(page)
+        child.level = 1  # a leaf-parent posing as its own parent's level
+        db.pager.write(page, child)
+        with pytest.raises(TreeCorrupt, match="level skew"):
+            tree.verify()
+
+    def test_detects_node_over_its_fanout(self):
+        db = make_db()
+        tree = make_tree(db)
+        add_segments(db, tree, [100] * 5)
+        assert tree.read_root().n_entries == 5
+        # The same tree, judged under a root limited to three entries.
+        limited = LargeObjectTree(
+            db.pager,
+            EOSConfig(page_size=PAGE, max_root_bytes=11 + 3 * 14),
+            tree.root_page,
+        )
+        with pytest.raises(TreeCorrupt, match="exceeds its fan-out"):
+            limited.verify()
+
+    def test_detects_non_root_node_under_the_floor(self):
+        db, tree = self.two_level()
+        root = tree.read_root()
+        page = root.child[0]
+        child = db.pager.read(page)
+        child.entries = child.entries[:2]  # the floor is 3
+        db.pager.write(page, child)
+        root.entries[0].count = child.total_bytes  # counts stay consistent
+        db.pager.write_root(tree.root_page, root)
+        with pytest.raises(TreeCorrupt, match="minimum is 3"):
+            tree.verify()
+
+    def test_detects_zero_byte_leaf_entry(self):
+        db = make_db()
+        tree = make_tree(db)
+        add_segments(db, tree, [100, 100, 100])
+        root = tree.read_root()
+        root.entries[1].count = 0
+        db.pager.write_root(tree.root_page, root)
+        with pytest.raises(TreeCorrupt, match="leaf entry with 0 bytes"):
+            tree.verify()
+
+    def test_detects_spare_pages_before_the_tail(self):
+        db = make_db()
+        tree = make_tree(db)
+        add_segments(db, tree, [100, 100, 100])
+        root = tree.read_root()
+        root.entries[0].pages = 2  # 100 bytes need one page
+        db.pager.write_root(tree.root_page, root)
+        with pytest.raises(TreeCorrupt, match="spare pages"):
+            tree.verify()
+
+    def test_detects_a_child_named_twice(self):
+        db, tree = self.two_level()
+        root = tree.read_root()
+        first = root.entries[0]
+        root.entries[1].child = first.child
+        root.entries[1].count = first.count  # counts stay consistent
+        db.pager.write_root(tree.root_page, root)
+        with pytest.raises(TreeCorrupt, match="overlap"):
+            tree.verify()
+
 
 class TestIterSegmentsSeeks:
     """Entering each node by binary search yields what the scan did."""
@@ -307,6 +384,115 @@ class TestIterSegmentsSeeks:
         before = stats.accesses
         assert list(tree.iter_segments(300, 900, root=root)) == plain
         assert stats.accesses - before == touched - 1
+
+
+class TestWalkIndex:
+    """The one full-tree descent reads each index page once, through the
+    caller's reader, root first and then depth-first left to right."""
+
+    def counting(self, db):
+        calls = []
+
+        def read(page):
+            calls.append(page)
+            return db.pager.read(page)
+
+        return calls, read
+
+    def test_reads_every_index_page_once_in_preorder(self):
+        db, tree = TestIterSegmentsSeeks().build()
+        calls, read = self.counting(db)
+        walked = []
+        for page, node in walk_index(tree.root_page, tree.read_root(), read):
+            walked.append(page)
+            assert calls == walked[1:]  # each child read when its turn comes
+            assert node == db.pager.read(page)
+        # An independent preorder: pop the leftmost child first.
+        expected, stack = [], [tree.root_page]
+        while stack:
+            page = stack.pop()
+            expected.append(page)
+            node = db.pager.read(page)
+            if node.level:
+                stack.extend(reversed(node.child))
+        assert walked == expected
+        assert len(set(walked)) == len(walked) == 1 + 2 + 10  # the golden dump's nodes
+        assert tree_stats(tree).index_pages == len(walked)
+
+    def test_a_caller_that_stops_reads_no_further(self):
+        db, tree = TestIterSegmentsSeeks().build()
+        calls, read = self.counting(db)
+        nodes = walk_index(tree.root_page, tree.read_root(), read)
+        root_page, _ = next(nodes)
+        first_child, _ = next(nodes)
+        assert root_page == tree.root_page
+        assert calls == [first_child] == [tree.read_root().child[0]]
+
+
+class TestDumpObjectGolden:
+    """``dump_object``'s exact rendering, recorded before its walk was
+    rebuilt on ``walk_index``: the indent follows the level, the byte
+    offsets run on across leaf-parents whose tails are elided, and an
+    empty object has no node line."""
+
+    HEIGHT_3 = [
+        'object @ root page 306: 6840 bytes, height 3',
+        '  node @ page 306 (level 2): cumulative [3420, 6840]',
+        '    node @ page 65 (level 1): cumulative [670, 1347, 2031, 2722, 3420]',
+        '      node @ page 47 (leaf-parent): cumulative [100, 207, 321, 442, 570, 670]',
+        '        bytes [0 .. 99] -> segment @ page 307 x1',
+        '        bytes [100 .. 206] -> segment @ page 308 x2',
+        '        ... 4 more segments',
+        '      node @ page 56 (leaf-parent): cumulative [107, 221, 342, 470, 570, 677]',
+        '        bytes [670 .. 776] -> segment @ page 294 x2',
+        '        bytes [777 .. 890] -> segment @ page 296 x2',
+        '        ... 4 more segments',
+        '      node @ page 57 (leaf-parent): cumulative [114, 235, 363, 463, 570, 684]',
+        '        bytes [1347 .. 1460] -> segment @ page 304 x2',
+        '        bytes [1461 .. 1581] -> segment @ page 258 x2',
+        '        ... 4 more segments',
+        '      node @ page 58 (leaf-parent): cumulative [121, 249, 349, 456, 570, 691]',
+        '        bytes [2031 .. 2151] -> segment @ page 268 x2',
+        '        bytes [2152 .. 2279] -> segment @ page 270 x2',
+        '        ... 4 more segments',
+        '      node @ page 59 (leaf-parent): cumulative [128, 228, 335, 449, 570, 698]',
+        '        bytes [2722 .. 2849] -> segment @ page 278 x2',
+        '        bytes [2850 .. 2949] -> segment @ page 280 x1',
+        '        ... 4 more segments',
+        '    node @ page 66 (level 1): cumulative [670, 1347, 2031, 2722, 3420]',
+        '      node @ page 60 (leaf-parent): cumulative [100, 207, 321, 442, 570, 670]',
+        '        bytes [3420 .. 3519] -> segment @ page 281 x1',
+        '        bytes [3520 .. 3626] -> segment @ page 2 x2',
+        '        ... 4 more segments',
+        '      node @ page 61 (leaf-parent): cumulative [107, 221, 342, 470, 570, 677]',
+        '        bytes [4090 .. 4196] -> segment @ page 12 x2',
+        '        bytes [4197 .. 4310] -> segment @ page 14 x2',
+        '        ... 4 more segments',
+        '      node @ page 62 (leaf-parent): cumulative [114, 235, 363, 463, 570, 684]',
+        '        bytes [4767 .. 4880] -> segment @ page 22 x2',
+        '        bytes [4881 .. 5001] -> segment @ page 24 x2',
+        '        ... 4 more segments',
+        '      node @ page 63 (leaf-parent): cumulative [121, 249, 349, 456, 570, 691]',
+        '        bytes [5451 .. 5571] -> segment @ page 34 x2',
+        '        bytes [5572 .. 5699] -> segment @ page 36 x2',
+        '        ... 4 more segments',
+        '      node @ page 64 (leaf-parent): cumulative [128, 228, 335, 449, 570, 698]',
+        '        bytes [6142 .. 6269] -> segment @ page 44 x2',
+        '        bytes [6270 .. 6369] -> segment @ page 46 x1',
+        '        ... 4 more segments',
+    ]
+
+    def test_height_three_tree_with_elided_segments(self):
+        _, tree = TestIterSegmentsSeeks().build()
+        assert dump_object(tree, max_entries=2) == "\n".join(self.HEIGHT_3)
+
+    def test_empty_object(self):
+        db = make_db()
+        tree = make_tree(db)
+        assert dump_object(tree) == (
+            f"object @ root page {tree.root_page}: 0 bytes, height 1\n"
+            "  (empty)"
+        )
 
 
 def assert_decoded_forms_coherent(db):

@@ -730,6 +730,38 @@ def leaf_data_pages(db, root):
     return pages
 
 
+class TestPageSetWalk:
+    """The version manager's page sets come from ``walk_index`` over the
+    snapshot cache; ``version_page_set`` stays an independent disk walk."""
+
+    def build(self):
+        db = make_small_page_db(retain=4)
+        oid = db.op_create(b"")
+        fragment(db, oid, bytearray(), 12)
+        chain = db.versions.snapshot_chains()[oid]
+        assert len(chain) == 4
+        assert all(disk_node(db, r.root_page).level >= 1 for r in chain)
+        return db, oid, chain
+
+    def test_every_retained_version_matches_the_oracle(self):
+        db, _, chain = self.build()
+        for record in chain:
+            assert db.versions._page_set(record.root_page) == version_page_set(
+                db, record.root_page
+            )
+
+    def test_stat_and_sharing_stats_leave_the_pool_alone(self):
+        db, oid, chain = self.build()
+        db.versions.snap_pager.clear()  # every index page a cache miss
+        stats = db.pool.stats
+        before = (stats.hits, stats.misses)
+        for record in chain:
+            assert db.versions.stat(oid, version=record.version).index_pages > 1
+        total, distinct = db.versions.sharing_stats(oid)
+        assert total > distinct > 0
+        assert (stats.hits, stats.misses) == before
+
+
 class TestSnapshotNodeCache:
     def test_commit_read_and_reclaim_read_no_index_page(self):
         db = make_small_page_db(retain=2)
