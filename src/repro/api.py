@@ -1,7 +1,8 @@
 """The top-level database facade.
 
 Persistence: :meth:`EOSDatabase.save` flushes all buffered state, writes
-the object catalog into the spare area of the volume-header page, and
+the catalog (:mod:`repro.catalog`: object roots, version chains with
+their dead lists, files) as a fresh large object that page 0 names, and
 dumps the disk image to a file; :meth:`EOSDatabase.open_file` (or
 :meth:`EOSDatabase.attach` for an in-memory disk) restores everything —
 the buddy directories and object trees live on the "disk" already, so
@@ -29,9 +30,9 @@ from __future__ import annotations
 
 import dataclasses
 import os
-import struct
 import threading
 
+from repro import catalog
 from repro.buddy.directory import max_capacity
 from repro.buddy.manager import BuddyManager
 from repro.core.config import EOSConfig
@@ -53,13 +54,7 @@ from repro.ops import ObjectStat, VersionInfo
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskVolume
 from repro.storage.volume import Volume
-from repro.versions import (
-    VersionManager,
-    cow_append,
-    cow_replace,
-    pack_version_section,
-    unpack_version_section,
-)
+from repro.versions import VersionManager, cow_append, cow_replace
 
 
 # The ``(plain, cow)`` executor pairs for :meth:`EOSDatabase.mutate`.
@@ -502,170 +497,61 @@ class EOSDatabase:
     # Persistence
     # ------------------------------------------------------------------
 
-    # The catalog lives in the volume-header page's spare area, after the
-    # 20-byte volume header: u16 count, then (u64 oid, u32 root) each,
-    # then the file section — u16 file count, and per file: u8 name
-    # length, the UTF-8 name, u32 threshold, u8 adaptive flag, u16
-    # member count, u64 member oids — then (versioned databases only)
-    # the magic-tagged version-chain section (see
-    # :func:`repro.versions.pack_version_section`).
-    _CATALOG_OFFSET = 64
-    _CATALOG_ENTRY = struct.Struct("<QI")
-
-    @property
-    def _catalog_capacity(self) -> int:
-        return (self.config.page_size - self._CATALOG_OFFSET - 2) // self._CATALOG_ENTRY.size
-
-    def _pack_files(self) -> bytes:
-        out = bytearray(struct.pack("<H", len(self._files)))
-        for handle in self._files.values():
-            name = handle.name.encode("utf-8")
-            if len(name) > 255:
-                raise VolumeLayoutError(
-                    f"file name {handle.name!r} exceeds 255 bytes encoded"
-                )
-            oids = [oid for oid in handle._oids if oid in self._objects]
-            out += struct.pack("<B", len(name))
-            out += name
-            out += struct.pack(
-                "<IBH", handle.threshold, int(handle.adaptive), len(oids)
-            )
-            for oid in oids:
-                out += struct.pack("<Q", oid)
-        return bytes(out)
-
     def _write_catalog(self) -> None:
-        entries = [(oid, obj.root_page) for oid, obj in sorted(self._objects.items())]
-        if len(entries) > self._catalog_capacity:
-            raise VolumeLayoutError(
-                f"catalog holds at most {self._catalog_capacity} objects; "
-                f"{len(entries)} are live (store roots client-side instead)"
-            )
-        files = self._pack_files()
-        chains = b""
-        if self.versions is not None:
-            chains = pack_version_section(
-                self.versions.snapshot_chains(), self.versions.retain
-            )
-        needed = (
-            self._CATALOG_OFFSET + 2
-            + len(entries) * self._CATALOG_ENTRY.size
-            + len(files) + len(chains)
-        )
-        if needed > self.config.page_size:
-            raise VolumeLayoutError(
-                f"catalog needs {needed} bytes but the header page holds "
-                f"{self.config.page_size} (fewer objects/files/retained "
-                "versions, or shorter file names)"
-            )
-        header = bytearray(self.disk.read_page(0))
-        offset = self._CATALOG_OFFSET
-        struct.pack_into("<H", header, offset, len(entries))
-        offset += 2
-        for oid, root in entries:
-            self._CATALOG_ENTRY.pack_into(header, offset, oid, root)
-            offset += self._CATALOG_ENTRY.size
-        header[offset : offset + len(files)] = files
-        offset += len(files)
-        header[offset : offset + len(chains)] = chains
-        offset += len(chains)
-        # Zero the tail so a shorter catalog never leaves a stale file
-        # or version section from an earlier save behind it.
-        header[offset:] = bytes(len(header) - offset)
-        self.disk.write_page(0, header)
+        """Store the catalog as a fresh object and point page 0 at it,
+        in the write order: the object, the barrier, page 0, the frees
+        of the previous catalog object, the barrier again."""
+        versions = self.versions
+        files = [
+            catalog.FileGroup(f.name, f.threshold, f.adaptive,
+                              tuple(o.oid for o in f.objects()))
+            for f in self._files.values()
+        ]
+        data = catalog.encode(catalog.Catalog(
+            {oid: o.root_page for oid, o in self._objects.items()},
+            versions.snapshot_chains() if versions else {}, files,
+            versions.retain if versions else 0,
+        ))
+        header = self.disk.read_page(0)
+        old = catalog.root_of(header)
+        root = catalog.store(self, data)
+        self.pager.flush()
+        self.disk.write_page(0, catalog.with_root(header, root))
+        if old:
+            catalog.discard(self, old)
+        self.pager.flush()
 
     def _read_catalog(self) -> None:
-        header = self.disk.read_page(0)
-        offset = self._CATALOG_OFFSET
-        (count,) = struct.unpack_from("<H", header, offset)
-        offset += 2
-        self._objects = {}
-        self._files = {}
-        self._next_oid = 1
-        for _ in range(count):
-            oid, root = self._CATALOG_ENTRY.unpack_from(header, offset)
-            offset += self._CATALOG_ENTRY.size
+        """Load the catalog page 0 names.  A versioned one turns
+        versioning on with its retention bound if the config left it off;
+        a plain one opened versioned starts each object at version 1."""
+        saved = catalog.load(self, catalog.root_of(self.disk.read_page(0)))
+        if saved.retain and self.versions is None:
+            self.config = dataclasses.replace(
+                self.config, versioning=True, version_retain=saved.retain
+            )
+            self.versions = VersionManager(self)
+        for oid, root in saved.roots.items():
             obj = self.open_root(root)
             obj.oid = oid  # type: ignore[attr-defined]
             self._objects[oid] = obj
-            self._next_oid = max(self._next_oid, oid + 1)
-        offset = self._read_file_section(header, offset)
-        self._restore_versions(header, offset)
-
-    def _read_file_section(self, header: bytes, offset: int) -> int:
-        """Restore ObjectFile handles; tolerate pre-file-section images.
-
-        Images written before the file section existed leave zeros here
-        (count 0), so they parse cleanly; anything structurally invalid
-        is treated the same way rather than failing the open.  Returns
-        the offset just past the section (where the version-chain
-        section starts, if any).
-        """
-        start = offset
-        try:
-            (n_files,) = struct.unpack_from("<H", header, offset)
-            offset += 2
-            files: dict[str, ObjectFile] = {}
-            for _ in range(n_files):
-                (name_len,) = struct.unpack_from("<B", header, offset)
-                offset += 1
-                if offset + name_len > len(header):
-                    raise struct.error("file name overruns the header page")
-                name = header[offset : offset + name_len].decode("utf-8")
-                offset += name_len
-                threshold, adaptive, n_oids = struct.unpack_from(
-                    "<IBH", header, offset
+        self._next_oid = max(saved.roots, default=0) + 1
+        for group in saved.files:
+            unknown = set(group.members) - saved.roots.keys()
+            if group.name in self._files or unknown:
+                raise VolumeLayoutError(
+                    f"catalog: file {group.name!r} is named twice or lists "
+                    f"oids it does not hold: {sorted(unknown)}"
                 )
-                offset += 7
-                oids = []
-                for _ in range(n_oids):
-                    (oid,) = struct.unpack_from("<Q", header, offset)
-                    offset += 8
-                    oids.append(oid)
-                if not name or threshold < 1:
-                    raise struct.error("implausible file record")
-                handle = ObjectFile(self, name, threshold, bool(adaptive))
-                handle._oids = [oid for oid in oids if oid in self._objects]
-                files[name] = handle
-        except (struct.error, UnicodeDecodeError):
-            return start
-        self._files = files
-        for handle in files.values():
-            for obj in handle.objects():
-                obj.set_threshold(handle.threshold, adaptive=handle.adaptive)
-        return offset
-
-    def _restore_versions(self, header: bytes, offset: int) -> None:
-        """Rebuild version chains from the catalog.
-
-        An image written by a versioning-enabled database carries a
-        version section; attaching one re-enables versioning with the
-        saved retention bound even when the caller's config left it off,
-        so ``save``/``open_file`` round-trips keep the history; the
-        handles already attached take the effective config too.  Chains
-        whose latest root disagrees with the object catalog — and
-        objects with no persisted chain at all (images saved before
-        versioning was enabled) — restart from a fresh version 1 at the
-        current root.
-        """
-        chains, retain = unpack_version_section(header, offset)
+            handle = ObjectFile(self, group.name, group.threshold, group.adaptive)
+            handle._oids = list(group.members)
+            handle.set_threshold(group.threshold)
+            self._files[group.name] = handle
         if self.versions is None:
-            if retain is None:
-                return
-            self.config = dataclasses.replace(
-                self.config, versioning=True, version_retain=retain
-            )
-            for obj in self._objects.values():
-                obj.tree.config = self.config
-            self.versions = VersionManager(self)
-        restored = {}
-        for oid, obj in self._objects.items():
-            chain = chains.get(oid)
-            if chain and chain[-1].root_page == obj.root_page:
-                restored[oid] = chain
-        self.versions.restore(restored)
-        for oid, obj in self._objects.items():
-            if oid not in restored:
+            return
+        self.versions.restore(saved.chains)
+        if not saved.retain:
+            for oid, obj in self._objects.items():
                 self.versions.publish_initial(oid, obj.tree)
 
     def save(self, path: str | os.PathLike) -> None:

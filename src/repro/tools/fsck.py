@@ -9,15 +9,14 @@ Cross-checks four independent sources of truth:
    buddy space or claimed by exactly one owner (a segment, an index
    page, or an object root).  Pages allocated but claimed by nobody are
    leaks; pages claimed by two owners are corruption;
-4. the page-0 *file catalog*: the persisted file section must be
-   structurally decodable, file names must be unique, and every member
-   oid must resolve to an object entry in the same persisted catalog.
-   (The in-memory loader tolerates and silently drops bad records —
-   fsck is where they get *reported*.)  A volume never saved has an
-   all-zero catalog region, which parses as empty and stays clean;
+4. the persisted *catalog* (:mod:`repro.catalog`): the object page 0
+   names must walk and decode with the codec's own strict ``decode``,
+   its pages join the ledger, file names must be unique, and every
+   member oid must resolve to an object the same catalog holds.  A
+   volume never saved names no catalog and stays clean;
 5. on a versioning-enabled database (:mod:`repro.versions`), every
    object's *version chain*: version numbers must be strictly
-   increasing, the newest record's root must be the catalog root (a
+   increasing, the newest record's root must be the object's root (a
    mismatch means the chain and the object diverged), and every
    retained version's root must resolve to a readable tree.  Old
    versions' trees join the page ledger — pages shared between two
@@ -26,8 +25,9 @@ Cross-checks four independent sources of truth:
    reachable from no live version (and no latest tree) is a leak.
    Each older retained record's *dead list* (what the reclaimer frees
    when it expires) must equal its pages minus the next version's, by
-   fsck's own walks; every listed page must be allocated and reachable
-   from no newer retained version, and the latest's list is empty;
+   fsck's own walks — after an attach these are the lists the catalog
+   persisted; every listed page must be allocated and reachable from
+   no newer retained version, and the latest's list is empty;
 6. the *storage-health collector* (:mod:`repro.obs.health`): its free
    totals and utilization are re-derived from fsck's own segment walk —
    a disagreement means dashboards show numbers the ledger disowns;
@@ -56,14 +56,14 @@ CLI::
 from __future__ import annotations
 
 import argparse
-import struct
 from dataclasses import dataclass, field
 
+from repro import catalog
 from repro.analysis.buddycheck import check_manager_space, check_space
 from repro.api import EOSDatabase
 from repro.core.node import Node
 from repro.core.tree import walk_index
-from repro.errors import ReproError
+from repro.errors import ReproError, VolumeLayoutError
 
 
 @dataclass
@@ -262,12 +262,12 @@ def fsck(db: EOSDatabase, *, expect_no_leaks: bool = True) -> FsckReport:
         _check_version_chains(db, report, allocated, claim, version_pages)
         _check_snapshot_cache(db, report, allocated, version_pages)
 
+    # 3. The persisted catalog: its own pages, and its file groups.
+    _check_catalog(db, report, claim)
+
     report.pages_claimed = len(claims)
     if expect_no_leaks:
         report.leaked_pages = sorted(allocated - set(claims))
-
-    # 3. The persisted page-0 catalog's file section.
-    _check_file_catalog(db, report)
 
     # 4. The storage-health collector must agree with this independent
     # segment walk — it is what monitoring dashboards and ``servectl
@@ -443,11 +443,11 @@ def _check_version_chains(
     """Validate every version chain and ledger its retained trees.
 
     Chains come from the live :class:`~repro.versions.VersionManager`
-    (the catalog loader already cross-checked the persisted section
-    against object roots on attach).  The newest record is the object's
-    catalog state — its tree was walked by the main object pass — so
-    only *older* retained versions are walked here, claiming their pages
-    with the owning oid so intra-object CoW sharing is not a finding.
+    (after an attach, the catalog's chains: each object's root is its
+    newest record's).  The newest record is the object's current state
+    — its tree was walked by the main object pass — so only *older*
+    retained versions are walked here, claiming their pages with the
+    owning oid so intra-object CoW sharing is not a finding.
     The walks then judge the chain's dead lists.
     """
     for oid, chain in sorted(db.versions.snapshot_chains().items()):
@@ -553,48 +553,31 @@ def _check_snapshot_cache(
                 )
 
 
-def _check_file_catalog(db: EOSDatabase, report: FsckReport) -> None:
-    """Validate the file section of the page-0 catalog (PR 1's format).
-
-    Parses the raw header page rather than ``db._files`` because the
-    loader *drops* records it cannot use — the persisted bytes are the
-    only place a dangling member oid or duplicate name is still visible.
-    Both checks are internal to the persisted snapshot: member oids are
-    resolved against the object entries written alongside them.
-    """
-    header = db.disk.read_page(0)
-    offset = EOSDatabase._CATALOG_OFFSET
+def _check_catalog(db: EOSDatabase, report: FsckReport, claim) -> None:
+    """Claim the pages of the catalog page 0 names and judge its file
+    groups: member oids resolve against the objects it holds."""
+    root = catalog.root_of(db.disk.read_page(0))
+    if not root:
+        return
     try:
-        (n_objects,) = struct.unpack_from("<H", header, offset)
-        offset += 2
-        persisted_oids = set()
-        for _ in range(n_objects):
-            oid, _root = EOSDatabase._CATALOG_ENTRY.unpack_from(header, offset)
-            offset += EOSDatabase._CATALOG_ENTRY.size
-            persisted_oids.add(oid)
-        (n_files,) = struct.unpack_from("<H", header, offset)
-        offset += 2
-        seen_names: set[str] = set()
-        for _ in range(n_files):
-            (name_len,) = struct.unpack_from("<B", header, offset)
-            offset += 1
-            if offset + name_len > len(header):
-                raise struct.error("file name overruns the header page")
-            name = header[offset : offset + name_len].decode("utf-8")
-            offset += name_len
-            _threshold, _adaptive, n_oids = struct.unpack_from("<IBH", header, offset)
-            offset += 7
-            if name in seen_names:
-                report.duplicate_file_names.append(name)
-            seen_names.add(name)
-            for _ in range(n_oids):
-                (oid,) = struct.unpack_from("<Q", header, offset)
-                offset += 8
-                if oid not in persisted_oids:
-                    report.dangling_file_members.append((name, oid))
-            report.files_checked += 1
-    except (struct.error, UnicodeDecodeError) as exc:
-        report.errors.append(f"file catalog: {exc}")
+        _claim_tree(db, root, "catalog", None, claim)
+    except (ReproError, ValueError) as exc:
+        report.errors.append(f"catalog: root page {root} does not walk: {exc}")
+        return
+    try:
+        saved = catalog.load(db, root)
+    except VolumeLayoutError as exc:
+        report.errors.append(str(exc))
+        return
+    names: set[str] = set()
+    for group in saved.files:
+        if group.name in names:
+            report.duplicate_file_names.append(group.name)
+        names.add(group.name)
+        report.dangling_file_members.extend(
+            (group.name, oid) for oid in group.members if oid not in saved.roots
+        )
+        report.files_checked += 1
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -606,8 +589,12 @@ def main(argv: list[str] | None = None) -> int:
         help="do not report allocated-but-unclaimed pages",
     )
     args = parser.parse_args(argv)
-    db = EOSDatabase.open_file(args.image)
-    report = fsck(db, expect_no_leaks=not args.allow_leaks)
+    try:
+        db = EOSDatabase.open_file(args.image)
+    except ReproError as exc:  # the image does not attach: one finding
+        report = FsckReport(errors=[str(exc)])
+    else:
+        report = fsck(db, expect_no_leaks=not args.allow_leaks)
     print(report.summary())
     return 0 if report.clean else 1
 

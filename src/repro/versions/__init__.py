@@ -2,7 +2,7 @@
 
 Every committed mutation of a versioned object publishes a brand-new
 persistent root page, chained per object as ``(version_no, root_pid,
-commit_ts, byte_size)`` records in the page-0 catalog.  Because the
+commit_ts, byte_size)`` records in the volume catalog.  Because the
 update algorithms never overwrite existing leaf pages (paper
 Section 4.5) and :class:`VersionPager` never overwrites existing index
 pages either, every published root freezes a complete, immutable tree:
@@ -14,12 +14,7 @@ a reclaimer frees exactly the pages reachable from an expired version
 but from no surviving one.
 """
 
-from repro.versions.manager import (
-    VersionManager,
-    VersionRecord,
-    pack_version_section,
-    unpack_version_section,
-)
+from repro.versions.manager import VersionManager, VersionRecord
 from repro.versions.ops import cow_append, cow_replace
 from repro.versions.pager import DiskNodePager, VersionPager
 
@@ -30,6 +25,4 @@ __all__ = [
     "DiskNodePager",
     "cow_append",
     "cow_replace",
-    "pack_version_section",
-    "unpack_version_section",
 ]

@@ -21,17 +21,15 @@ retention window is *removed from the chain first* (so no new reader
 can resolve or pin it) and only then is its dead list freed, walking
 no tree.  Pages never re-enter a newer tree while still allocated, so
 dead lists are disjoint: every page is freed once (the pin sanitizer
-re-proves each list at publish, fsck offline; ``restore`` rebuilds
-them at attach).
+re-proves each list at publish, fsck offline).
 
-The chains are persisted as a tolerantly-parsed, magic-tagged section
-appended to the page-0 catalog; pre-versioning images simply have no
-section and load as empty.
+The chains, dead lists included, are persisted by the catalog
+(:mod:`repro.catalog`); ``restore`` takes them back as they are, so
+attaching walks no tree.
 """
 
 from __future__ import annotations
 
-import struct
 import threading
 import time
 from collections.abc import Iterable
@@ -45,20 +43,10 @@ from repro.core.segio import SegmentIO
 from repro.core.tree import LargeObjectTree, walk_index
 from repro.core.unit import UnitAllocator, page_runs, run_unit
 from repro.errors import InvariantViolation, LargeObjectError, ObjectNotFound
-from repro.errors import ReproError, VersionNotFound
+from repro.errors import VersionNotFound
 from repro.ops import ObjectStat, VersionInfo
 from repro.storage.page import PageId
 from repro.versions.pager import DiskNodePager, VersionPager
-
-# Version-chain catalog section: magic, u16 retention bound, u16 chain
-# count; per chain a u64 oid + u16 record count; per record u32 version,
-# u32 root page, f64 commit timestamp, u64 byte size.
-_SECTION_MAGIC = 0x45565231  # "EVR1"
-_MAGIC = struct.Struct("<I")
-_COUNT = struct.Struct("<H")
-_CHAIN_HEAD = struct.Struct("<QH")
-_RECORD = struct.Struct("<IIdQ")
-
 
 @dataclass(frozen=True)
 class VersionRecord:
@@ -369,7 +357,7 @@ class VersionManager:
                 self.snap_pager.seed(page, node)
 
     # ------------------------------------------------------------------
-    # Persistence (page-0 catalog section)
+    # Persistence (the catalog, repro.catalog)
     # ------------------------------------------------------------------
 
     def snapshot_chains(self) -> dict[int, list[VersionRecord]]:
@@ -378,77 +366,15 @@ class VersionManager:
             return {oid: list(chain) for oid, chain in self._chains.items()}
 
     def restore(self, chains: dict[int, list[VersionRecord]]) -> None:
-        """Replace the chain table (catalog attach path); the snapshot
-        cache starts empty.  The catalog has no dead lists: they are
-        rebuilt with one walk per retained version.  A chain whose trees
-        do not walk (fsck flags it) keeps empty lists and leaks."""
-        rebuilt = {}
-        for oid, chain in chains.items():
-            try:
-                lists = self._walked_dead_lists(chain)
-            except (ReproError, RecursionError):
-                lists = [()] * len(chain)
-            rebuilt[oid] = [replace(r, dead=d) for r, d in zip(chain, lists)]
+        """Replace the chain table (the catalog attach path), each
+        record's dead list as persisted; the snapshot cache starts
+        empty."""
         with self._lock:
-            self._chains = rebuilt
-            self._live = sum(map(len, rebuilt.values()))
+            self._chains = {oid: list(chain) for oid, chain in chains.items()}
+            self._live = sum(map(len, self._chains.values()))
         self.snap_pager.clear()
         self.db.obs.metrics.gauge("versions.live").set(self._live)
 
 
 def _run_pages(runs: Iterable[tuple[PageId, int]]) -> set[PageId]:
     return {page for first, n in runs for page in range(first, first + n)}
-
-
-def pack_version_section(
-    chains: dict[int, list[VersionRecord]], retain: int
-) -> bytes:
-    """Serialize version chains (and the retention bound) for page 0."""
-    out = bytearray(_MAGIC.pack(_SECTION_MAGIC))
-    out += _COUNT.pack(retain)
-    out += _COUNT.pack(len(chains))
-    for oid in sorted(chains):
-        chain = chains[oid]
-        out += _CHAIN_HEAD.pack(oid, len(chain))
-        for r in chain:
-            out += _RECORD.pack(r.version, r.root_page, r.commit_ts, r.byte_size)
-    return bytes(out)
-
-
-def unpack_version_section(
-    buf: bytes, offset: int
-) -> tuple[dict[int, list[VersionRecord]], int | None]:
-    """Parse the catalog's version section; tolerant of its absence.
-
-    Returns ``(chains, retain)``.  Pre-versioning images have zeros (or
-    nothing) where the section would start; any malformed read yields
-    ``({}, None)`` rather than an error, so old volumes attach cleanly.
-    A ``retain`` that is not ``None`` marks the image as written by a
-    versioning-enabled database — the attach path uses it to turn
-    versioning back on with the saved retention bound.
-    """
-    try:
-        (magic,) = _MAGIC.unpack_from(buf, offset)
-        if magic != _SECTION_MAGIC:
-            return {}, None
-        offset += _MAGIC.size
-        (retain,) = _COUNT.unpack_from(buf, offset)
-        offset += _COUNT.size
-        if retain < 1:
-            return {}, None
-        (n_chains,) = _COUNT.unpack_from(buf, offset)
-        offset += _COUNT.size
-        chains: dict[int, list[VersionRecord]] = {}
-        for _ in range(n_chains):
-            oid, n_records = _CHAIN_HEAD.unpack_from(buf, offset)
-            offset += _CHAIN_HEAD.size
-            chain: list[VersionRecord] = []
-            for _ in range(n_records):
-                version, root, ts, size = _RECORD.unpack_from(buf, offset)
-                offset += _RECORD.size
-                chain.append(VersionRecord(version, root, ts, size))
-            if chain:
-                chains[oid] = chain
-        return chains, retain
-    except struct.error:
-        return {}, None

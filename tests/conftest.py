@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro import catalog
+
 
 class _PageTap:
     """An ``IOStats.observer`` that collects the pages of one direction."""
@@ -35,3 +37,26 @@ def pages_transferred():
         return tap.pages
 
     return run
+
+
+def _rewrite_catalog(db, edit):
+    """Rewrite, in place, the catalog object page 0 names.
+
+    ``edit`` gets the decoded :class:`~repro.catalog.Catalog` and returns
+    either a catalog, stored through the codec (a well-formed edit), or
+    raw bytes, stored as they are (an undecodable one).  The pages reach
+    the disk image, so ``db.disk.save`` writes the edited catalog.
+    """
+    obj = db.open_root(catalog.root_of(db.disk.read_page(0)))
+    data = edit(catalog.decode(obj.read_all()))
+    if isinstance(data, catalog.Catalog):
+        data = catalog.encode(data)
+    obj.delete(0, obj.size())
+    obj.append(data)
+    db.checkpoint()
+
+
+@pytest.fixture
+def rewrite_catalog():
+    """``rewrite_catalog(db, edit)``: see :func:`_rewrite_catalog`."""
+    return _rewrite_catalog

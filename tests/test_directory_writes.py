@@ -385,7 +385,6 @@ class TestDeferredFreesAreDurable:
     must write them, or the reopened volume leaks what they freed."""
 
     def churned_db(self):
-        # Pages big enough for the page-0 catalog of two version chains.
         config = EOSConfig(page_size=512, versioning=True, version_retain=2)
         db = EOSDatabase.create(4096, 512, config=config)
         oids = [db.op_create(bytes([i + 1]) * 2000) for i in range(2)]
@@ -407,9 +406,9 @@ class TestDeferredFreesAreDurable:
         db, oids = self.churned_db()
         contents = {oid: db.get_object(oid).read_all() for oid in oids}
         assert disk_directories(db) != frame_directories(db)
-        free_pages = db.free_pages()
         path = tmp_path / "volume.db"
         db.save(path)
+        free_pages = db.free_pages()  # the catalog object included
         db.close()
         self.assert_reopened_like(EOSDatabase.open_file(path), free_pages, contents)
 

@@ -9,13 +9,13 @@ double-counted.
 """
 
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from repro import EOSConfig, EOSDatabase
+from repro import EOSConfig, EOSDatabase, catalog
 from repro.buddy.manager import AllocatorStats
-from repro.errors import DatabaseClosed
+from repro.errors import DatabaseClosed, VolumeLayoutError
 from repro.obs import (
     NULL_METRICS,
     NULL_OBS,
@@ -535,43 +535,70 @@ class TestFileCatalogPersistence:
         db2 = EOSDatabase.open_file(path)
         assert [o.oid for o in db2.get_file("f").objects()] == [keep.oid]
 
-    @staticmethod
-    def _patch_header(path, offset, patch):
-        """Rewrite bytes of page 0 in a saved image."""
-        from repro.storage.disk import DiskVolume
-
-        disk = DiskVolume.load(path)
-        header = bytearray(disk.read_page(0))
-        header[offset : offset + len(patch)] = patch
-        disk.write_page(0, bytes(header))
-        disk.save(path)
-
-    def test_pre_file_section_image_opens_clean(self, tmp_path):
-        # An image whose catalog was written without the file section
-        # (all zeros there) must open with no files and no error.
+    def test_pre_file_section_image_opens_clean(self, tmp_path, rewrite_catalog):
+        # A catalog whose file section is empty (file count 0) opens with
+        # its objects, no files and no error.
         path = tmp_path / "old.db"
         db = make_db()
-        db.create_object(b"legacy")
+        legacy = db.create_object(b"legacy")
         db.create_file("ignored", threshold=4)
         db.save(path)
-        # Zero everything after the object entries: count + 1 entry.
-        offset = db._CATALOG_OFFSET + 2 + db._CATALOG_ENTRY.size
-        self._patch_header(path, offset, bytes(PAGE - offset))
+        rewrite_catalog(db, lambda c: replace(c, files=[]))
+        db.disk.save(path)
         db2 = EOSDatabase.open_file(path)
-        assert len(db2.objects()) == 1
+        assert [o.oid for o in db2.objects()] == [legacy.oid]
+        assert db2.get_object(legacy.oid).read_all() == b"legacy"
         with pytest.raises(Exception):
             db2.get_file("ignored")
 
     def test_garbage_file_section_is_ignored(self, tmp_path):
+        # Page 0 past the catalog's root word (where the file section
+        # used to live) is no part of the layout: garbage there is ignored.
+        from repro.storage.disk import DiskVolume
+
         path = tmp_path / "garbage.db"
         db = make_db()
-        db.create_object(b"x")
+        member = db.create_file("f", threshold=4).create_object(b"member")
+        plain = db.create_object(b"x")
         db.save(path)
-        offset = db._CATALOG_OFFSET + 2 + db._CATALOG_ENTRY.size
-        self._patch_header(path, offset, b"\xff" * 64)  # implausible count
+        disk = DiskVolume.load(path)
+        header = bytearray(disk.read_page(0))
+        offset = catalog.ROOT_OFFSET + 4
+        header[offset:] = b"\xff" * (PAGE - offset)
+        disk.write_page(0, bytes(header))
+        disk.save(path)
         db2 = EOSDatabase.open_file(path)
-        assert db2._files == {}
-        assert len(db2.objects()) == 1
+        assert [o.oid for o in db2.get_file("f").objects()] == [member.oid]
+        assert db2.get_object(plain.oid).read_all() == b"x"
+        assert len(db2.objects()) == 2
+
+    def test_corrupt_catalog_fails_open(self, tmp_path, rewrite_catalog):
+        # The loader is strict: no corruption opens as a smaller volume.
+        def truncated(c):
+            return catalog.encode(c)[:-3]
+
+        def trailing_bytes(c):
+            return catalog.encode(c) + b"\0"
+
+        def garbage(c):
+            return b"\xff" * len(catalog.encode(c))
+
+        def dangling_member(c):
+            return replace(c, files=[replace(c.files[0], members=(99,))])
+
+        def repeated_file(c):
+            return replace(c, files=c.files * 2)
+
+        for edit in (truncated, trailing_bytes, garbage, dangling_member, repeated_file):
+            db = make_db()
+            db.create_file("f", threshold=4).create_object(b"member")
+            db.create_object(b"x")
+            path = tmp_path / f"{edit.__name__}.db"
+            db.save(path)
+            rewrite_catalog(db, edit)
+            db.disk.save(path)
+            with pytest.raises(VolumeLayoutError, match="catalog"):
+                EOSDatabase.open_file(path)
 
     def test_oversize_catalog_rejected(self):
         db = make_db()

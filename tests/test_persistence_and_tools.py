@@ -1,8 +1,10 @@
 """Tests for database persistence, the stream API, and the tools."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro import EOSConfig, EOSDatabase
+from repro import EOSConfig, EOSDatabase, catalog
 from repro.core.stream import ObjectStream
 from repro.errors import VolumeLayoutError
 from repro.tools import dump_object, dump_space, dump_volume, fsck
@@ -64,14 +66,51 @@ class TestPersistence:
         second = reopened.create_object(b"y")
         assert second.oid > first.oid
 
-    def test_catalog_capacity_enforced(self, tmp_path):
-        db = make_db()
-        limit = db._catalog_capacity
-        for _ in range(limit):
-            db.create_object(b"z")
-        db.create_object(b"overflow")
-        with pytest.raises(VolumeLayoutError):
-            db.save(tmp_path / "volume.db")
+    def test_catalogs_beyond_one_page_round_trip(self, tmp_path):
+        # Neither volume's catalog fits in a 4 KB page: 2 000 plain
+        # objects in two files, and 64 objects with 8 retained versions.
+        def plain():
+            db = EOSDatabase.create(6000, 4096)
+            files = [db.create_file(n, threshold=3) for n in ("even", "odd")]
+            oids = [files[i % 2].create_object(payload(60, i)).oid for i in range(2000)]
+            return db, oids
+
+        def versioned():
+            config = EOSConfig(page_size=4096, versioning=True, version_retain=8)
+            db = EOSDatabase.create(4000, 4096, config=config)
+            oids = [db.op_create(b"") for _ in range(64)]
+            for round_ in range(8):
+                for oid in oids:
+                    db.op_append(oid, payload(100, round_))
+            return db, oids
+
+        def contents(db, oids):
+            """Each object's bytes: every retained version's, if versioned."""
+            return {oid: [
+                db.op_read(oid, offset=0, length=v.size_bytes, version=v.version)
+                for v in db.op_versions(oid)
+            ] or db.op_read(oid, offset=0, length=db.op_size(oid)) for oid in oids}
+
+        def described(db, oids):
+            files = {name: (f.threshold, f.adaptive, [o.oid for o in f.objects()])
+                     for name, f in db._files.items()}
+            return [db.op_versions(oid) for oid in oids], files
+
+        for build in (plain, versioned):
+            twin, oids = build()
+            before = contents(twin, oids), described(twin, oids)
+            path = tmp_path / f"{build.__name__}.db"
+            twin.save(path)
+            db = EOSDatabase.open_file(path)
+            assert (contents(db, oids), described(db, oids)) == before
+            report = fsck(db, expect_no_leaks=True)
+            assert report.clean, report.summary()
+            for i in range(20):
+                for oid in oids:
+                    for each in (db, twin):
+                        each.op_append(oid, payload(30, i))
+            assert db.free_pages() == twin.free_pages()
+            assert contents(db, oids) == contents(twin, oids)
 
     def test_attach_in_memory(self):
         db = make_db()
@@ -287,7 +326,7 @@ class TestTools:
         assert "CLEAN" in capsys.readouterr().out
 
 class TestFsckFileCatalog:
-    """fsck's raw parse of the persisted page-0 file section."""
+    """fsck's judgement of the persisted catalog's file groups."""
 
     def build_saved(self, tmp_path, names=("docs",)):
         db = make_db()
@@ -297,22 +336,6 @@ class TestFsckFileCatalog:
         db.save(str(tmp_path / "vol.db"))
         return db
 
-    @staticmethod
-    def file_section_offset(db):
-        """Offset of the first file record's name-length byte in page 0."""
-        import struct
-
-        header = db.disk.read_page(0)
-        offset = EOSDatabase._CATALOG_OFFSET
-        (n_objects,) = struct.unpack_from("<H", header, offset)
-        return offset + 2 + n_objects * EOSDatabase._CATALOG_ENTRY.size + 2
-
-    @staticmethod
-    def patch_page0(db, offset, data):
-        header = bytearray(db.disk.read_page(0))
-        header[offset : offset + len(data)] = data
-        db.disk.poke(0, bytes(header))
-
     def test_clean_catalog_counts_files(self, tmp_path):
         db = self.build_saved(tmp_path, names=("docs", "media"))
         report = fsck(db)
@@ -320,38 +343,60 @@ class TestFsckFileCatalog:
         assert report.files_checked == 2
         assert "2 files" in report.summary()
 
-    def test_detects_dangling_member_oid(self, tmp_path):
-        import struct
-
+    def test_detects_dangling_member_oid(self, tmp_path, rewrite_catalog):
         db = self.build_saved(tmp_path)
-        # First member oid sits after: namelen byte, name, <IBH> triple.
-        off = self.file_section_offset(db) + 1 + len("docs") + 7
-        self.patch_page0(db, off, struct.pack("<Q", 9999))
+        rewrite_catalog(
+            db, lambda c: replace(c, files=[replace(c.files[0], members=(9999,))])
+        )
         report = fsck(db)
         assert not report.clean
         assert report.dangling_file_members == [("docs", 9999)]
         assert "dangling file members" in report.summary()
 
-    def test_detects_duplicate_file_names(self, tmp_path):
+    def test_detects_duplicate_file_names(self, tmp_path, rewrite_catalog):
         db = self.build_saved(tmp_path, names=("aa", "ab"))
-        # Rewrite the second record's name to collide with the first.
-        second = self.file_section_offset(db) + 1 + len("aa") + 7 + 8
-        self.patch_page0(db, second + 1, b"aa")
+        # Rename the second group to collide with the first.
+        rewrite_catalog(
+            db, lambda c: replace(c, files=[c.files[0], replace(c.files[1], name="aa")])
+        )
         report = fsck(db)
         assert not report.clean
         assert report.duplicate_file_names == ["aa"]
         assert "duplicate file names" in report.summary()
 
-    def test_undecodable_section_is_an_error_not_a_crash(self, tmp_path):
-        import struct
-
+    def test_undecodable_section_is_an_error_not_a_crash(
+        self, tmp_path, rewrite_catalog, capsys
+    ):
         db = self.build_saved(tmp_path)
-        # An absurd file count makes the parse run off the page.
-        off = self.file_section_offset(db) - 2
-        self.patch_page0(db, off, struct.pack("<H", 60000))
+        rewrite_catalog(db, lambda c: catalog.encode(c)[:-5])
         report = fsck(db)
         assert not report.clean
-        assert any("file catalog" in e for e in report.errors)
+        assert [e for e in report.errors if e.startswith("catalog: ")] == report.errors
+        assert report.errors and report.leaked_pages == []
+        # The command reports the same catalog as a finding: no traceback.
+        path = str(tmp_path / "truncated.db")
+        db.disk.save(path)
+        assert fsck_main([path]) == 1
+        out = capsys.readouterr().out
+        assert "CORRUPT" in out and "error: catalog: truncated" in out
+
+    def test_a_root_that_does_not_walk_is_an_error(self, tmp_path, capsys):
+        db = self.build_saved(tmp_path)
+        # Page 0 names a page past the end of the volume as the root.
+        root = db.disk.num_pages
+        db.disk.write_page(0, catalog.with_root(db.disk.read_page(0), root))
+        report = fsck(db)
+        assert not report.clean
+        assert [e for e in report.errors if e.startswith("catalog: ")] == [
+            f"catalog: root page {root} does not walk: page {root} out of "
+            f"range (volume has {root} pages)"
+        ]
+        path = str(tmp_path / "unrooted.db")
+        db.disk.save(path)
+        assert fsck_main([path]) == 1
+        assert f"error: catalog: root page {root} does not read" in (
+            capsys.readouterr().out
+        )
 
     def test_never_saved_volume_parses_clean(self):
         db = make_db()

@@ -20,6 +20,7 @@ from repro.core.unit import UnitAllocator
 from repro.errors import (
     InvariantViolation, LargeObjectError, ObjectNotFound, VersionNotFound,
 )
+from repro.storage.disk import DiskVolume
 from repro.storage.faults import DiskFault, FaultyDisk
 from repro.ops import ObjectOps, VersionInfo
 from repro.server import EOSClient, ServerThread, ShardSet
@@ -427,8 +428,8 @@ class TestPersistence:
         assert db.versions.retain == 3
 
     def test_a_reopened_volume_reclaims_like_one_never_closed(self, tmp_path):
-        # The catalog carries no dead lists; the attach rebuilds them.
-        # Without that, every page the restored versions supersede leaks.
+        # The catalog carries the dead lists.  Without them, every page
+        # the restored versions supersede would leak.
         def commit(db, oid, i):
             db.op_append(oid, bytes([i]) * 300)
             db.op_delete(oid, offset=i % 7, length=120)
@@ -443,6 +444,7 @@ class TestPersistence:
         twin, oid = setup()
         db, _ = setup()
         db.save(tmp_path / "r.db")
+        twin.save(tmp_path / "twin.db")  # so both hold a catalog object
         db = EOSDatabase.open_file(tmp_path / "r.db")
         for i in range(10, 50):
             commit(twin, oid, i)
@@ -454,6 +456,39 @@ class TestPersistence:
         assert db.op_read(oid, offset=0, length=db.op_size(oid)) == (
             twin.op_read(oid, offset=0, length=twin.op_size(oid))
         )
+
+    def test_attach_walks_no_retained_tree(self, tmp_path, monkeypatch):
+        db = make_db(retain=8)
+        oids = [db.op_create(b"w" * 1200) for _ in range(3)]
+        for i in range(10):
+            for oid in oids:
+                db.op_append(oid, bytes([i]) * 300)
+                db.op_delete(oid, offset=i * 37, length=150)
+        chains = db.versions.snapshot_chains()
+        assert all(len(chain) == 8 and chain[0].dead for chain in chains.values())
+        db.save(tmp_path / "w.db")
+        peeks = []
+        peek = DiskVolume.peek
+        monkeypatch.setattr(
+            DiskVolume, "peek", lambda disk, page: peeks.append(page) or peek(disk, page)
+        )
+        db = EOSDatabase.open_file(tmp_path / "w.db")
+        assert peeks == []
+        monkeypatch.undo()
+        # Every record, its dead list included, is the one saved.
+        assert db.versions.snapshot_chains() == chains
+        report = fsck(db)
+        assert report.clean, report.summary()
+
+    def test_a_retention_bound_past_u16_round_trips(self, tmp_path):
+        db = make_db(retain=70_000)
+        oid = db.op_create(b"long")
+        db.op_append(oid, b" history")
+        versions = db.op_versions(oid)
+        db.save(tmp_path / "l.db")
+        db = EOSDatabase.open_file(tmp_path / "l.db")
+        assert (db.config.version_retain, db.versions.retain) == (70_000, 70_000)
+        assert db.op_versions(oid) == versions
 
     def test_fsck_flags_forged_dead_lists(self):
         db = make_db()
