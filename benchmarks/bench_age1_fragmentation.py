@@ -17,7 +17,10 @@ The run, per size mix:
 2. **churn** — epochs of seeded create/append/delete churn age the
    volume inside a utilization band.  After each epoch the
    storage-health collector records the trajectory row: fragmentation
-   index, per-object est. seeks/MB, utilization.  A
+   index, per-object est. seeks/MB, utilization, live objects and the
+   requests refused so far for want of space (``out_of_space``: the
+   churn deletes a random survivor instead, so two runs whose refusals
+   differ age different live sets).  A
    :class:`~repro.obs.health.HealthMonitor` runs at its default
    interval *during* churn, and its duty cycle — mean sampling time
    over that interval — must stay under ``MONITOR_OVERHEAD_CEILING``
@@ -105,6 +108,7 @@ def _run_mix(mix, report):
                     round(health.frag_index, 4),
                     round(health.mean_seeks_per_mb(), 2),
                     len(workload.live_oids()),
+                    workload.out_of_space,
                 ]
             )
         churn_ms = (time.perf_counter() - churn_t0) * 1000.0
@@ -136,7 +140,8 @@ def run_all():
     report = ExperimentReport(
         "AGE1",
         "Fragmentation and scan throughput under multi-day churn",
-        ["mix", "epoch", "util", "frag index", "est seeks/MB", "live objects"],
+        ["mix", "epoch", "util", "frag index", "est seeks/MB", "live objects",
+         "out of space"],
         page_size=PAGE,
     )
     scans = {}

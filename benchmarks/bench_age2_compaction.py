@@ -14,7 +14,9 @@ The run:
    scanned cold-cache and the head model prices the I/O (modelled
    MB/s), exactly as in AGE1;
 2. **aged** — seeded churn epochs fragment the volume; the aged scan
-   and health snapshot are recorded.  Churn changes the *composition*
+   and health snapshot are recorded, and so is ``out_of_space``, the
+   churn's refused requests (each deletes a random survivor instead,
+   so a change in refusals changes the live set).  Churn changes the *composition*
    of the live set (survivors differ from the build set), so the
    recovery gate's baseline is **rebuilt**: the surviving objects
    copied in oid order onto a brand-new volume and scanned — the best
@@ -248,6 +250,7 @@ def run_all():
             "compaction_wall_s": round(outcome["wall_s"], 2),
         }
         compaction = {
+            "out_of_space": workload.out_of_space,
             "objects_moved": pass_report.objects_moved,
             "objects_skipped": pass_report.objects_skipped,
             "pages_moved": pass_report.pages_moved,
@@ -287,7 +290,8 @@ def test_age2_compaction(benchmark):
         f"({frag['drop']:.0%} drop, floor {FRAG_DROP_FLOOR:.0%}); "
         f"moved {compaction['objects_moved']} objects / "
         f"{compaction['pages_moved']} pages, evacuated space "
-        f"{compaction['evacuated_space']}"
+        f"{compaction['evacuated_space']}; churn refused "
+        f"{compaction['out_of_space']} requests (out_of_space)"
     )
     report.note(
         f"foreground p99 {foreground['idle_p99_us']:.0f}us idle -> "

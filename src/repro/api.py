@@ -35,6 +35,7 @@ import threading
 from repro import catalog
 from repro.buddy.directory import max_capacity
 from repro.buddy.manager import BuddyManager
+from repro.core.append import create as create_tree
 from repro.core.config import EOSConfig
 from repro.core.delete import delete_range as _core_delete
 from repro.core.insert import insert as _core_insert
@@ -260,21 +261,29 @@ class EOSDatabase:
         entire object."
         """
         self._ensure_open("create an object")
-        tree = LargeObjectTree.create(self.pager, self.config, obs=self.obs)
-        obj = LargeObject(
-            tree, self.segio, self.buddy, size_hint=size_hint, obs=self.obs
-        )
-        oid = self._next_oid
-        self._next_oid += 1
-        obj.oid = oid  # type: ignore[attr-defined]
-        self._objects[oid] = obj
-        if self.versions is not None:
-            # Version 1 is the empty object; initial content commits as
+        versions = self.versions
+        with self.op_lock, self.obs.tracer.span("op.create", bytes=len(data)):
+            # Plain content goes in with the root on the page in front of
+            # it (INTERNALS, "Where an object's root lives").  A versioned
+            # object starts empty: version 1, then its content commits as
             # version 2 through the uniform mutation path.
-            self.versions.publish_initial(oid, tree)
-        if data:
-            self.mutate(oid, *_append(data))
-        return obj
+            tree = create_tree(
+                self.pager, self.segio, self.buddy, self.config,
+                data if versions is None else b"", size_hint=size_hint,
+                obs=self.obs,
+            )
+            obj = LargeObject(
+                tree, self.segio, self.buddy, size_hint=size_hint, obs=self.obs
+            )
+            oid = self._next_oid
+            self._next_oid += 1
+            obj.oid = oid  # type: ignore[attr-defined]
+            self._objects[oid] = obj
+            if versions is not None:
+                versions.publish_initial(oid, tree)
+                if data:
+                    self.mutate(oid, *_append(data))
+            return obj
 
     def get_object(self, oid: int) -> LargeObject:
         """Look up a catalogued object by its oid."""

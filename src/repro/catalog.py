@@ -29,8 +29,7 @@ import struct
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.core.object import LargeObject
-from repro.core.tree import LargeObjectTree
+from repro.core.append import create
 from repro.errors import ReproError, VolumeLayoutError
 from repro.storage.page import PageId
 from repro.versions.manager import VersionRecord
@@ -173,11 +172,12 @@ def with_root(header: bytes, root: PageId) -> bytes:
 
 
 def store(db: EOSDatabase, data: bytes) -> PageId:
-    """Write ``data`` as a fresh object in exact-size segments; returns
-    its root.  Its index pages wait in the pool for the barrier."""
-    tree = LargeObjectTree.create(db.pager, db.config)
-    LargeObject(tree, db.segio, db.buddy, size_hint=len(data)).append(data)
-    return tree.root_page
+    """Write ``data`` as a fresh object in exact-size segments, its root
+    in front of the first; returns the root.  Its index pages wait in
+    the pool for the barrier."""
+    return create(
+        db.pager, db.segio, db.buddy, db.config, data, size_hint=len(data)
+    ).root_page
 
 
 def load(db: EOSDatabase, root: PageId) -> Catalog:

@@ -6,7 +6,10 @@ allocated segments, planned by
 obeys the T-threshold legality rule (no segment of 0 < pages < T).
 The write-first / swap / free-old discipline of the edit paths is kept:
 the replacement segments are fully on disk before the tree's leaf range
-swaps over, and only then are the old extents freed.
+swaps over, and only then are the old extents freed.  On an unversioned
+database the root moves with the data, onto the page in front of the
+new first segment, as a create places it; when that pair cannot be had,
+a root in the space an evacuation is emptying still moves out of it.
 
 Versioning changes nothing structurally — the relocation body runs
 through :meth:`~repro.api.EOSDatabase.mutate`, on a versioned database
@@ -120,7 +123,9 @@ class CompactionReport:
         }
 
 
-def _rewrite_contiguous(obj, *, avoid_space: int | None = None) -> MoveResult:
+def _rewrite_contiguous(
+    obj, *, avoid_space: int | None = None, move_root: bool = False
+) -> MoveResult:
     """Rewrite ``obj`` into planned contiguous segments; the move body.
 
     Runs either directly on the handle (unversioned) or inside a
@@ -131,49 +136,82 @@ def _rewrite_contiguous(obj, *, avoid_space: int | None = None) -> MoveResult:
     generic best-effort writer, which still coalesces what it can.
     ``avoid_space`` steers every allocation away from the space the
     evacuation pass is emptying.
+
+    With ``move_root`` (unversioned only: a version unit commits its
+    own new root) the root travels with the data, as a create places
+    it: the first planned segment is allocated one page longer and the
+    root moves onto that leading page.  When the pair does not fit one
+    segment or the rewrite fell back, a root inside ``avoid_space``
+    moves to a single page outside it, so an evacuation strands no root.
     """
     size = obj.size()
     runs_before = len(obj.extent_runs())
+    buddy = obj.buddy
     if size == 0:
+        if move_root:
+            root = _root_outside(obj, avoid_space)
+            if root is not None:
+                obj.tree.move_root(root)
         return MoveResult(getattr(obj, "oid", -1), 0, 0, 0, 0, False)
     data = obj.read_all()
     ps = obj.config.page_size
     fallback = False
     new_entries: list[Entry] = []
+    new_root = None
     try:
         plan = plan_segmentation(
             size,
             page_size=ps,
             threshold=obj.policy.base,
-            max_segment_pages=obj.buddy.max_segment_pages,
+            max_segment_pages=buddy.max_segment_pages,
         )
         offset = 0
         for seg_bytes in plan:
             pages = pages_of(seg_bytes, ps)
-            ref = obj.buddy.allocate(pages, avoid_space=avoid_space)
+            first = None
+            if move_root and not new_entries and pages < buddy.max_segment_pages:
+                try:
+                    pair = buddy.allocate(1 + pages, avoid_space=avoid_space)
+                    new_root, first = pair.first_page, pair.first_page + 1
+                except OutOfSpace:
+                    pass  # no exact run for the pair: the segment alone
+            if first is None:
+                first = buddy.allocate(pages, avoid_space=avoid_space).first_page
             obj.segio.write_segment(
-                ref.first_page, memoryview(data)[offset : offset + seg_bytes]
+                first, memoryview(data)[offset : offset + seg_bytes]
             )
-            new_entries.append(Entry(seg_bytes, ref.first_page, pages))
+            new_entries.append(Entry(seg_bytes, first, pages))
             offset += seg_bytes
     except OutOfSpace:
         # No contiguous run of the planned size: release the partial
         # rewrite and take best-effort placement instead.
         for entry in new_entries:
-            obj.buddy.free(entry.child, entry.pages)
+            buddy.free(entry.child, entry.pages)
+        if new_root is not None:
+            buddy.free(new_root, 1)
+            new_root = None
         fallback = True
         new_entries = [
             Entry(count, ref.first_page, ref.n_pages)
             for ref, count in allocate_and_write(
-                obj.segio, obj.buddy, data,
+                obj.segio, buddy, data,
                 avoid_space=avoid_space, cleanup_on_fail=True,
             )
         ]
+    if move_root and new_root is None:
+        try:
+            new_root = _root_outside(obj, avoid_space)
+        except OutOfSpace:
+            for entry in new_entries:
+                buddy.free(entry.child, entry.pages)
+            raise
     dropped = obj.tree.replace_leaf_range(0, size, new_entries)
+    if new_root is not None:
+        obj.tree.move_root(new_root)
     pages_read = 0
     for entry in dropped:
         pages_read += entry.pages
-        obj.buddy.free(entry.child, entry.pages)
+        buddy.free(entry.child, entry.pages)
     return MoveResult(
         oid=getattr(obj, "oid", -1),
         pages_read=pages_read,
@@ -182,6 +220,15 @@ def _rewrite_contiguous(obj, *, avoid_space: int | None = None) -> MoveResult:
         runs_after=len(obj.extent_runs()),
         fallback=fallback,
     )
+
+
+def _root_outside(obj, avoid_space: int | None):
+    """A fresh page outside ``avoid_space`` for a root that lies in it;
+    None when the root is not in the way."""
+    buddy = obj.buddy
+    if avoid_space is None or buddy.space_of(obj.root_page) != avoid_space:
+        return None
+    return buddy.allocate(1, avoid_space=avoid_space).first_page
 
 
 def relocate_object(
@@ -195,7 +242,9 @@ def relocate_object(
     on the owning shard's worker when the database is served.
     """
     return db.mutate(
-        oid, lambda o: _rewrite_contiguous(o, avoid_space=avoid_space)
+        oid,
+        lambda o: _rewrite_contiguous(o, avoid_space=avoid_space, move_root=True),
+        lambda o: _rewrite_contiguous(o, avoid_space=avoid_space),
     )
 
 

@@ -29,16 +29,25 @@ live only between appends.  A versioned object keeps them as its append
 reservation (:func:`repro.versions.ops.cow_append`); the insert and
 delete arithmetic counts only the pages that hold bytes, so it works on
 either.
+
+The paper leaves "the placement of the root" to the client.
+:func:`create` places it on the page in front of the object's first
+segment: one exact buddy run of 1 + n pages holds both, so a cold read
+of a small object is one seek, not two (INTERNALS, "Where an object's
+root lives").
 """
 
 from __future__ import annotations
 
 from repro.buddy.manager import BuddyManager
 from repro.core.config import EOSConfig
-from repro.core.node import Entry
+from repro.core.node import Entry, Node
+from repro.core.pager import NodePager
 from repro.core.search import PageLog
 from repro.core.segio import SegmentIO
 from repro.core.tree import LargeObjectTree
+from repro.errors import OutOfSpace
+from repro.obs.tracer import Observability
 from repro.util import copytrace
 from repro.util.bitops import ceil_div
 
@@ -61,6 +70,60 @@ def growth_pages(
     if last_segment_pages is None:
         return min(max_segment_pages, config.initial_growth_pages)
     return min(max_segment_pages, max(1, last_segment_pages * 2))
+
+
+def create(
+    pager: NodePager,
+    segio: SegmentIO,
+    buddy: BuddyManager,
+    config: EOSConfig,
+    data=b"",
+    *,
+    size_hint: int | None = None,
+    obs: Observability | None = None,
+) -> LargeObjectTree:
+    """A new object holding ``data``, its root on the page in front of
+    its first segment.
+
+    The root and the first segment :func:`growth_pages` picks share one
+    exact buddy run of 1 + n pages, so a cold read of an object that
+    fits that segment is one seek, not two.  Without data, when 1 + n
+    exceeds the maximum segment size, or when no such run is free, the
+    root takes a page of its own and :func:`append` places the data as
+    before.  The pair is never a short ``allocate_up_to`` run: that
+    could leave a root in front of no segment at all.
+    """
+    view = memoryview(data).cast("B")
+    ref = None
+    if len(view):
+        hint = None
+        if size_hint is not None and size_hint > 0:
+            hint = max(size_hint, len(view))
+        pages = growth_pages(config, buddy.max_segment_pages, None, hint)
+        if pages < buddy.max_segment_pages:
+            try:
+                ref = buddy.allocate(1 + pages)
+            except OutOfSpace:
+                pass  # no exact run for the pair: a root of its own
+    if ref is None:
+        tree = LargeObjectTree.create(pager, config, obs=obs)
+        rest = view
+    else:
+        root, first, pages = ref.first_page, ref.first_page + 1, ref.n_pages - 1
+        take = min(len(view), pages * segio.page_size)
+        segio.write_segment(first, view[:take])
+        pager.write_new(root, Node(level=0, entries=[Entry(take, first, pages)]))
+        tree = LargeObjectTree(pager, config, root, obs=obs)
+        rest = view[take:]
+    try:
+        append(tree, segio, buddy, rest, size_hint=size_hint)
+    except BaseException:
+        # A create that fails leaves nothing behind: no root, no segment.
+        for _, entry in tree.leaf_entries():
+            buddy.free(entry.child, entry.pages)
+        pager.free(tree.root_page)
+        raise
+    return tree
 
 
 def append(
@@ -121,25 +184,31 @@ def append(
 
     # 3. Allocate new segments for whatever remains.
     new_entries: list[Entry] = []
-    while position < len(view):
-        remaining = len(view) - position
-        written_total = size + sum(e.count for e in new_entries)
-        hint_remaining = None
-        if size_hint is not None and size_hint > written_total:
-            # Cover at least this chunk even when the hint undershoots.
-            hint_remaining = max(size_hint - written_total, remaining)
-        want = growth_pages(
-            tree.config, buddy.max_segment_pages, last_pages, hint_remaining
-        )
-        want = max(want, 1)
-        ref = buddy.allocate_up_to(want)
-        take = min(remaining, ref.n_pages * ps)
-        segio.write_segment(ref.first_page, view[position : position + take])
-        new_entries.append(Entry(take, ref.first_page, ref.n_pages))
-        position += take
-        last_pages = ref.n_pages
-    if new_entries:
-        tree.append_leaf_entries(new_entries)
+    try:
+        while position < len(view):
+            remaining = len(view) - position
+            written_total = size + sum(e.count for e in new_entries)
+            hint_remaining = None
+            if size_hint is not None and size_hint > written_total:
+                # Cover at least this chunk even when the hint undershoots.
+                hint_remaining = max(size_hint - written_total, remaining)
+            want = growth_pages(
+                tree.config, buddy.max_segment_pages, last_pages, hint_remaining
+            )
+            want = max(want, 1)
+            ref = buddy.allocate_up_to(want)
+            take = min(remaining, ref.n_pages * ps)
+            segio.write_segment(ref.first_page, view[position : position + take])
+            new_entries.append(Entry(take, ref.first_page, ref.n_pages))
+            position += take
+            last_pages = ref.n_pages
+        if new_entries:
+            tree.append_leaf_entries(new_entries)
+    except BaseException:
+        # The root never came to name these segments: give them back.
+        for entry in new_entries:
+            buddy.free(entry.child, entry.pages)
+        raise
 
 
 def trim(

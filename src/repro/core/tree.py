@@ -10,10 +10,11 @@ This module owns the B-tree mechanics that Sections 4.1-4.4 rely on:
 * node splits on overflow, and the paper's delete-side maintenance:
   "check if a node in one of the two stacks has now less than the
   allowed number of pairs and if so, merge or rotate with a sibling";
-* the root rules: the client-visible root page never moves, a root with
-  a single index-node child collapses ("copy the pairs of this child to
-  the root and repeat this step"), and an optional byte limit on the
-  root (footnote 3) caps its fan-out.
+* the root rules: the client-visible root page never moves (only an
+  unversioned compaction relocation carries it, :meth:`move_root`), a
+  root with a single index-node child collapses ("copy the pairs of
+  this child to the root and repeat this step"), and an optional byte
+  limit on the root (footnote 3) caps its fan-out.
 
 Writes go through a :class:`~repro.core.pager.NodePager`, and children
 are always written before their parents.  This ordering is what lets a
@@ -117,6 +118,15 @@ class LargeObjectTree:
         tree = cls(pager, config, root_page, obs=obs)
         pager.write_new(root_page, Node(level=0))
         return tree
+
+    def move_root(self, page: PageId) -> None:
+        """Install the root on the freshly allocated ``page`` and free its
+        old page: the compactor's unversioned relocation, which puts the
+        root back in front of the object's new first segment."""
+        node = self.read_root()
+        self.pager.write_new(page, node)
+        self.pager.free(self.root_page)
+        self.root_page = page
 
     # ------------------------------------------------------------------
     # Reading structure

@@ -80,7 +80,9 @@ class ObjectLayout:
     #: the compaction planner's coldest-space ordering key.
     home_space: int = -1
     #: Every buddy space the object's extents touch (extents never span
-    #: space boundaries); the evacuation pass selects victims by it.
+    #: space boundaries), and on an unversioned database its root's,
+    #: which a relocation moves with the data; the evacuation pass
+    #: selects victims by it.
     spaces: tuple[int, ...] = ()
 
     def to_doc(self) -> dict:
@@ -264,6 +266,9 @@ def _object_layout(db, obj, *, cow_sharing: bool) -> ObjectLayout:
         contiguity = 1.0
     mib = size / (1 << 20)
     est_seeks = len(runs) / mib if mib > 0 else 0.0
+    pages = {first for first, _ in runs}
+    if db.versions is None:
+        pages.add(obj.root_page)
     sharing = None
     oid = getattr(obj, "oid", -1)
     if cow_sharing and db.versions is not None and oid >= 0:
@@ -279,7 +284,7 @@ def _object_layout(db, obj, *, cow_sharing: bool) -> ObjectLayout:
         est_seeks_per_mb=est_seeks,
         cow_sharing=sharing,
         home_space=db.buddy.space_of(runs[0][0]) if runs else -1,
-        spaces=tuple(sorted({db.buddy.space_of(first) for first, _ in runs})),
+        spaces=tuple(sorted({db.buddy.space_of(page) for page in pages})),
     )
 
 

@@ -235,12 +235,21 @@ def directory_images(buddy: BuddyManager) -> list[bytes]:
 class TestGoldenLayout:
     """Allocation decisions are pinned to the values the object-per-probe
     scan (the commit before the byte-level scan, the scan hints and the
-    decoded-directory cache) produced on the same script."""
+    decoded-directory cache) produced on the same script.
 
-    GRANTED_SHA = "00efce8c1a363062632f394764055c8b8b7a93ae47be210482286358f6c63d76"
+    Re-recorded once on purpose since: when a plain create began taking
+    one buddy run for its root and first segment, the aged volume the
+    script starts from changed.  Refused requests went from 197 to 205,
+    a fragmentation signal: a 1 + 2^k page pair takes a 2^(k+1) block
+    where the separate root took a hole of its own.  Then the granted
+    digest was 00efce8c…, the directory loads, superdirectory skips and
+    pool hits 1 803 / 775 / 3 606, the directory writes 709 and the
+    directory digests f12fd24b… and 0fb0ca7c…."""
+
+    GRANTED_SHA = "58df8007ab26076ba08f8d56d6dff0d6a41e7f3eba742ebad5f6bfc3131c4eb1"
     DIRECTORY_SHA = [
-        "f12fd24bdac6c663a1fae30313136cdb362c86054ad07b3f99d7dae506d4d625",
-        "0fb0ca7cb4bd145d7c01ca6d0dba17896bfd5bcd2f30278fc5e9ceba29b9108f",
+        "266d63c5c3e010b2e743f994f0d63e56a3b12b15e3dc9689ee850e39d15a569b",
+        "e0a022d053073522da2af45605759af3c6088c3ecf2acbb2b298c3e7b76e4104",
     ]
 
     def test_seeded_script_on_an_aged_volume_matches_recorded_values(self):
@@ -259,12 +268,12 @@ class TestGoldenLayout:
         delta = tuple(b - a for a, b in zip(before, counters()))
         io = db.disk.stats.snapshot() - io_before
 
-        assert len(granted) == 906 and granted.count("oos") == 197
+        assert len(granted) == 906 and granted.count("oos") == 205
         assert hashlib.sha256(repr(granted).encode()).hexdigest() == self.GRANTED_SHA
-        assert delta == (906, 1094, 1803, 775, 0, 3606, 0)
-        # One write per granted allocation; frees ride the next one (1 803
+        assert delta == (906, 1094, 1795, 730, 0, 3590, 0)
+        # One write per granted allocation; frees ride the next one (1 795
         # when every free was written through as well).
-        assert (io.seeks, io.page_reads, io.page_writes) == (709, 0, 709)
+        assert (io.seeks, io.page_reads, io.page_writes) == (701, 0, 701)
         assert [
             hashlib.sha256(image).hexdigest() for image in directory_images(db.buddy)
         ] == self.DIRECTORY_SHA

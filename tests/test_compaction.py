@@ -28,7 +28,13 @@ from repro.compact import (
 )
 from repro.compact.policy import plan_evacuation
 from repro.core.config import EOSConfig
-from repro.obs.health import HeatTracker, ObjectLayout, SpaceHealth
+from repro.errors import OutOfSpace
+from repro.obs.health import (
+    HeatTracker,
+    ObjectLayout,
+    SpaceHealth,
+    collect_volume_health,
+)
 from repro.server import EOSClient, ServerThread, ShardSet
 from repro.server import protocol
 from repro.tools.fsck import fsck
@@ -314,6 +320,74 @@ class TestRelocation:
             oid, offset=0, length=12 * PAGE
         ) == b"A" * (6 * PAGE) + b"B" * (6 * PAGE)
         db.verify()
+
+
+class TestRootTravelsWithTheData:
+    """An unversioned relocation carries the root along, so it stays on
+    the page in front of the first segment, as a create placed it."""
+
+    @staticmethod
+    def spaces_of_runs(db, obj):
+        return {db.buddy.space_of(first) for first, _ in obj.extent_runs()}
+
+    def test_root_lands_in_front_of_the_new_first_segment(self):
+        db = make_db()
+        obj = fragment_object(db)
+        data, old_root = obj.read_all(), obj.root_page
+        move = relocate_object(db, obj.oid)
+        assert not move.fallback and move.runs_after == 1
+        assert obj.root_page != old_root
+        assert obj.root_page == obj.segments()[0][1].child - 1
+        assert db.get_object(obj.oid).read_all() == data
+        check = fsck(db, expect_no_leaks=True)
+        assert check.clean, check.summary()
+
+    def test_fallback_moves_the_root_out_of_the_avoided_space(self, monkeypatch):
+        db = make_db(1024, space_capacity=256)
+        obj = fragment_object(db)
+        data, home = obj.read_all(), db.buddy.space_of(obj.root_page)
+        assert self.spaces_of_runs(db, obj) == {home}
+        allocate = db.buddy.allocate
+
+        def single_pages_only(n_pages, **kwargs):
+            if n_pages > 1:
+                raise OutOfSpace(n_pages)
+            return allocate(n_pages, **kwargs)
+
+        monkeypatch.setattr(db.buddy, "allocate", single_pages_only)
+        move = relocate_object(db, obj.oid, avoid_space=home)
+        monkeypatch.undo()
+        assert move.fallback
+        assert db.buddy.space_of(obj.root_page) != home
+        assert home not in self.spaces_of_runs(db, obj)
+        assert obj.read_all() == data
+        check = fsck(db, expect_no_leaks=True)
+        assert check.clean, check.summary()
+
+    def test_evacuation_empties_a_space_whose_only_occupant_is_a_root(self):
+        db = make_db(600, space_capacity=256)
+        assert db.volume.n_spaces == 2
+        obj = db.create_object(size_hint=10 * PAGE)  # the root alone
+        assert db.buddy.space_of(obj.root_page) == 0
+        # Fill the rest of space 0 so the data lands in space 1.
+        held = [db.buddy.allocate(1 << k) for k in range(7, -1, -1)]
+        assert {db.buddy.space_of(ref.first_page) for ref in held} == {0}
+        obj.append(bytes(range(256)) * 20)
+        for ref in held:
+            db.buddy.free_segment(ref)
+        data = obj.read_all()
+        assert self.spaces_of_runs(db, obj) == {1}
+        assert collect_volume_health(db).objects[0].spaces == (0, 1)
+
+        report = compact_pass(db)
+        assert report.evacuated_space == 0
+        assert db.buddy.space_of(obj.root_page) == 1
+        assert obj.root_page == obj.segments()[0][1].child - 1
+        emptied = collect_volume_health(db).spaces[0]
+        assert emptied.free_pages == emptied.capacity
+        assert obj.read_all() == data
+        check = fsck(db, expect_no_leaks=True)
+        assert check.clean, check.summary()
 
 
 class TestCompactPass:

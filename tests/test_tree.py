@@ -11,7 +11,8 @@ from repro import EOSConfig, EOSDatabase
 from repro.core.node import Entry, Node
 from repro.core.object import tree_stats
 from repro.core.tree import LargeObjectTree, walk_index
-from repro.errors import ByteRangeError, TreeCorrupt
+from repro.errors import ByteRangeError, OutOfSpace, TreeCorrupt
+from repro.tools.fsck import fsck
 from repro.tools.inspect import dump_object
 from repro.workloads.aging import AgingWorkload
 
@@ -559,6 +560,120 @@ class TestDecodedFormsStayCoherent:
         assert_decoded_forms_coherent(db)
 
 
+def first_child(obj):
+    """First page of the object's first leaf segment."""
+    return obj.segments()[0][1].child
+
+
+class TestRootPlacement:
+    """A plain create with data puts its root on the page in front of its
+    first segment (INTERNALS, "Where an object's root lives")."""
+
+    def test_root_leads_the_first_segment(self):
+        db = make_db()
+        hinted = db.create_object(b"h" * (5 * PAGE), size_hint=9 * PAGE)
+        grown = db.create_object(b"g" * (5 * PAGE))  # 1, 2, 4 pages
+        for obj in (hinted, grown):
+            assert obj.root_page == first_child(obj) - 1
+        assert [e.pages for _, e in hinted.segments()] == [9]
+        assert [e.pages for _, e in grown.segments()] == [1, 2, 4]
+        assert fsck(db, expect_no_leaks=True).clean
+
+    def test_cold_read_of_a_one_segment_object_is_one_seek(self):
+        db = make_db()
+        data = bytes(i % 251 for i in range(4 * PAGE))
+        oid = db.op_create(data, size_hint=len(data))
+        db.op_create(b"x" * (8 * PAGE), size_hint=8 * PAGE)
+        db.checkpoint()
+        db.pool.clear()
+        with db.disk.stats.delta() as d:
+            assert db.op_read(oid, offset=0, length=len(data)) == data
+        # The root, then the four pages behind it: one run, one seek.
+        assert (d.seeks, d.page_reads) == (1, 5)
+
+    def test_empty_versioned_and_over_maximum_creates_keep_a_separate_root(self):
+        db = make_db()
+        free = db.free_pages()
+        empty = db.create_object()
+        assert db.free_pages() == free - 1 and empty.segments() == []
+        top = db.buddy.max_segment_pages
+        big = db.create_object(b"m" * (top * PAGE), size_hint=top * PAGE)
+        assert [e.pages for _, e in big.segments()] == [top]
+        assert big.root_page != first_child(big) - 1
+
+        vdb = make_db(versioning=True)
+        oid = vdb.op_create(b"v" * (4 * PAGE), size_hint=4 * PAGE)
+        versioned = vdb.get_object(oid)
+        assert versioned.root_page != first_child(versioned) - 1
+        assert fsck(db, expect_no_leaks=True).clean
+        assert fsck(vdb, expect_no_leaks=True).clean
+
+    def test_delete_gives_every_page_back(self):
+        db = make_db()
+        free = db.free_pages()
+        obj = db.create_object(b"d" * (7 * PAGE + 3))
+        assert db.free_pages() < free
+        db.delete_object(obj)
+        assert db.free_pages() == free
+        report = fsck(db, expect_no_leaks=True)
+        assert report.clean, report.summary()
+
+    @pytest.mark.parametrize("pages, room", [(5, 4), (300, 40)])
+    def test_a_refused_create_leaves_nothing_behind(self, pages, room):
+        db = make_db()
+        free = db.free_pages()
+        held = []
+        while db.free_pages() > room:
+            held.append(db.buddy.allocate_up_to(db.free_pages() - room))
+        with pytest.raises(OutOfSpace):
+            db.create_object(b"r" * (pages * PAGE))
+        assert db.free_pages() == room and db.objects() == []
+        for ref in held:
+            db.buddy.free_segment(ref)
+        assert db.free_pages() == free
+        report = fsck(db, expect_no_leaks=True)
+        assert report.clean, report.summary()
+
+    def test_save_then_open_file_round_trips(self, tmp_path):
+        db = make_db()
+        data = bytes(i % 251 for i in range(9 * PAGE + 17))
+        obj = db.create_object(data, size_hint=len(data))
+        root = obj.root_page
+        db.save(tmp_path / "paired.db")
+        reopened = EOSDatabase.open_file(tmp_path / "paired.db")
+        again = reopened.get_object(obj.oid)
+        assert again.root_page == root == first_child(again) - 1
+        assert again.read_all() == data
+        report = fsck(reopened, expect_no_leaks=True)
+        assert report.clean, report.summary()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_pairs_every_segment_below_the_maximum(self, draw):
+        db = make_db()
+        top = db.buddy.max_segment_pages
+        pages = draw.draw(
+            st.sampled_from(sorted({1, 2, 4, 8, 16, 64, top - 1, top})),
+            label="pages",
+        )
+        size = (pages - 1) * PAGE + draw.draw(st.integers(1, PAGE), label="tail")
+        hint = draw.draw(st.sampled_from([None, size]), label="hint")
+        data = bytes(i % 253 for i in range(size))
+        free = db.free_pages()
+        obj = db.create_object(data, size_hint=hint)
+        entries = [e for _, e in obj.segments()]
+        assert obj.read_all() == data
+        if hint is not None:
+            assert [e.pages for e in entries] == [pages]
+        assert db.free_pages() == free - obj.stats().total_pages
+        paired = obj.root_page == entries[0].child - 1
+        assert paired == (entries[0].pages < top)
+        db.delete_object(obj)
+        assert db.free_pages() == free
+        report = fsck(db, expect_no_leaks=True)
+        assert report.clean, report.summary()
+
+
 class TestGoldenEditScript:
     """A seeded 1 000-op edit script on an aged volume, against values
     recorded from the commit before index nodes were decoded as columns
@@ -567,13 +682,18 @@ class TestGoldenEditScript:
     every root page.  Pool hits differ by exactly the duplicate root
     reads that commit made and this one does not.  The writes, and the
     seeks they cost, differ by the 510 directory writes that commit made
-    for frees and this one lets ride the next allocation's write."""
+    for frees and this one lets ride the next allocation's write.
+
+    Re-recorded once on purpose since: when a plain create began placing
+    the root on the page in front of its first segment, the aged volume's
+    layout moved, and with it the seeks (3 576 then) and the root pages'
+    contents (digest 59b605c7… then).  Every other count held."""
 
     PARENT = {
-        "seeks": 3576, "page_reads": 5414, "page_writes": 5437,
+        "seeks": 3562, "page_reads": 5414, "page_writes": 5437,
         "read_calls": 1858, "write_calls": 1801,
         "misses": 680, "evictions": 679, "writebacks": 459,
-        "roots": "59b605c79b5503d37ed892a701e478d0d288c9c900e4dcf789c64e76a8f7fde9",
+        "roots": "296a41b6a14acfd38c7ce0a608b7777ef5573887d2d94b1beddb40350ca96104",
     }
     PARENT_HITS = 5579
     #: One per ``replace_leaf_range`` (size, then the root again) and one
