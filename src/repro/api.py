@@ -36,6 +36,7 @@ from repro import catalog
 from repro.buddy.directory import max_capacity
 from repro.buddy.manager import BuddyManager
 from repro.core.append import create as create_tree
+from repro.core.append import trim as _core_trim
 from repro.core.config import EOSConfig
 from repro.core.delete import delete_range as _core_delete
 from repro.core.insert import insert as _core_insert
@@ -59,11 +60,20 @@ from repro.versions import VersionManager, cow_append, cow_replace
 
 
 # The ``(plain, cow)`` executor pairs for :meth:`EOSDatabase.mutate`.
-# A versioned object keeps its tail's spare pages as an append
-# reservation, so its executors call the core without the trim the
-# plain ``LargeObject`` methods run first, and append through
-# ``cow_append`` (which fills the reservation) instead of patching the
-# partial tail page an older snapshot may still read.
+# Both paths leave an object at most T - 1 spare tail pages (T is its
+# ``policy.base``; INTERNALS, "How much tail an object keeps").  A plain
+# append ends with Section 4.1's trim down to that bound; a plain insert
+# or delete trims to 0 first (``LargeObject`` does it).  A versioned
+# object keeps its spare pages as an append reservation, so its
+# executors call the core without a trim, and append through
+# ``cow_append`` (which fills the reservation and keeps the same bound)
+# instead of patching the partial tail page an older snapshot may still
+# read.
+
+
+def _trim_tail(o: LargeObject) -> None:
+    """Section 4.1's trim at the end of a plain append, down to T - 1."""
+    _core_trim(o.tree, o.buddy, keep=o.policy.base - 1)
 
 
 def _cow_append(o: LargeObject, data) -> None:
@@ -72,11 +82,22 @@ def _cow_append(o: LargeObject, data) -> None:
 
 def _append(data):
     """The executor pair of an append."""
-    return lambda o: o.append(data), lambda o: _cow_append(o, data)
+
+    def plain(o: LargeObject) -> None:
+        o.append(data)
+        _trim_tail(o)
+
+    return plain, lambda o: _cow_append(o, data)
 
 
 def _insert(offset: int, data):
     """The executor pair of an insert; at the very end it is an append."""
+
+    def plain(o: LargeObject) -> None:
+        at_end = offset == o.size()
+        o.insert(offset, data)
+        if at_end:
+            _trim_tail(o)
 
     def cow(o: LargeObject) -> None:
         if offset == o.size():
@@ -85,7 +106,7 @@ def _insert(offset: int, data):
         with o._span("insert", offset=offset, bytes=len(data)):
             _core_insert(o.tree, o.segio, o.buddy, offset, data, policy=o.policy)
 
-    return lambda o: o.insert(offset, data), cow
+    return plain, cow
 
 
 def _delete(offset: int, length: int):
@@ -339,9 +360,18 @@ class EOSDatabase:
     # concurrency control a served op needs: ops run one at a time.
 
     def op_create(self, data: bytes = b"", *, size_hint: int | None = None) -> int:
-        """Create an object; returns its oid."""
+        """Create an object; returns its oid.
+
+        Without a hint the content went into doubling segments, so a
+        plain create ends with the append's trim to T - 1 spare pages;
+        a hinted one keeps what its hint reserved.  (The handle
+        :meth:`create_object` returns is the multi-append API and leaves
+        the trim to its caller, as :meth:`LargeObject.append` does.)
+        """
         with self.op_lock:
             obj = self.create_object(data, size_hint=size_hint)
+            if self.versions is None and (size_hint or 0) <= 0 and len(data):
+                _trim_tail(obj)
             return obj.oid  # type: ignore[attr-defined]
 
     def mutate(self, oid: int, plain, cow=None):

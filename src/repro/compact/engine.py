@@ -194,8 +194,7 @@ def _rewrite_contiguous(
         new_entries = [
             Entry(count, ref.first_page, ref.n_pages)
             for ref, count in allocate_and_write(
-                obj.segio, buddy, data,
-                avoid_space=avoid_space, cleanup_on_fail=True,
+                obj.segio, buddy, data, avoid_space=avoid_space
             )
         ]
     if move_root and new_root is None:

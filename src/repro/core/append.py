@@ -22,13 +22,17 @@ page writes, and only then are new segments allocated.
 is always trimmed, i.e., its unused pages (if any) at the right end are
 given back to the free space.  Trimming a segment is trivial because the
 buddy system of EOS deals with allocation/deallocation of segments of
-any size with a precision of 1 page."  :func:`trim` is that operation.
-An unversioned object also trims before every insert and delete
-(:class:`~repro.core.object.LargeObject` does it), so its spare pages
-live only between appends.  A versioned object keeps them as its append
-reservation (:func:`repro.versions.ops.cow_append`); the insert and
-delete arithmetic counts only the pages that hold bytes, so it works on
-either.
+any size with a precision of 1 page."  :func:`trim` is that operation;
+``keep`` leaves that many spare pages in place.  A plain ``op_append``
+(and an ``op_insert`` at the end, and a hint-less ``op_create``) ends
+with ``trim(keep=T - 1)``, the bound a versioned object keeps as its
+append reservation (:func:`repro.versions.ops.cow_append`); a plain
+insert or delete trims to 0 first
+(:class:`~repro.core.object.LargeObject` does it).  :func:`append`
+itself never trims: with an explicit :func:`trim` at the end it is the
+multi-append session whose segments double.  The insert and delete
+arithmetic counts only the pages that hold bytes, so it works with or
+without spare pages.
 
 The paper leaves "the placement of the root" to the client.
 :func:`create` places it on the page in front of the object's first
@@ -178,20 +182,17 @@ def append(
                 entry.child, view[position : position + take], at_page=live_pages
             )
             position += take
-        if position:
-            tree.update_tail(position)
-            size += position
+    filled = position
 
     # 3. Allocate new segments for whatever remains.
     new_entries: list[Entry] = []
     try:
         while position < len(view):
             remaining = len(view) - position
-            written_total = size + sum(e.count for e in new_entries)
             hint_remaining = None
-            if size_hint is not None and size_hint > written_total:
+            if size_hint is not None and size_hint > size + position:
                 # Cover at least this chunk even when the hint undershoots.
-                hint_remaining = max(size_hint - written_total, remaining)
+                hint_remaining = max(size_hint - size - position, remaining)
             want = growth_pages(
                 tree.config, buddy.max_segment_pages, last_pages, hint_remaining
             )
@@ -202,7 +203,12 @@ def append(
             new_entries.append(Entry(take, ref.first_page, ref.n_pages))
             position += take
             last_pages = ref.n_pages
-        if new_entries:
+        # The size moves only now, with the new entries in one atomic
+        # edit: a refused append leaves the object as it was (the bytes
+        # written past its end are dead).
+        with tree.pager.atomic():
+            if filled:
+                tree.update_tail(filled)
             tree.append_leaf_entries(new_entries)
     except BaseException:
         # The root never came to name these segments: give them back.
@@ -212,9 +218,14 @@ def append(
 
 
 def trim(
-    tree: LargeObjectTree, buddy: BuddyManager, size: int | None = None
+    tree: LargeObjectTree,
+    buddy: BuddyManager,
+    size: int | None = None,
+    *,
+    keep: int = 0,
 ) -> int:
-    """Free the tail segment's unused pages; returns pages freed.
+    """Free the tail segment's unused pages past the first ``keep``;
+    returns pages freed.
 
     ``size`` is the object's size when the caller has just read it.
     """
@@ -224,10 +235,10 @@ def trim(
         return 0
     path, _ = tree.descend(size)
     entry = path[-1].node.entry(path[-1].index)
-    needed = ceil_div(entry.count, tree.config.page_size)
-    spare = entry.pages - needed
+    kept = ceil_div(entry.count, tree.config.page_size) + keep
+    spare = entry.pages - kept
     if spare <= 0:
         return 0
-    buddy.free(entry.child + needed, spare)
-    tree.update_tail(0, pages=needed)
+    buddy.free(entry.child + kept, spare)
+    tree.update_tail(0, pages=kept)
     return spare

@@ -117,22 +117,12 @@ def delete_range(
     else:
         r_take_pages = 0
 
-    # ---- Free the boundary segments' dead pages ------------------------------
+    # ---- Step 5/6: fix parents, merge/rotate, fix root ------------------------
     l_keep = ceil_div(plan.l_bytes, ps)
     if plan.r_bytes:
         r_start = q + 1 + r_take_pages
     else:
         r_start = sp_entry.pages
-    if same_segment:
-        if r_start > l_keep:
-            buddy.free(s_entry.child + l_keep, r_start - l_keep)
-    else:
-        if s_entry.pages > l_keep:
-            buddy.free(s_entry.child + l_keep, s_entry.pages - l_keep)
-        if r_start > 0:
-            buddy.free(sp_entry.child, r_start)
-
-    # ---- Step 5/6: fix parents, merge/rotate, fix root ------------------------
     new_entries: list[Entry] = []
     if plan.l_bytes:
         new_entries.append(Entry(plan.l_bytes, s_entry.child, l_keep))
@@ -144,10 +134,26 @@ def delete_range(
             Entry(plan.r_bytes, sp_entry.child + r_start, sp_entry.pages - r_start)
         )
     replace_hi = sp_lo + sp_entry.count
-    dropped = tree.replace_leaf_range(s_lo, replace_hi, new_entries)
+    try:
+        dropped = tree.replace_leaf_range(s_lo, replace_hi, new_entries)
+    except BaseException:
+        # A refused delete leaves S and S' named: give N back.
+        for ref, _ in n_segments:
+            buddy.free(ref.first_page, ref.n_pages)
+        raise
 
-    # Middle segments die whole; the boundary segments were already
-    # partially freed above.
+    # ---- Free the boundary segments' dead pages ------------------------------
+    # Only once the parents stopped naming them (see insert).
+    if same_segment:
+        if r_start > l_keep:
+            buddy.free(s_entry.child + l_keep, r_start - l_keep)
+    else:
+        if s_entry.pages > l_keep:
+            buddy.free(s_entry.child + l_keep, s_entry.pages - l_keep)
+        if r_start > 0:
+            buddy.free(sp_entry.child, r_start)
+    # Middle segments die whole; the boundary segments were partially
+    # freed just above.
     boundary = {s_entry.child, sp_entry.child}
     for entry in dropped:
         if entry.child not in boundary:

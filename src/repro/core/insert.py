@@ -106,16 +106,12 @@ def insert(
         )
     n_segments = allocate_and_write(segio, buddy, n_content)
 
-    # ---- Free the pages of S that L and R no longer cover -------------------
+    # ---- Step 5: fix the parent ----------------------------------------------
     l_keep = -(-plan.l_bytes // ps)  # ceil: pages L retains
     if plan.r_bytes:
         r_start = p + 1 + r_take_pages
     else:
         r_start = s_pages
-    if r_start > l_keep:
-        buddy.free(s_first + l_keep, r_start - l_keep)
-
-    # ---- Step 5: fix the parent ----------------------------------------------
     new_entries: list[Entry] = []
     if plan.l_bytes:
         new_entries.append(Entry(plan.l_bytes, s_first, l_keep))
@@ -123,22 +119,33 @@ def insert(
     if plan.r_bytes:
         new_entries.append(Entry(plan.r_bytes, s_first + r_start, s_pages - r_start))
 
-    if tree.config.adaptive_threshold:
-        added = len(new_entries) - 1
-        if added > 0 and step.node.n_entries + added > tree.fanout:
-            node_lo = seg_lo - step.node.child_offset(step.index)
-            _coalesce_unsafe(
-                tree, segio, buddy, node_lo, policy.effective(fill),
-                skip_child=s_first,
-            )
-            # The tree may have been restructured; locate S again.
-            path, local = tree.descend(offset)
-            step = path[-1]
-            seg_lo = offset - local
-
-    dropped = tree.replace_leaf_range(seg_lo, seg_lo + s_c, new_entries)
+    try:
+        if tree.config.adaptive_threshold:
+            added = len(new_entries) - 1
+            if added > 0 and step.node.n_entries + added > tree.fanout:
+                node_lo = seg_lo - step.node.child_offset(step.index)
+                _coalesce_unsafe(
+                    tree, segio, buddy, node_lo, policy.effective(fill),
+                    skip_child=s_first,
+                )
+                # The tree may have been restructured; locate S again.
+                path, local = tree.descend(offset)
+                step = path[-1]
+                seg_lo = offset - local
+        dropped = tree.replace_leaf_range(seg_lo, seg_lo + s_c, new_entries)
+    except BaseException:
+        # A refused insert leaves S named and N unreferenced: give N back.
+        for ref, _ in n_segments:
+            buddy.free(ref.first_page, ref.n_pages)
+        raise
     if len(dropped) != 1 or dropped[0].child != s_first:
         raise TreeCorrupt(f"insert replaced unexpected entries: {dropped}")
+
+    # ---- Free the pages of S that L and R no longer cover -------------------
+    # Only now: until the parent stopped naming S, a page freed here could
+    # come back as a split's index page while S still needed it.
+    if r_start > l_keep:
+        buddy.free(s_first + l_keep, r_start - l_keep)
 
 
 def _taken_pages(took_from_r: int, r0: int, page_size: int) -> int:

@@ -168,10 +168,11 @@ class LargeObject:
         with self._span("replace", offset=offset, bytes=len(data)):
             _replace(self.tree, self.segio, offset, data, log=self.page_log)
 
-    # Insert, delete and truncate trim the tail first: an unversioned
-    # object keeps no spare pages past an edit (Section 4.1's trim at
-    # the end of a run of appends).  The size read here is the one the
-    # trim would otherwise make.
+    # Insert, delete and truncate trim the tail to 0 first, so they
+    # leave no spare page; an append leaves the tail's spare pages to
+    # its caller (``op_append`` trims to T - 1, a multi-append session
+    # calls ``trim``).  The size read here is the one the trim would
+    # otherwise make.
 
     def insert(self, offset: int, data: bytes) -> None:
         """Insert bytes at ``offset`` (Section 4.3.1); at the very end,

@@ -18,7 +18,9 @@ in-place switch point) and :class:`~repro.versions.pager.VersionPager`
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
+from contextlib import contextmanager, nullcontext
+from typing import ContextManager
 
 from repro.buddy.manager import BuddyManager
 from repro.core.node import Node
@@ -59,6 +61,14 @@ class NodePager:
         """Roots are always updated in place (the atomic switch point)."""
         raise NotImplementedError
 
+    def atomic(self) -> ContextManager[None]:
+        """One structural edit that either lands whole or not at all.
+
+        A unit pager's edits already do (nothing the old tree reaches is
+        overwritten before the switch point), so this is a no-op here.
+        """
+        return nullcontext()
+
 
 class InPlacePager(NodePager):
     """Read/write index nodes through the buffer pool, in place."""
@@ -67,6 +77,7 @@ class InPlacePager(NodePager):
         self.pool = pool
         self.buddy = buddy
         self.page_size = page_size
+        self._journal: _Journal | None = None
 
     def read(self, page: PageId) -> Node:
         """The node on ``page``: decoded once per residency by the pool,
@@ -77,7 +88,10 @@ class InPlacePager(NodePager):
             raise TreeCorrupt(f"page {page} failed to decode: {exc}") from exc
 
     def write(self, page: PageId, node: Node) -> PageId:
+        journal = self._journal
         with self.pool.page(page, dirty=True) as image:
+            if journal is not None and page not in journal.allocated:
+                journal.before.setdefault(page, bytes(image))
             image[:] = node.to_page(self.page_size)
         return page
 
@@ -88,13 +102,44 @@ class InPlacePager(NodePager):
 
     def allocate(self) -> PageId:
         """One page from the buddy system."""
-        return self.buddy.allocate(1).first_page
+        page = self.buddy.allocate(1).first_page
+        if self._journal is not None:
+            self._journal.allocated.append(page)
+        return page
 
     def free(self, page: PageId) -> None:
+        """Drop the buffered frame and free the page (at the end of an
+        :meth:`atomic` edit, which may still need it back)."""
+        if self._journal is not None:
+            self._journal.freed.append(page)
+            return
         # A freed node's image is dead: discard without write-back.
-        """Drop the buffered frame and free the page."""
         self.pool.drop(page)
         self.buddy.free(page, 1)
+
+    @contextmanager
+    def atomic(self) -> Iterator[None]:
+        """An in-place edit that a failure rolls back: the split pages
+        it allocated are freed, each page it overwrote gets its old image
+        back, and the pages it freed stay where they were; on success
+        those frees happen at the end.  Nested edits join the outer one.
+        """
+        if self._journal is not None:
+            yield
+            return
+        journal = self._journal = _Journal()
+        try:
+            yield
+        except BaseException:
+            self._journal = None
+            for page, image in journal.before.items():
+                self.pool.put_new(page, image)
+            for page in journal.allocated:
+                self.free(page)
+            raise
+        self._journal = None
+        for page in journal.freed:
+            self.free(page)
 
     def write_root(self, page: PageId, node: Node) -> None:
         self.write(page, node)
@@ -109,3 +154,15 @@ class InPlacePager(NodePager):
             for page in pages:
                 self.pool.flush_page(page)
         self.buddy.write_dirty()
+
+
+class _Journal:
+    """What one :meth:`InPlacePager.atomic` edit did so far."""
+
+    __slots__ = ("before", "allocated", "freed")
+
+    def __init__(self) -> None:
+        #: The image each overwritten page had before its first write.
+        self.before: dict[PageId, bytes] = {}
+        self.allocated: list[PageId] = []
+        self.freed: list[PageId] = []

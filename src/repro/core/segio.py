@@ -152,7 +152,6 @@ def allocate_and_write(
     data,
     *,
     avoid_space: int | None = None,
-    cleanup_on_fail: bool = False,
 ) -> list[tuple[SegmentRef, int]]:
     """Allocate exact-size segments for ``data`` and write them.
 
@@ -167,12 +166,11 @@ def allocate_and_write(
     run, the paper's cost model), with the input sliced as memoryviews —
     no intermediate copies.
 
-    ``cleanup_on_fail`` frees the already-allocated segments when the
-    volume runs out of space mid-write, for callers with no enclosing
-    transaction or version unit to roll the allocations back (the
-    compactor).  Transactional callers must leave it off — their
-    rollback frees the same pages, and freeing twice corrupts the buddy
-    directory.
+    When the volume runs out of space mid-write, the segments already
+    allocated are freed before :class:`~repro.errors.OutOfSpace`
+    propagates.  Inside a copy-on-write unit that free is final too: the
+    unit's allocator forgets a page it frees, so its abort does not free
+    it twice.
     """
     out: list[tuple[SegmentRef, int]] = []
     ps = segio.page_size
@@ -197,9 +195,8 @@ def allocate_and_write(
             else:
                 ref = buddy.allocate_up_to(want)
         except OutOfSpace:
-            if cleanup_on_fail:
-                for done, _ in out:
-                    buddy.free(done.first_page, done.n_pages)
+            for done, _ in out:
+                buddy.free(done.first_page, done.n_pages)
             raise
         take = min(remaining, ref.n_pages * ps)
         if ref.n_pages > ceil_div(take, ps):

@@ -230,32 +230,36 @@ class LargeObjectTree:
         segment it hits; a delete replaces from the start of its left
         boundary segment to the end of its right one).  Returns the
         dropped leaf entries, whose segments the caller disposes of; this
-        method itself never reads or writes a leaf page.
+        method itself never reads or writes a leaf page.  The edit is one
+        :meth:`~repro.core.pager.NodePager.atomic` unit of the pager: a
+        split that finds no free page leaves the tree as it was.
         """
         root = self.read_root()
         size = root.total_bytes
         if not (0 <= lo < hi <= size):
             raise ByteRangeError(lo, hi - lo, size)
         dropped: list[Entry] = []
-        if root.level == 0:
-            entries = self._splice_leaf(root.entries, lo, hi, new_entries, dropped)
-            root.entries = entries
-        else:
-            root.entries = self._edit_internal(root, lo, hi, new_entries, dropped)
-        self._finish_root(root)
+        with self.pager.atomic():
+            if root.level == 0:
+                entries = self._splice_leaf(root.entries, lo, hi, new_entries, dropped)
+                root.entries = entries
+            else:
+                root.entries = self._edit_internal(root, lo, hi, new_entries, dropped)
+            self._finish_root(root)
         return dropped
 
     def append_leaf_entries(self, new_entries: list[Entry]) -> None:
-        """Add entries after the rightmost leaf entry (the append path)."""
+        """Add entries after the rightmost leaf entry (the append path),
+        as one atomic edit like :meth:`replace_leaf_range`."""
         if not new_entries:
             return
         root = self.read_root()
-        if not root.n_entries:
-            root.entries = [e.copy() for e in new_entries]
+        with self.pager.atomic():
+            if not root.n_entries:
+                root.entries = [e.copy() for e in new_entries]
+            else:
+                root.entries = self._append_into(root, new_entries)
             self._finish_root(root)
-            return
-        root.entries = self._append_into(root, new_entries)
-        self._finish_root(root)
 
     def update_tail(self, count_delta: int, pages: int | None = None) -> None:
         """Adjust the rightmost leaf entry (append fills, trims).

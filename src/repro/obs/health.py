@@ -42,6 +42,7 @@ import time
 from dataclasses import dataclass
 
 from repro.buddy.stats import extent_size_histogram, free_extents
+from repro.util.bitops import ceil_div
 
 #: Default seconds between background samples (also the rate limit for
 #: explicit ``sample_once`` calls).
@@ -84,6 +85,10 @@ class ObjectLayout:
     #: which a relocation moves with the data; the evacuation pass
     #: selects victims by it.
     spaces: tuple[int, ...] = ()
+    #: Leaf pages past what the bytes need: the tail segment's spare
+    #: pages (at most T - 1 after any ``op_*`` except a create whose
+    #: size hint exceeds its data).
+    spare_pages: int = 0
 
     def to_doc(self) -> dict:
         """A JSON-ready document for one object's layout."""
@@ -93,6 +98,7 @@ class ObjectLayout:
             "extents": self.extents,
             "runs": self.runs,
             "leaf_pages": self.leaf_pages,
+            "spare_pages": self.spare_pages,
             "contiguity": round(self.contiguity, 4),
             "est_seeks_per_mb": round(self.est_seeks_per_mb, 3),
             "home_space": self.home_space,
@@ -182,6 +188,12 @@ class VolumeHealth:
         return 1.0 - self.free_pages / total
 
     @property
+    def spare_pages(self) -> int:
+        """Spare tail pages over the sampled objects: allocated pages
+        that hold no byte."""
+        return sum(o.spare_pages for o in self.objects)
+
+    @property
     def frag_index(self) -> float:
         free = self.free_pages
         if not free:
@@ -240,6 +252,7 @@ class VolumeHealth:
             "objects": {
                 "count": self.objects_total,
                 "sampled": len(sampled),
+                "spare_pages": self.spare_pages,
                 "worst": [o.to_doc() for o in self.worst_objects(top_objects)],
             },
         }
@@ -258,6 +271,7 @@ def _object_layout(db, obj, *, cow_sharing: bool) -> ObjectLayout:
     entries = obj.segments()
     extents = len(entries)
     leaf_pages = sum(entry.pages for _, entry in entries)
+    needed = sum(ceil_div(entry.count, db.config.page_size) for _, entry in entries)
     runs = obj.extent_runs()
     size = obj.size()
     if extents > 1:
@@ -285,6 +299,7 @@ def _object_layout(db, obj, *, cow_sharing: bool) -> ObjectLayout:
         cow_sharing=sharing,
         home_space=db.buddy.space_of(runs[0][0]) if runs else -1,
         spaces=tuple(sorted({db.buddy.space_of(page) for page in pages})),
+        spare_pages=leaf_pages - needed,
     )
 
 

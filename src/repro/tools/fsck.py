@@ -36,8 +36,8 @@ Cross-checks four independent sources of truth:
    against: each object's extent list is re-derived from fsck's own
    tree walk and cross-checked against the buddy allocation map (every
    extent fully allocated, inside one buddy space), the collector's
-   extent/run/home-space numbers, and — on a versioned database — the
-   version manager's page-sharing ledger (the collector's
+   extent/run/spare-page/home-space numbers, and — on a versioned
+   database — the version manager's page-sharing ledger (the collector's
    ``cow_sharing`` must match the sharing fsck computes from the
    per-version page sets it claimed itself).  After a compaction pass
    this is the check that the relocated layout being reported is the
@@ -64,6 +64,7 @@ from repro.api import EOSDatabase
 from repro.core.node import Node
 from repro.core.tree import walk_index
 from repro.errors import ReproError, VolumeLayoutError
+from repro.util.bitops import ceil_div
 
 
 @dataclass
@@ -76,6 +77,8 @@ class FsckReport:
     versions_checked: int = 0
     pages_free: int = 0
     pages_claimed: int = 0
+    #: Leaf pages past what the objects' bytes need (their tails' spare).
+    spare_pages: int = 0
     leaked_pages: list[int] = field(default_factory=list)
     double_claimed: list[int] = field(default_factory=list)
     claims_of_free_pages: list[int] = field(default_factory=list)
@@ -114,7 +117,8 @@ class FsckReport:
         lines = [
             f"fsck: {status} — {self.objects_checked} objects, "
             f"{self.spaces_checked} spaces, {self.files_checked} files, "
-            f"{self.pages_claimed} pages claimed, {self.pages_free} free",
+            f"{self.pages_claimed} pages claimed, {self.pages_free} free, "
+            f"{self.spare_pages} spare tail pages",
         ]
         if self.leaked_pages:
             lines.append(f"  leaked pages ({len(self.leaked_pages)}): "
@@ -243,7 +247,7 @@ def fsck(db: EOSDatabase, *, expect_no_leaks: bool = True) -> FsckReport:
     # fsck's own record of each object's leaf extents (in scan order) and,
     # on a versioned database, each version's full page set — the raw
     # material for the compaction-layout cross-check below.
-    leaf_extents: dict[int, list[tuple[int, int]]] = {}
+    leaf_extents: dict[int, list[tuple[int, int, int]]] = {}
     version_pages: dict[int, list[set[int]]] = {}
     for oid, obj in sorted(db._objects.items()):
         try:
@@ -255,6 +259,7 @@ def fsck(db: EOSDatabase, *, expect_no_leaks: bool = True) -> FsckReport:
         share = oid if versioned else None
         extents = leaf_extents.setdefault(oid, [])
         latest_pages = _claim_tree(db, obj.root_page, f"oid {oid}", share, claim, extents)
+        report.spare_pages += _spare_pages(db, extents)
         if versioned:
             version_pages[oid] = [latest_pages]
 
@@ -291,8 +296,9 @@ def _claim_tree(
     ``label`` names the owner in the ledger (``"oid 7"``, ``"oid 7 v3"``)
     and ``share`` is the oid whose other versions may claim the same
     pages (None on an unversioned database).  The leaf runs are appended
-    to ``extents`` in scan order when it is given.  Returns the tree's
-    page set, the accounting the version manager's sharing ledger uses.
+    to ``extents`` in scan order when it is given, as ``(first_page,
+    n_pages, byte_count)``.  Returns the tree's page set, the accounting
+    the version manager's sharing ledger uses.
     """
     claim(root_page, 1, f"root of {label}", share)
     pages: set[int] = set()
@@ -301,12 +307,20 @@ def _claim_tree(
             claim(page, 1, f"index of {label}", share)
         pages.add(page)
         if node.level == 0:
-            for child, n_pages in zip(node.child, node.pages):
+            ends = node.cum
+            for i, (child, n_pages) in enumerate(zip(node.child, node.pages)):
                 claim(child, n_pages, f"segment of {label}", share)
                 pages.update(range(child, child + n_pages))
                 if extents is not None:
-                    extents.append((child, n_pages))
+                    count = ends[i] - (ends[i - 1] if i else 0)
+                    extents.append((child, n_pages, count))
     return pages
+
+
+def _spare_pages(db: EOSDatabase, extents: list[tuple[int, int, int]]) -> int:
+    """Leaf pages of ``extents`` past what their bytes need."""
+    ps = db.config.page_size
+    return sum(pages - ceil_div(count, ps) for _, pages, count in extents)
 
 
 def _check_health_agreement(
@@ -356,7 +370,7 @@ def _check_layout_agreement(
     db: EOSDatabase,
     report: FsckReport,
     allocated: set[int],
-    leaf_extents: dict[int, list[tuple[int, int]]],
+    leaf_extents: dict[int, list[tuple[int, int, int]]],
     version_pages: dict[int, list[set[int]]],
 ) -> None:
     """Cross-check the layout metrics the online compactor relies on.
@@ -391,7 +405,7 @@ def _check_layout_agreement(
             # sampled an object the catalog walk never saw.
             continue
         runs: list[tuple[int, int]] = []
-        for first, pages in extents:
+        for first, pages, _ in extents:
             if any(p not in allocated for p in range(first, first + pages)):
                 report.layout_disagreements.append(
                     f"oid {layout.oid}: extent @ {first} x{pages} not in "
@@ -413,6 +427,12 @@ def _check_layout_agreement(
                 f"oid {layout.oid}: collector reports {layout.extents} "
                 f"extents / {layout.runs} runs vs fsck "
                 f"{len(extents)} / {len(runs)}"
+            )
+        spare = _spare_pages(db, extents)
+        if layout.spare_pages != spare:
+            report.layout_disagreements.append(
+                f"oid {layout.oid}: collector reports {layout.spare_pages} "
+                f"spare pages vs fsck {spare}"
             )
         home = db.buddy.space_of(runs[0][0]) if runs else -1
         if layout.home_space != home:

@@ -244,12 +244,22 @@ class TestGoldenLayout:
     where the separate root took a hole of its own.  Then the granted
     digest was 00efce8c…, the directory loads, superdirectory skips and
     pool hits 1 803 / 775 / 3 606, the directory writes 709 and the
-    directory digests f12fd24b… and 0fb0ca7c…."""
+    directory digests f12fd24b… and 0fb0ca7c….
 
-    GRANTED_SHA = "58df8007ab26076ba08f8d56d6dff0d6a41e7f3eba742ebad5f6bfc3131c4eb1"
+    Re-recorded again when a plain append began ending with the trim to
+    T - 1 spare pages: the churn's appends no longer leave doubled tails,
+    so the aged volume holds more, smaller live objects in the same
+    utilization band.  Requests went from 906 to 925 and refusals from
+    205 to 217 (the script's allocations meet more, smaller holes); the
+    granted digest was 58df8007…, allocations / frees / directory loads /
+    superdirectory skips / pool hits 906 / 1 094 / 1 795 / 730 / 3 590,
+    directory writes 701 and the directory digests 266d63c5… and
+    e0a022d0…."""
+
+    GRANTED_SHA = "6737888d5856c294cb6478eb6b3fd41166092e249fe9b60957796a2da0d42b03"
     DIRECTORY_SHA = [
-        "266d63c5c3e010b2e743f994f0d63e56a3b12b15e3dc9689ee850e39d15a569b",
-        "e0a022d053073522da2af45605759af3c6088c3ecf2acbb2b298c3e7b76e4104",
+        "3cc0930aa4140284e685b665388ea796e6645709c269fb5c1bf82dead274ddd7",
+        "2931ea11bee708ac349cd7b5734e614cafae5a977abb7c9524e2aaac9190083b",
     ]
 
     def test_seeded_script_on_an_aged_volume_matches_recorded_values(self):
@@ -268,12 +278,12 @@ class TestGoldenLayout:
         delta = tuple(b - a for a, b in zip(before, counters()))
         io = db.disk.stats.snapshot() - io_before
 
-        assert len(granted) == 906 and granted.count("oos") == 205
+        assert len(granted) == 925 and granted.count("oos") == 217
         assert hashlib.sha256(repr(granted).encode()).hexdigest() == self.GRANTED_SHA
-        assert delta == (906, 1094, 1795, 730, 0, 3590, 0)
-        # One write per granted allocation; frees ride the next one (1 795
+        assert delta == (925, 1075, 1783, 858, 0, 3566, 0)
+        # One write per granted allocation; frees ride the next one (1 783
         # when every free was written through as well).
-        assert (io.seeks, io.page_reads, io.page_writes) == (701, 0, 701)
+        assert (io.seeks, io.page_reads, io.page_writes) == (708, 0, 708)
         assert [
             hashlib.sha256(image).hexdigest() for image in directory_images(db.buddy)
         ] == self.DIRECTORY_SHA

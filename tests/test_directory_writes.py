@@ -235,9 +235,9 @@ OP = st.tuples(
 )
 
 
-#: What is checked at every disk write, per kind of database.  A plain
-#: in-place op is not crash-atomic, so the plain path is judged between
-#: ops here; at every write it is the xfail below.
+#: What is checked at every disk write, per kind of database.  The plain
+#: path is judged between ops here and at every write by
+#: ``test_plain_directory_covers_at_every_write``.
 CHECKS_AT_EVERY_WRITE = {
     "plain": (),
     "versioned": (assert_directory_covers, assert_write_order),
@@ -271,17 +271,13 @@ class TestWriteBoundaryInvariant:
             assert disk_directories(db) == frame_directories(db)
             db.close()
 
-    @pytest.mark.xfail(
-        reason="ROADMAP item 3: a plain in-place op is not crash-atomic; it "
-        "frees leaf pages while an index node still names them, and a "
-        "write-through allocation later in the same op puts the free on disk",
-        raises=AssertionError, strict=True,
-    )
+    # Was a strict xfail: an insert that reshuffled freed its old leaves,
+    # then write-through-allocated a root-split page before the root
+    # stopped naming them.  Insert and delete now free old segments only
+    # after the tree edit, and the edit frees its own index pages at its
+    # end (``InPlacePager.atomic``); this example is that insert.
     @SETTINGS
     @given(ops=st.lists(OP, min_size=1, max_size=25))
-    # An insert that reshuffles frees its old leaves, then splits the
-    # root onto a freshly allocated page before the root stops naming
-    # them.
     @example(ops=[("append", 0, 0, 1, False)] * 19 + [
         ("append", 0, 0, 67, False), ("insert", 0, 0, 65, False),
         ("insert", 0, 0, 192, False), ("append", 0, 0, 408, False),

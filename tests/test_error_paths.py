@@ -151,6 +151,77 @@ class TestExhaustion:
         manager.verify()
 
 
+class TestRefusedEditsLeaveNoTrace:
+    """A plain edit the volume cannot hold raises ``OutOfSpace`` and
+    leaves the object, the directory and the pool as they were.
+
+    The object's root holds ``root_fanout`` (6) leaf entries, so an edit
+    that adds entries splits the root onto fresh index pages.  At the
+    parent an insert or delete freed its old segment before the root
+    stopped naming it: the split took that page back as an index child,
+    and when the second split page was not there the refused edit left
+    the object reading wrong bytes and leaked its new segments.
+    """
+
+    @staticmethod
+    def volume(free: int, tail: int):
+        db = EOSDatabase.create(
+            200, 100, config=EOSConfig(page_size=100, threshold=1)
+        )
+        oid = db.op_create(b"a" * tail, size_hint=tail)
+        tree = db.get_object(oid).tree
+        while tree.read_root().n_entries < tree.root_fanout:
+            db.op_insert(oid, b"i" * 100, offset=0)
+        while db.free_pages() > free:
+            db.op_create(b"f" * 100 if db.free_pages() - free >= 2 else b"")
+        return db, oid
+
+    @staticmethod
+    def edit(kind: str, db, oid: int, before: bytes) -> bytes:
+        """Run one edit; returns the content it leaves when it lands."""
+        size = len(before)
+        if kind == "insert at 0":
+            db.op_insert(oid, b"j" * 100, offset=0)
+            return b"j" * 100 + before
+        if kind == "delete in the tail":
+            db.op_delete(oid, offset=size - 200, length=50)
+            return before[: size - 200] + before[size - 150 :]
+        db.op_append(oid, b"k" * 100)
+        return before + b"k" * 100
+
+    @pytest.mark.parametrize("free", range(5))
+    @pytest.mark.parametrize(
+        "kind", ["insert at 0", "delete in the tail", "append"]
+    )
+    def test_refused_edit_changes_nothing(self, kind, free):
+        from repro.tools.fsck import fsck
+
+        db, oid = self.volume(free, 300)
+        before = db.op_read(oid, offset=0, length=db.op_size(oid))
+        free_before = db.free_pages()
+        try:
+            expected = self.edit(kind, db, oid, before)
+        except OutOfSpace:
+            expected = before
+            assert db.free_pages() == free_before
+        db.pool.clear()
+        assert db.op_read(oid, offset=0, length=db.op_size(oid)) == expected
+        report = fsck(db, expect_no_leaks=True)
+        assert report.clean, report.summary()
+
+    def test_the_insert_that_lost_data_is_refused_whole(self):
+        from repro.tools.fsck import fsck
+
+        db, oid = self.volume(2, 100)
+        with pytest.raises(OutOfSpace):
+            db.op_insert(oid, b"j" * 100, offset=0)
+        assert db.free_pages() == 2
+        db.pool.clear()
+        assert db.op_read(oid, offset=0, length=700) == b"i" * 600 + b"a" * 100
+        report = fsck(db, expect_no_leaks=True)
+        assert report.clean, report.summary()
+
+
 class TestStreamMisuse:
     def test_closed_stream_rejects_io(self):
         from repro.core.stream import ObjectStream
