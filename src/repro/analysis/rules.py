@@ -460,6 +460,7 @@ _HOT_MODULES = {
     "core/append.py",
     "core/insert.py",
     "core/delete.py",
+    "core/splice.py",
     "core/reshuffle.py",
     "core/object.py",
 }

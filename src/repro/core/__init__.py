@@ -11,8 +11,9 @@ Layering within this package:
 * :mod:`~repro.core.reshuffle` — byte/page reshuffling (4.3/4.4);
 * :mod:`~repro.core.segio` — contiguous leaf-segment I/O;
 * :mod:`~repro.core.search` / :mod:`~repro.core.append` /
-  :mod:`~repro.core.insert` / :mod:`~repro.core.delete` — the four
-  update operations plus read;
+  :mod:`~repro.core.insert` / :mod:`~repro.core.delete` — read and the
+  update operations; insert and delete are thin callers of
+  :mod:`~repro.core.splice`, the one §4.3 L/N/R executor;
 * :mod:`~repro.core.threshold` — fixed and adaptive threshold policies;
 * :mod:`~repro.core.object` — the public :class:`LargeObject` handle.
 """

@@ -65,14 +65,15 @@ def growth_pages(
     """Pages to allocate for the next tail segment.
 
     With a live size hint, allocate exactly what the rest of the object
-    needs (capped at the maximum segment size).  Without one, double the
-    previous segment (Section 4.1's unknown-size scheme).
+    needs (capped at the maximum segment size).  Without one, start at
+    one page and double the previous segment (Section 4.1's unknown-size
+    scheme).
     """
     ps = config.page_size
     if hint_remaining_bytes is not None and hint_remaining_bytes > 0:
         return min(max_segment_pages, ceil_div(hint_remaining_bytes, ps))
     if last_segment_pages is None:
-        return min(max_segment_pages, config.initial_growth_pages)
+        return 1
     return min(max_segment_pages, max(1, last_segment_pages * 2))
 
 

@@ -8,15 +8,17 @@ Most knobs correspond to explicit levers in the paper:
   stored in one."  ``threshold=1`` disables page reshuffling (every
   nonempty segment is safe), reproducing the basic algorithms of
   Section 4.3.
-* ``initial_growth_pages`` / doubling — the unknown-size append policy of
-  Section 4.1 (borrowed from Starburst): "successive segments allocated
-  for storage double in size until the maximum segment size is reached."
 * ``max_root_bytes`` — footnote 3: "clients may pass a parameter to EOS
   restricting the maximum size of the root to some given number of
   bytes", e.g. to embed the root in a field of a small object.
 * ``adaptive_threshold`` — the [Bili91a] extension sketched at the end of
   Section 4.4: when the parent index node is about to split, logically
   adjacent unsafe segments are coalesced into one larger segment instead.
+
+The unknown-size append policy of Section 4.1 (borrowed from Starburst)
+has no knob: the first segment is one page and "successive segments
+allocated for storage double in size until the maximum segment size is
+reached."
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ class EOSConfig:
     # Segment-size threshold T, in pages (Section 4.4).  1 = no page
     # reshuffling; the paper discusses 4, 16 and 64.
     threshold: int = 8
-    # First segment allocated for an object of unknown eventual size.
-    initial_growth_pages: int = 1
     # Optional cap on the root node's size in bytes (footnote 3).
     max_root_bytes: int | None = None
     # [Bili91a] extension: coalesce adjacent unsafe segments when the
@@ -64,10 +64,6 @@ class EOSConfig:
         if self.threshold < 1:
             raise ValueError(
                 f"threshold is a page count >= 1, got {self.threshold}"
-            )
-        if self.initial_growth_pages < 1:
-            raise ValueError(
-                f"initial growth must be >= 1 page, got {self.initial_growth_pages}"
             )
         if self.version_retain < 1:
             raise ValueError(

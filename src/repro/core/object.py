@@ -168,22 +168,30 @@ class LargeObject:
         with self._span("replace", offset=offset, bytes=len(data)):
             _replace(self.tree, self.segio, offset, data, log=self.page_log)
 
-    # Insert, delete and truncate trim the tail to 0 first, so they
-    # leave no spare page; an append leaves the tail's spare pages to
-    # its caller (``op_append`` trims to T - 1, a multi-append session
-    # calls ``trim``).  The size read here is the one the trim would
-    # otherwise make.
+    def _trim_before_splice(self, lo: int, hi: int | None, data=b"") -> int:
+        """Read the size and, when replacing ``[lo, hi)`` (``hi`` None:
+        the end) with ``data`` is a splice the core will run, trim the
+        tail to 0 first; returns the size.
+
+        Insert, delete and truncate leave no spare page this way; an
+        append leaves the tail's spare pages to its caller (``op_append``
+        trims to T - 1, a multi-append session calls ``trim``).  The
+        size read here is the one the trim would otherwise make.
+        """
+        size = self.tree.size()
+        if hi is None:
+            hi = size
+        if 0 <= lo <= hi <= size and (lo < hi or (data and lo < size)):
+            _trim(self.tree, self.buddy, size)
+        return size
 
     def insert(self, offset: int, data: bytes) -> None:
         """Insert bytes at ``offset`` (Section 4.3.1); at the very end,
         an append that fills the tail segment."""
         with self._span("insert", offset=offset, bytes=len(data)):
-            size = self.tree.size()
-            if offset == size:
+            if offset == self._trim_before_splice(offset, offset, data):
                 _append(self.tree, self.segio, self.buddy, data, log=self.page_log)
                 return
-            if data and 0 <= offset < size:
-                _trim(self.tree, self.buddy, size)
             _insert(
                 self.tree, self.segio, self.buddy, offset, data,
                 policy=self.policy,
@@ -192,9 +200,7 @@ class LargeObject:
     def delete(self, offset: int, length: int) -> None:
         """Delete a byte range (Section 4.3.2)."""
         with self._span("delete", offset=offset, bytes=length):
-            size = self.tree.size()
-            if 0 < length and 0 <= offset <= size - length:
-                _trim(self.tree, self.buddy, size)
+            self._trim_before_splice(offset, offset + length)
             _delete(
                 self.tree, self.segio, self.buddy, offset, length,
                 policy=self.policy,
@@ -203,9 +209,7 @@ class LargeObject:
     def truncate(self, new_size: int) -> None:
         """Delete from ``new_size`` to the end."""
         with self._span("truncate", new_size=new_size):
-            size = self.tree.size()
-            if 0 <= new_size < size:
-                _trim(self.tree, self.buddy, size)
+            self._trim_before_splice(new_size, None)
             _truncate(
                 self.tree, self.segio, self.buddy, new_size, policy=self.policy
             )

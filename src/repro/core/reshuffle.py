@@ -7,7 +7,7 @@ right remainder ``R``.  Before ``N`` is written, bytes (and, under the
 segment-size threshold, whole pages) are moved between the three to
 avoid stranding almost-empty pages and undersized segments.
 
-The planner works purely on byte counts; the executors translate its
+The planner works purely on byte counts; the splice translates its
 output into page reads and writes.  Movement rules (and why):
 
 * Bytes leave **L only from its tail** — L keeps a prefix of the

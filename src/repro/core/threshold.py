@@ -15,8 +15,9 @@ adjacent segments."  Here that is two pieces:
 
 * :meth:`ThresholdPolicy.effective` scales T with the parent's fill
   ratio, and
-* the insert executor calls :func:`find_unsafe_runs` to coalesce
-  adjacent unsafe segments when its parent would otherwise split.
+* the splice (:mod:`repro.core.splice`) calls :func:`find_unsafe_runs`
+  to coalesce adjacent unsafe segments when its parent would otherwise
+  split.
 """
 
 from __future__ import annotations

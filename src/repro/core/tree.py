@@ -226,9 +226,9 @@ class LargeObjectTree:
         """Replace the leaf entries covering [lo, hi) with ``new_entries``.
 
         ``lo`` and ``hi`` must fall on leaf-segment boundaries (the
-        executors choose them that way: an insert replaces exactly the
-        segment it hits; a delete replaces from the start of its left
-        boundary segment to the end of its right one).  Returns the
+        splice chooses them that way: it replaces from the start of the
+        segment holding its first byte to the end of the one holding its
+        last, exactly the segment it hits for an insert).  Returns the
         dropped leaf entries, whose segments the caller disposes of; this
         method itself never reads or writes a leaf page.  The edit is one
         :meth:`~repro.core.pager.NodePager.atomic` unit of the pager: a

@@ -188,8 +188,6 @@ class TestConfigValidation:
             EOSConfig(page_size=8)
         with pytest.raises(ValueError):
             EOSConfig(threshold=0)
-        with pytest.raises(ValueError):
-            EOSConfig(initial_growth_pages=0)
 
     def test_frozen(self):
         config = EOSConfig()

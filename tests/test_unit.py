@@ -207,10 +207,11 @@ class TestGoldenUnitScripts:
     ``ShadowPager``/``VersionPager`` and
     ``TransactionalAllocator``/``DeferredFreeBuddy`` were merged), so no
     allocation decision has moved since.  The disk transfers were lowered
-    on purpose twice: the versioned script's reads by the snapshot node
-    cache, and both scripts' directory writes by forcing a unit's
+    on purpose three times: the versioned script's reads by the snapshot
+    node cache, both scripts' directory writes by forcing a unit's
     allocations once at its switch point and letting frees ride the next
-    write."""
+    write, and both scripts' leaf reads by reading a delete's movers in
+    one run."""
 
     #: Was 2 783 page writes while every allocation and free wrote its
     #: directory page through, then 1 909 writes, 7 156 free pages and
@@ -227,11 +228,14 @@ class TestGoldenUnitScripts:
     #: before the directory writes above went, then 1 223 / 739 before
     #: the tail reservation, then 1 232 seeks while a commit wrote its
     #: directory pages before its index pages (the write-order barrier
-    #: writes them after, next to the data, so the head stops jumping).
-    VERSIONED_READS = {"seeks": 1208, "page_reads": 738}
-    #: Was 1 727 seeks / 1 842 page writes with write-through directories.
+    #: writes them after, next to the data, so the head stops jumping),
+    #: then 1 208 / 738 before a delete inside one segment read L's
+    #: moved tail and the pivot page in one run.
+    VERSIONED_READS = {"seeks": 1207, "page_reads": 737}
+    #: Was 1 727 seeks / 1 842 page writes with write-through directories;
+    #: then 1 422 seeks / 1 196 page reads before the one-run delete read.
     TRANSACTIONAL = {
-        "seeks": 1422, "page_reads": 1196, "page_writes": 1543,
+        "seeks": 1413, "page_reads": 1187, "page_writes": 1543,
         "free_pages": 7352,
         "roots": "85394fad549a002e0651e09ed778c7352a94a753e3a5e6d3071ba66ed7ea9823",
     }
