@@ -78,17 +78,16 @@ def splice(
     path, local = tree.descend(lo)
     step = path[-1]
     s = step.node.entry(step.index)
-    s_lo = lo - local
-    if hi > lo:
+    s_lo = sp_lo = lo - local
+    sp = s
+    if hi - 1 >= s_lo + s.count:  # S′ lies past S: a second descent
         path_r, local_r = tree.descend(hi - 1)
         step_r = path_r[-1]
         sp = step_r.node.entry(step_r.index)
         sp_lo = hi - 1 - local_r
-        h = local_r + 1
-        q = local_r // ps  # the pivot page holds byte hi - 1
-    else:
-        sp, sp_lo, h = s, s_lo, local
-        q = h // ps  # the pivot page holds byte lo
+    h = hi - sp_lo
+    # The pivot page holds byte hi - 1, or byte lo for an insert.
+    q = (h - 1 if hi > lo else h) // ps
     same_segment = s_lo == sp_lo
 
     # ---- Step 2: preparation ---------------------------------------------------

@@ -19,12 +19,11 @@ means is the only thing the two users disagree on:
 pages) hold everything else once, and :func:`run_unit` is the only
 begin / commit-or-abort / rebind sequence in the program.
 
-Nothing can reference a unit's pages before its switch point, so its
-allocations only dirty their directory frames
-(:meth:`~repro.buddy.manager.BuddyManager.deferring`); each policy
-passes the unit's pages through the write-order barrier
-(:meth:`~repro.core.pager.InPlacePager.flush`) before it publishes.  A
-failed barrier write aborts the unit like any other failure.
+A unit's allocations, like all others, only dirty their directory
+frames; each policy passes the unit's pages through the write-order
+barrier (:meth:`~repro.core.pager.InPlacePager.flush`), which writes
+them and then the directory, before it publishes.  A failed barrier
+write aborts the unit like any other failure.
 """
 
 from __future__ import annotations
@@ -251,9 +250,7 @@ def run_unit(
     and bound back whatever happens.  The commit is inside the guarded
     region: any failure up to the pager's switch point — in ``fn`` or in
     ``commit_unit`` itself, its barrier included — aborts both halves
-    and leaves the old tree untouched.  Both run inside the allocator's
-    ``deferring()`` block, so no allocation of the unit is written
-    before the barrier.  Once the pager has left the unit
+    and leaves the old tree untouched.  Once the pager has left the unit
     (it switched and then died freeing what the new tree superseded, or
     ``fn`` crashed it on purpose) the unit's pages are not ours to free:
     they leak, as after a crash.  Returns ``(fn's result, the pager's
@@ -264,9 +261,8 @@ def run_unit(
     saved = tree.pager, obj.buddy
     tree.pager, obj.buddy = pager, allocator
     try:
-        with pager.base.buddy.deferring():
-            result = fn(obj)
-            committed = pager.commit_unit(lsn)
+        result = fn(obj)
+        committed = pager.commit_unit(lsn)
         allocator.commit_unit()
         return result, committed
     except BaseException:

@@ -116,7 +116,7 @@ class TransactionalObject:
         self.txn = txn
         manager = txn.manager
         # Rebind the object's tree onto the shadow pager and the
-        # deferring allocator; leaf I/O and config stay shared.
+        # unit's allocator; leaf I/O and config stay shared.
         self.tree = LargeObjectTree(
             manager.shadow, obj.config, obj.root_page, obs=manager.db.obs
         )

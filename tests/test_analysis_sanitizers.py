@@ -277,6 +277,7 @@ class TestScanHintAndMirrorChecks:
         manager.write_dirty()  # the other manager must see the frees
         other = BuddyManager(manager.volume)
         other.allocate(4)
+        other.write_dirty()
         page = manager.volume.spaces[0].directory_page
         with manager.pool.page(page) as image:
             image[:] = manager.volume.disk.peek(page)
