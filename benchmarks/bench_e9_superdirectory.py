@@ -36,6 +36,7 @@ def build(use_superdirectory: bool):
                 break
             space.allocate(1 << t)
             manager.store_space(index, space)
+    manager.write_ahead()  # the restart below reads the directories
     return manager
 
 

@@ -55,15 +55,11 @@ class PlacementAllocator:
         n_spaces = self.buddy.volume.n_spaces
         for attempt in range(n_spaces):
             index = (self._next_space + attempt) % n_spaces
-            space = self.buddy.load_space(index)
-            start = space.allocate(n_pages)
-            if start is None:
+            ref = self.buddy.allocate_in(index, n_pages)
+            if ref is None:
                 continue
-            self.buddy._update_guess(index, space)
-            self.buddy.store_space(index, space)
             self._next_space = (index + 1) % n_spaces
-            extent = self.buddy.volume.spaces[index]
-            return SegmentRef(extent.to_physical(start), n_pages)
+            return ref
         raise OutOfSpace(n_pages)
 
     def free(self, first_page: int, n_pages: int) -> None:

@@ -126,6 +126,13 @@ class BuddySpace:
         space.amap = AllocationMap.from_bytes(amap_bytes, capacity)
         return space
 
+    def copy(self) -> "BuddySpace":
+        """An independent copy of the directory (scan hints reset)."""
+        space = type(self)(self.page_size, self.capacity)
+        space.counts = list(self.counts)
+        space.amap = AllocationMap(self.capacity, bytearray(self.amap.raw))
+        return space
+
     def to_page(self, into: bytearray | None = None) -> bytearray:
         """Serialise this space into a directory page image.
 
@@ -425,6 +432,37 @@ class BuddySpace:
                 )
             self._free_pow2(pos, floor_log2(size))
             pos += size
+
+    def occupy(self, start: int, n_pages: int) -> None:
+        """Mark ``[start, start + n_pages)`` allocated, whichever of its
+        pages are free now; pages already allocated stay as they are.
+
+        How the manager's held-back directory (a copy that keeps recent
+        frees allocated) takes an allocation the live directory placed.
+        Each free segment the run cuts is replaced by its pieces outside
+        the run; they cannot coalesce, being parts of a maximal segment
+        whose other parts are now allocated.
+        """
+        end = start + n_pages
+        pos = start
+        while pos < end:
+            seg_start, size, allocated = self.amap.locate(pos)
+            seg_end = seg_start + size
+            if not allocated:
+                self.counts[floor_log2(size)] -= 1
+                self.amap.set_segment(seg_start, size, allocated=True)
+                if size >= 4:
+                    self.amap.break_large(seg_start)
+                lo, hi = max(seg_start, start), min(seg_end, end)
+                for addr, piece in aligned_run_decomposition(lo, hi - lo):
+                    self.amap.set_segment(addr, piece, allocated=True)
+                for addr, piece in (
+                    *aligned_run_decomposition(seg_start, lo - seg_start),
+                    *aligned_run_decomposition(hi, seg_end - hi),
+                ):
+                    self.amap.set_segment(addr, piece, allocated=False)
+                    self._add_free(floor_log2(piece), addr)
+            pos = seg_end
 
     def _split_at(self, boundary: int) -> None:
         """Ensure no allocated segment crosses ``boundary``.

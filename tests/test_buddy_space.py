@@ -274,6 +274,58 @@ class TestPropertyBased:
             assert space.free_pages() == capacity - sum(model)
 
 
+class TestOccupy:
+    """``occupy`` marks a run allocated whatever of it is free, leaving a
+    canonical directory: a held-back copy that takes every allocation of
+    the live space keeps exactly its pages and the ones freed since."""
+
+    def test_a_run_inside_one_free_segment(self):
+        space = BuddySpace.create(page_size=256, capacity=64)
+        space.occupy(11, 3)
+        allocated = [s for s in segments_of(space) if s.allocated]
+        assert [page for s in allocated for page in range(s.start, s.end)] == [
+            11, 12, 13
+        ]
+        assert space.free_pages() == 61
+
+    def test_pages_already_allocated_stay(self):
+        space = BuddySpace.create(page_size=256, capacity=64)
+        start = space.allocate(8)
+        space.occupy(start + 4, 8)
+        segments_of(space)
+        assert space.free_pages() == 64 - 12
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_held_copy_is_live_plus_freed(self, data):
+        capacity = 128
+        space = BuddySpace.create(page_size=256, capacity=capacity)
+        live: list[tuple[int, int]] = []
+        for n in data.draw(st.lists(st.integers(1, 12), max_size=8), label="pre"):
+            start = space.allocate(n)
+            if start is not None:
+                live.append((start, n))
+        held, freed = space.copy(), set()
+        for _ in range(data.draw(st.integers(1, 25), label="steps")):
+            if live and data.draw(st.booleans(), label="free?"):
+                start, n = live.pop(data.draw(st.integers(0, len(live) - 1)))
+                space.free(start, n)
+                freed.update(range(start, start + n))
+                continue
+            n = data.draw(st.integers(1, 12), label="n_pages")
+            start = space.allocate(n)
+            if start is not None:
+                live.append((start, n))
+                held.occupy(start, n)
+        allocated = {
+            page for seg in segments_of(held) if seg.allocated
+            for page in range(seg.start, seg.end)
+        }
+        in_use = {page for start, n in live for page in range(start, start + n)}
+        assert allocated == in_use | freed
+        assert held.free_pages() == capacity - len(allocated)
+
+
 def reference_scan(space: BuddySpace, size_type: int, s: int) -> tuple[int, int]:
     """The Section 3.1 stepping rule over decoded segments, from page ``s``:
     ``(address found, segments probed)``.  What ``find_free`` must match."""
