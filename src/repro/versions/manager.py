@@ -337,8 +337,8 @@ class VersionManager:
         before the first run goes back to the allocator, which could
         hand it to another tree.  A free that dies part-way leaks the
         rest, as after a crash, but leaves no entry behind.  The frees
-        write no directory page: the next unit's forced write, or a
-        checkpoint, carries them to the disk.
+        write no directory page: a checkpoint carries them to the disk,
+        behind the index pages.
         """
         self.snap_pager.forget(_run_pages(runs))
         pool, buddy = self.db.pool, self.db.buddy
