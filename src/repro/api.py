@@ -540,9 +540,10 @@ class EOSDatabase:
     # ------------------------------------------------------------------
 
     def _write_catalog(self) -> None:
-        """Store the catalog as a fresh object and point page 0 at it,
-        in the write order: the object, the barrier, page 0, the frees
-        of the previous catalog object, the barrier again."""
+        """Store the catalog as a fresh object and point page 0 at it:
+        every dirty index page (no stale image may name a page the object
+        takes), the object, the held-back directory, page 0, then the
+        checkpoint that lets the frees go (the old catalog's too)."""
         versions = self.versions
         files = [
             catalog.FileGroup(f.name, f.threshold, f.adaptive,
@@ -556,8 +557,10 @@ class EOSDatabase:
         ))
         header = self.disk.read_page(0)
         old = catalog.root_of(header)
+        self.pool.flush_all()
         root = catalog.store(self, data)
-        self.pager.flush()
+        self.pool.flush_all()
+        self.buddy.write_ahead()
         self.disk.write_page(0, catalog.with_root(header, root))
         if old:
             catalog.discard(self, old)
@@ -599,7 +602,6 @@ class EOSDatabase:
     def save(self, path: str | os.PathLike) -> None:
         """Flush everything and persist the volume image to ``path``."""
         self._ensure_open("save")
-        self.checkpoint()
         self._write_catalog()
         self.disk.save(path)
 
@@ -635,8 +637,8 @@ class EOSDatabase:
     # ------------------------------------------------------------------
 
     def checkpoint(self) -> None:
-        """Flush every dirty buffered page to the disk image, through the
-        write-order barrier (:meth:`~repro.core.pager.InPlacePager.flush`).
+        """Flush every dirty buffered page to the disk image, then the
+        whole directory (:meth:`~repro.core.pager.InPlacePager.flush`).
         """
         self._ensure_open("checkpoint")
         self.pager.flush()

@@ -30,7 +30,7 @@ ahead of the disk (INTERNALS, "Write order"):
 
 * :meth:`write_ahead`, just before anything could make the disk name
   what was allocated — an index page's eviction, a checkpoint's index
-  write-back, a copy-on-write unit's switch point.  It writes each
+  write-back, page 0 naming a new catalog.  It writes each
   space that allocated since its last write, but with the frees made
   since the last :meth:`write_dirty` still marked allocated (the
   *held-back* directory): an index page on disk may still name them.

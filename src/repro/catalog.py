@@ -174,7 +174,7 @@ def with_root(header: bytes, root: PageId) -> bytes:
 def store(db: EOSDatabase, data: bytes) -> PageId:
     """Write ``data`` as a fresh object in exact-size segments, its root
     in front of the first; returns the root.  Its index pages wait in
-    the pool for the barrier."""
+    the pool until the catalog's write-back ahead of page 0."""
     return create(
         db.pager, db.segio, db.buddy, db.config, data, size_hint=len(data)
     ).root_page

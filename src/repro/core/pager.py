@@ -145,16 +145,15 @@ class InPlacePager(NodePager):
         self.write(page, node)
 
     def flush(self, pages: Iterable[PageId] | None = None) -> None:
-        """The write-order barrier; the caller publishes afterwards
-        (INTERNALS, "Write order").
+        """Write ``pages``, or with none the checkpoint (INTERNALS,
+        "Write order").
 
-        Allocations reach the disk ahead of the pages that may name
-        them, frees behind the pages that stopped naming them.  With no
+        A unit's ``pages`` are fresh: nothing on disk names them until
+        the pool writes back the page that does, or page 0 names a
+        catalog that does, and both write the directory first.  With no
         ``pages`` every dirty frame is written (the pool writes the
-        held-back directory first), then the whole directory.  A unit's
-        ``pages`` are fresh, named by nothing on disk yet, so they go
-        first and the held-back directory behind them, next to the
-        publish.
+        held-back directory first), then the whole directory, frees
+        included.
         """
         if pages is None:
             self.pool.flush_all()
@@ -162,7 +161,6 @@ class InPlacePager(NodePager):
             return
         for page in pages:
             self.pool.flush_page(page)
-        self.buddy.write_ahead()
 
 
 class _Journal:

@@ -19,11 +19,11 @@ means is the only thing the two users disagree on:
 pages) hold everything else once, and :func:`run_unit` is the only
 begin / commit-or-abort / rebind sequence in the program.
 
-A unit's allocations, like all others, only dirty their directory
-frames; each policy passes the unit's pages through the write-order
-barrier (:meth:`~repro.core.pager.InPlacePager.flush`), which writes
-them and then the directory, before it publishes.  A failed barrier
-write aborts the unit like any other failure.
+A unit's allocations only dirty their directory frames, and each policy
+writes the unit's pages (:meth:`~repro.core.pager.InPlacePager.flush`)
+and no directory page before it publishes: only an index write-back or
+page 0 makes the disk name them, and both write the directory first.
+A failed write aborts the unit like any other failure.
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ class UnitPager(NodePager):
 
     Subclasses supply ``kind`` (the metric/span prefix) and
     ``commit_unit(lsn)`` — what becomes of the pending root and of the
-    superseded pages — which calls the barrier ``base.flush(local)``
-    before its switch point; a failure there aborts the unit.
+    superseded pages — which writes the unit's pages with
+    ``base.flush(local)`` before its switch point; a failure aborts it.
     """
 
     kind = "unit"
@@ -249,7 +249,7 @@ def run_unit(
     ``obj`` is bound to the unit's pager and allocator for the duration
     and bound back whatever happens.  The commit is inside the guarded
     region: any failure up to the pager's switch point — in ``fn`` or in
-    ``commit_unit`` itself, its barrier included — aborts both halves
+    ``commit_unit`` itself, its page writes included — aborts both halves
     and leaves the old tree untouched.  Once the pager has left the unit
     (it switched and then died freeing what the new tree superseded, or
     ``fn`` crashed it on purpose) the unit's pages are not ours to free:

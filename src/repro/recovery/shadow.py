@@ -14,9 +14,9 @@ deliberately designed so it is never required.
 :class:`ShadowPager` is the copy-on-write unit of
 :mod:`repro.core.unit` with the paper's commit policy: the root is the
 single *in-place* write that atomically switches from the old tree to
-the new one, it carries the operation's LSN, the unit's pages pass the
-write-order barrier (:meth:`~repro.core.pager.InPlacePager.flush`)
-just before it, and only after it are the superseded pages freed.  An
+the new one, it carries the operation's LSN, the unit's pages are
+written just before it (the root's write-back writes the directory
+first), and only after it are the superseded pages freed.  An
 abort (or a crash before the root write) frees/leaks only *new* pages —
 the old tree was never touched.
 """

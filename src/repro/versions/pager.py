@@ -3,9 +3,9 @@
 * :class:`VersionPager` — the copy-on-write unit of
   :mod:`repro.core.unit` with the versioning commit policy: the commit
   does **not** overwrite the old root in place.  It allocates a
-  brand-new page for the edited root, passes every index page the unit
-  wrote through the write-order barrier, and returns the new root's page
-  id; the old tree — root included — stays byte-identical on disk.
+  brand-new page for the edited root, writes every index page the unit
+  wrote, and returns the new root's page id; the old tree — root
+  included — stays byte-identical on disk.
   Superseded pages are *left allocated*, because older versions still
   reach them; together with the old root they are left in
   :attr:`VersionPager.dead`, which the version manager joins with the
@@ -48,10 +48,10 @@ class VersionPager(UnitPager):
         Returns the new root's page id, or None when the operation was
         a no-op (nothing was written — e.g. an empty append), in which
         case no new version exists.  Every index page the unit wrote,
-        new root included, goes through the write-order barrier
-        (:meth:`~repro.core.pager.InPlacePager.flush`), so lock-free
-        snapshot readers, which never use the pool, find the whole tree
-        on disk; the set is left in :attr:`published`.
+        new root included, is written (no directory page: only a
+        catalog names the new root on disk), so lock-free snapshot
+        readers, which never use the pool, find the whole tree on disk;
+        the set is left in :attr:`published`.
         """
         self._require_unit("commit")
         if self._pending_root is None:

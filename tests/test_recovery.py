@@ -222,18 +222,24 @@ class TestFailedUnitClosesTheShadowPager:
         assert self.check_then_commit_another(db, manager, obj, txn, old).clean
 
     def test_device_dies_at_every_write_of_the_op(self):
-        faults = 0
-        for k in range(64):
+        def begun():
             config = EOSConfig(page_size=PAGE, threshold=2)
             disk = FaultyDisk(num_pages=6000, page_size=PAGE)
             db = EOSDatabase.create(
                 6000, PAGE, config=config, pool_capacity=2, disk=disk
             )
             manager = RecoveryManager(db)
-            old = payload(3000)
-            obj = db.create_object(old)
+            obj = db.create_object(payload(3000))
             db.checkpoint()
-            txn = manager.begin()
+            return db, disk, manager, obj, manager.begin()
+
+        db, disk, manager, obj, txn = begun()
+        with disk.stats.delta() as unfaulted:
+            txn.open(obj).insert(500, b"x" * 800)
+        old = payload(3000)
+        faults = 0
+        for k in range(64):
+            db, disk, manager, obj, txn = begun()
             disk.arm(k)
             try:
                 txn.open(obj).insert(500, b"x" * 800)
@@ -249,9 +255,9 @@ class TestFailedUnitClosesTheShadowPager:
             assert report.errors == [], report.summary()
         else:
             pytest.fail("the op never completed")
-        # The leaf write and the unit's one forced directory write (the
-        # root switch itself stays in the pool).
-        assert faults >= 2
+        # A fault at every write of the op: its leaf write and the unit's
+        # page writes (the root switch itself stays in the pool).
+        assert faults == unfaulted.write_calls
 
 
 class TestTransactionLocks:

@@ -337,6 +337,9 @@ class TestFaultedUnitRebinds:
 
     @pytest.mark.parametrize("op", sorted(OPS))
     def test_device_dies_at_every_write_of_the_op(self, op):
+        db, disk, oid = self.make()
+        with disk.stats.delta() as unfaulted:
+            self.OPS[op](db, oid)
         faults = 0
         for k in range(64):
             db, disk, oid = self.make()
@@ -359,8 +362,9 @@ class TestFaultedUnitRebinds:
             self.assert_sound(db)
         else:
             pytest.fail("the op never completed")
-        # Several writes, so faults inside fn, allocate and flush all ran.
-        assert faults >= 3
+        # A fault at every write of the op, inside fn and the commit's
+        # page writes alike.
+        assert faults == unfaulted.write_calls
         assert len(db.op_versions(oid)) == len(chain) + 1
         self.assert_sound(db)
 
@@ -846,12 +850,20 @@ class TestSnapshotNodeCache:
     @pytest.mark.parametrize("op", sorted(TestFaultedUnitRebinds.OPS))
     def test_a_failed_unit_leaves_no_entry(self, op):
         run_op = TestFaultedUnitRebinds.OPS[op]
-        failed_units = 0
-        for k in range(256):
+
+        def fragmented():
             disk = FaultyDisk(num_pages=PAGES, page_size=SMALL_PAGE)
             db = make_small_page_db(retain=1, disk=disk)
             oid = db.op_create(b"")
             fragment(db, oid, bytearray(), 12)
+            return db, disk, oid
+
+        db, disk, oid = fragmented()
+        with disk.stats.delta() as unfaulted:
+            run_op(db, oid)
+        failed_units = 0
+        for k in range(256):
+            db, disk, oid = fragmented()
             chain, live = db.op_versions(oid), live_index_pages(db)
             assert len(live) > 1
             disk.arm(k)
@@ -874,7 +886,9 @@ class TestSnapshotNodeCache:
             )
         else:
             pytest.fail("the op never completed")
-        assert failed_units >= 3
+        # Every write of the op precedes its publish, so each fault fails
+        # the unit.
+        assert failed_units == unfaulted.write_calls
 
     def test_sanitizer_checks_every_hit_against_the_disk(self):
         db = make_small_page_db(retain=4, sanitize_pins=True)
